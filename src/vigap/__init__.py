@@ -15,17 +15,15 @@ exact-regularization diagnostics, built-in problem instances and a CLI
 from .core import (
     FeasibleSet,
     MonotoneMap,
-    RegularizedMap,
     Regularizer,
     affine_map,
     ball,
     box,
-    evaluate_T,
     halfspace,
     hyperplane,
     l1_regularizer,
     product_set,
-    project,
+    regularized_operator,
     shifted_orthant,
     tikhonov,
 )

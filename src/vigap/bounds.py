@@ -126,6 +126,21 @@ def stopping_threshold(tau: float, L: float, M: float, rho: float,
     )
 
 
+def _eps_to_S0(sharp: SharpnessModel, M: float, epsilon: float, bound_kind: str) -> BoundReport:
+    """d(x_eps, S0) <= (eps * M / alpha_sharp)^(1/(gamma-1)), shared by both models."""
+    if epsilon < 0:
+        raise ValueError("epsilon must be nonnegative")
+    if not M >= 0:
+        raise ValueError("the (sub)gradient bound M must be nonnegative")
+    radius = (epsilon * M / sharp.alpha_sharp) ** (1.0 / (sharp.gamma - 1.0))
+    return BoundReport(
+        bound_kind=bound_kind,
+        radius=radius,
+        inputs={"gamma": sharp.gamma, "alpha_sharp": sharp.alpha_sharp,
+                "M": M, "epsilon": epsilon},
+    )
+
+
 def eps_error_bound_dualgap(sharp: SharpnessModel, subgrad_bound_M: float,
                             epsilon: float) -> BoundReport:
     """Bound d(x_eps, S0) <= (eps * M / alpha_sharp)^(1/(gamma-1)) for the dual-gap model.
@@ -134,17 +149,7 @@ def eps_error_bound_dualgap(sharp: SharpnessModel, subgrad_bound_M: float,
     is usually stated with an unnamed constant tau; the computable choice
     tau = M / alpha_sharp is used here.
     """
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
-    if not subgrad_bound_M >= 0:
-        raise ValueError("subgradient bound must be nonnegative")
-    radius = (epsilon * subgrad_bound_M / sharp.alpha_sharp) ** (1.0 / (sharp.gamma - 1.0))
-    return BoundReport(
-        bound_kind="eps_to_S0_dualgap",
-        radius=radius,
-        inputs={"gamma": sharp.gamma, "alpha_sharp": sharp.alpha_sharp,
-                "M": subgrad_bound_M, "epsilon": epsilon},
-    )
+    return _eps_to_S0(sharp, subgrad_bound_M, epsilon, "eps_to_S0_dualgap")
 
 
 def eps_error_bound_direct(sharp: SharpnessModel, grad_bound_M: float,
@@ -156,17 +161,7 @@ def eps_error_bound_direct(sharp: SharpnessModel, grad_bound_M: float,
     (a stronger requirement than the dual-gap form). The order-1 case has no
     radius formula; see `order1_inequality`.
     """
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
-    if not grad_bound_M >= 0:
-        raise ValueError("gradient bound must be nonnegative")
-    radius = (epsilon * grad_bound_M / sharp.alpha_sharp) ** (1.0 / (sharp.gamma - 1.0))
-    return BoundReport(
-        bound_kind="eps_to_S0_direct",
-        radius=radius,
-        inputs={"gamma": sharp.gamma, "alpha_sharp": sharp.alpha_sharp,
-                "M": grad_bound_M, "epsilon": epsilon},
-    )
+    return _eps_to_S0(sharp, grad_bound_M, epsilon, "eps_to_S0_direct")
 
 
 def order1_inequality(alpha_sharp: float, epsilon: float, dist_S0: float,

@@ -22,10 +22,7 @@ __all__ = [
     "MonotoneMap",
     "FeasibleSet",
     "Regularizer",
-    "RegularizedMap",
     "as_point",
-    "evaluate_T",
-    "project",
     "project_rows",
     "grad_or_subgrad",
     "box",
@@ -38,11 +35,11 @@ __all__ = [
     "affine_map",
     "tikhonov",
     "l1_regularizer",
+    "regularized_operator",
     "sample_in_set",
     "probe_monotonicity",
     "probe_lipschitz",
     "probe_convexity",
-    "probe_strong_monotonicity",
 ]
 
 
@@ -173,14 +170,6 @@ class FeasibleSet:
     contains: Callable[[Vector, float], bool]
     description: dict = field(default_factory=dict)
     project_rows: Optional[Callable[[np.ndarray], np.ndarray]] = None
-
-    def __call__(self, z: Vector) -> Vector:
-        return self.project(as_point(z, self.dimension))
-
-
-def project(feasible: FeasibleSet, z: Vector) -> Vector:
-    """Euclidean projection of z onto the set."""
-    return feasible(z)
 
 
 def project_rows(feasible: FeasibleSet, Z: np.ndarray) -> np.ndarray:
@@ -401,31 +390,20 @@ def l1_regularizer() -> Regularizer:
 # regularized operator
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RegularizedMap:
-    """T = F + eps * grad(phi) (selected subgradient in the nonsmooth case)."""
+def regularized_operator(fmap: MonotoneMap, reg: Optional[Regularizer],
+                         epsilon: float) -> Callable[[Vector], Vector]:
+    """T = F + eps * g as a raw callable, g the gradient or selected subgradient of phi.
 
-    base: MonotoneMap
-    reg: Regularizer
-    epsilon: float
-
-    def __post_init__(self):
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be nonnegative")
-
-    def __call__(self, x: Vector) -> Vector:
-        return evaluate_T(self, x)
-
-
-def evaluate_T(mapping: RegularizedMap, x: Vector) -> Vector:
-    """Evaluate T(x) = F(x) + eps * g(x), g the gradient or selected subgradient."""
-    x = as_point(x, mapping.base.dimension)
-    v = mapping.base(x)
-    if mapping.epsilon > 0.0:
-        v = v + mapping.epsilon * grad_or_subgrad(mapping.reg, x)
-    if not np.all(np.isfinite(v)):
-        raise EvaluationError("regularized operator returned non-finite values")
-    return v
+    eps is checked once here; the returned callable does no validation of
+    its own beyond F's. For eps = 0 (or no regularizer) T is F itself.
+    """
+    if epsilon < 0:
+        raise ValueError("epsilon must be nonnegative")
+    if epsilon == 0.0 or reg is None:
+        if epsilon != 0.0:
+            raise ValueError("epsilon > 0 requires a regularizer")
+        return fmap
+    return lambda x: fmap(x) + epsilon * grad_or_subgrad(reg, x)
 
 
 # ---------------------------------------------------------------------------
@@ -492,11 +470,3 @@ def probe_convexity(reg: Regularizer, dimension: int, n_pairs: int = 200, seed: 
         sub = reg.value(y) - reg.value(x) - float(g @ (y - x))
         worst_sub = min(worst_sub, float(sub))
     return worst_mid, worst_sub
-
-
-def probe_strong_monotonicity(op: Callable[[Vector], Vector], feasible: FeasibleSet,
-                              modulus: float, n_pairs: int = 200, seed: int = 0,
-                              radius: float = 2.0) -> float:
-    """Worst margin of <T(x)-T(y), x-y> - modulus ||x-y||^2 on sampled pairs."""
-    return probe_monotonicity(op, feasible, n_pairs=n_pairs, seed=seed, radius=radius,
-                              mu=modulus)

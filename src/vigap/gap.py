@@ -17,8 +17,8 @@ from .core import (
     Regularizer,
     Vector,
     as_point,
-    grad_or_subgrad,
     project_rows,
+    regularized_operator,
 )
 
 __all__ = [
@@ -62,28 +62,20 @@ class DualGapConfig:
     """Budget and tolerances for the dual-gap inner maximization.
 
     multistarts counts all starts including the query point itself (and a
-    warm start when one is passed). radius=None means 1.5 * (1 + ||x||);
-    step0=None starts the (adaptive) ascent step at 1/(1 + L) using the
-    operator's declared Lipschitz constant.
+    warm start when one is passed). The random starts are drawn within
+    1.5 * (1 + ||x||) of x, and the (adaptive) ascent step starts at
+    1/(1 + L) using the operator's declared Lipschitz constant.
     """
 
     multistarts: int = 8
     max_iterations: int = 300
     tol: float = 1e-7
-    radius: Optional[float] = None
     seed: int = 0
-    step0: Optional[float] = None
-    fd_step: float = 1e-6
 
 
-def _operator(problem, epsilon: float, reg: Optional[Regularizer]):
-    """T = F + eps * grad(phi) as a plain callable; F itself for eps = 0."""
-    F: MonotoneMap = problem.map
-    if epsilon == 0.0 or reg is None:
-        if epsilon != 0.0:
-            raise ValueError("epsilon > 0 requires a regularizer")
-        return lambda x: F(x)
-    return lambda x: F(x) + epsilon * grad_or_subgrad(reg, x)
+# central-difference step (relative to 1 + ||y||) for maps without an
+# analytic inner gradient
+FD_STEP = 1e-6
 
 
 def y_alpha(problem, x: Vector, alpha: float, epsilon: float = 0.0,
@@ -92,7 +84,7 @@ def y_alpha(problem, x: Vector, alpha: float, epsilon: float = 0.0,
     if not alpha > 0:
         raise ValueError("alpha must be positive")
     x = as_point(x, problem.map.dimension)
-    T = _operator(problem, epsilon, reg)
+    T = regularized_operator(problem.map, reg, epsilon)
     return problem.set.project(x - T(x) / alpha)
 
 
@@ -102,12 +94,31 @@ def theta_alpha(problem, x: Vector, alpha: float, epsilon: float = 0.0,
     if not alpha > 0:
         raise ValueError("alpha must be positive")
     x = as_point(x, problem.map.dimension)
-    T = _operator(problem, epsilon, reg)
-    Tx = T(x)
+    Tx = regularized_operator(problem.map, reg, epsilon)(x)
     y = problem.set.project(x - Tx / alpha)
     r = x - y
     val = float(Tx @ r) - 0.5 * alpha * float(r @ r)
     return GapEvaluation(value=val, maximizer=y, alpha=alpha, beta=None, epsilon=epsilon)
+
+
+def _theta_ab_kernel(problem, alpha: float, beta: float, epsilon: float,
+                     reg: Optional[Regularizer]):
+    """Unvalidated closure x -> (theta_ab(x), y_alpha(x), y_beta(x)) at fixed
+    (alpha, beta, eps, phi): the D-gap as the descent loop evaluates it."""
+    T = regularized_operator(problem.map, reg, epsilon)
+    proj = problem.set.project
+
+    def theta(x: Vector):
+        Tx = T(x)
+        ya = proj(x - Tx / alpha)
+        yb = proj(x - Tx / beta)
+        ra = x - ya
+        rb = x - yb
+        val = (float(Tx @ ra) - 0.5 * alpha * float(ra @ ra)
+               - float(Tx @ rb) + 0.5 * beta * float(rb @ rb))
+        return val, ya, yb
+
+    return theta
 
 
 def theta_ab(problem, x: Vector, alpha: float, beta: float, epsilon: float = 0.0,
@@ -120,14 +131,7 @@ def theta_ab(problem, x: Vector, alpha: float, beta: float, epsilon: float = 0.0
     if not (0 < alpha < beta):
         raise ValueError(f"need 0 < alpha < beta, got alpha={alpha}, beta={beta}")
     x = as_point(x, problem.map.dimension)
-    T = _operator(problem, epsilon, reg)
-    Tx = T(x)
-    ya = problem.set.project(x - Tx / alpha)
-    yb = problem.set.project(x - Tx / beta)
-    ra = x - ya
-    rb = x - yb
-    val = (float(Tx @ ra) - 0.5 * alpha * float(ra @ ra)
-           - float(Tx @ rb) + 0.5 * beta * float(rb @ rb))
+    val, ya, yb = _theta_ab_kernel(problem, alpha, beta, epsilon, reg)(x)
     return GapEvaluation(value=val, maximizer=ya, alpha=alpha, beta=beta, epsilon=epsilon,
                          maximizer_beta=yb)
 
@@ -141,13 +145,13 @@ def _inner_objective(F: MonotoneMap, x: Vector, Y: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", FY, x - Y)
 
 
-def _inner_gradient(F: MonotoneMap, x: Vector, Y: np.ndarray, fd_step: float) -> np.ndarray:
+def _inner_gradient(F: MonotoneMap, x: Vector, Y: np.ndarray) -> np.ndarray:
     if F.inner_gradient is not None:
         return np.asarray(F.inner_gradient(x, Y), dtype=float)
     # central differences of y -> <F(y), x - y>
     G = np.empty_like(Y)
     for i, y in enumerate(Y):
-        h = fd_step * (1.0 + float(np.linalg.norm(y)))
+        h = FD_STEP * (1.0 + float(np.linalg.norm(y)))
         for j in range(Y.shape[1]):
             e = np.zeros_like(y)
             e[j] = h
@@ -162,10 +166,11 @@ def dual_gap(problem, x: Vector, config: Optional[DualGapConfig] = None,
     """Evaluate G(x) = sup_{y in Omega} <F(y), x - y> from below.
 
     Multistart projected gradient ascent with a per-start adaptive step
-    (expand on success, halve on failure). Non-convergence is reported via
-    the converged flag, never silently. For affine monotone F the inner
-    problem is concave and the solve is reliable; for general F it is a
-    documented heuristic.
+    (expand on success, halve on failure). For affine monotone F the inner
+    problem is concave, but the fixed budget can still fall short when M is
+    ill-conditioned; for general F the solve is a heuristic. Either way a
+    failure is flagged through the converged flag, never silently, and
+    solve_pge raises DualGapUnreliableError when too many solves fail.
 
     Parameters
     ----------
@@ -179,7 +184,7 @@ def dual_gap(problem, x: Vector, config: Optional[DualGapConfig] = None,
     omega: FeasibleSet = problem.set
     x = as_point(x, F.dimension)
     rng = np.random.default_rng(cfg.seed)
-    radius = cfg.radius if cfg.radius is not None else 1.5 * (1.0 + float(np.linalg.norm(x)))
+    radius = 1.5 * (1.0 + float(np.linalg.norm(x)))
 
     starts = [x]
     if warm is not None:
@@ -188,8 +193,7 @@ def dual_gap(problem, x: Vector, config: Optional[DualGapConfig] = None,
     Y = np.vstack([np.array(starts),
                    x + radius * rng.standard_normal((n_rand, F.dimension))])
     Y = project_rows(omega, Y)
-    step0 = cfg.step0 if cfg.step0 is not None else 1.0 / (1.0 + F.lipschitz_L)
-    steps = np.full(len(Y), step0)
+    steps = np.full(len(Y), 1.0 / (1.0 + F.lipschitz_L))
 
     f = _inner_objective(F, x, Y)
     f_prev_best = float(f.max())
@@ -198,7 +202,7 @@ def dual_gap(problem, x: Vector, config: Optional[DualGapConfig] = None,
     used = 0
     for it in range(cfg.max_iterations):
         used = it + 1
-        G = _inner_gradient(F, x, Y, cfg.fd_step)
+        G = _inner_gradient(F, x, Y)
         cand = project_rows(omega, Y + steps[:, None] * G)
         fc = _inner_objective(F, x, cand)
         better = fc > f
@@ -220,7 +224,7 @@ def dual_gap(problem, x: Vector, config: Optional[DualGapConfig] = None,
 
     k = int(np.argmax(f))
     ybar = Y[k]
-    g = _inner_gradient(F, x, ybar[None, :], cfg.fd_step)[0]
+    g = _inner_gradient(F, x, ybar[None, :])[0]
     s = 0.1 / (1.0 + float(np.linalg.norm(g)))
     res = float(np.linalg.norm(ybar - omega.project(ybar + s * g))) / s
     converged = (res <= cfg.tol) or (steps[k] <= collapse)

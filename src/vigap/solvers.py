@@ -16,13 +16,13 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from . import bounds
 from .core import Regularizer, Vector, as_point, grad_or_subgrad
-from .gap import DualGapConfig, GapEvaluation, dual_gap, theta_ab, y_alpha
+from .gap import DualGapConfig, _theta_ab_kernel, dual_gap, theta_ab, y_alpha
 
 __all__ = [
     "StepFailureError",
@@ -48,6 +48,20 @@ __all__ = [
 
 BRANCH_GAP_DIFF = "y_alpha_minus_y_beta"
 BRANCH_RESIDUAL = "y_alpha_minus_x"
+
+# D-gap descent: sample pairs of the L_theta estimate, and the relative move
+# below which an iterate counts as stagnant
+L_THETA_SAMPLES = 200
+STAGNATION_TOL = 1e-13
+
+# projected subgradient: initial Polyak relaxation as a fraction of |f(x0)|,
+# its final value relative to 1 + |f(x0)|, the relative probe step for the
+# tangential subgradient, and the largest tolerated share of non-converged
+# dual-gap solves
+PGE_DELTA0_FRACTION = 0.25
+PGE_DELTA_FINAL_REL = 1e-14
+PGE_TANGENT_PROBE = 1e-7
+PGE_MAX_NONCONVERGED_FRACTION = 0.5
 
 
 class StepFailureError(RuntimeError):
@@ -102,11 +116,9 @@ class InnerConfig:
     max_backtracks: int = 60
     max_iterations: int = 400_000
     L_theta_estimate: Optional[float] = None
-    L_theta_samples: int = 200
     floor: float = 1e-16
     seed: int = 0
     experimental_nonsmooth: bool = False
-    stagnation_tol: float = 1e-13
 
     def __post_init__(self):
         if not (0 < self.alpha < self.beta):
@@ -132,7 +144,6 @@ class OuterConfig:
     max_outer: int = 12
     tau: float = 1e-6
     inner: InnerConfig = field(default_factory=InnerConfig)
-    inner_factory: Optional[Callable[[int, float], InnerConfig]] = None
 
     def schedule(self) -> tuple:
         if self.epsilons is not None:
@@ -165,7 +176,6 @@ class InnerRecord:
     m: int
     branch: str
     step_norm: float
-    x: Vector
 
 
 @dataclass
@@ -225,21 +235,16 @@ class SubgradientConfig:
     """Budget and step rule for the projected subgradient solver.
 
     step_mode "polyak": gap-anchored steps (f - f_best + delta_j)/||g_T||^2
-    with geometrically decaying relaxation delta_j and displacement cap,
-    where g_T is the tangential (projected) part of the subgradient.
-    step_mode "sqrt": the plain diminishing schedule t0/sqrt(j+1).
+    with geometrically decaying relaxation delta_j and displacement cap
+    2 (1 + ||x0||), where g_T is the tangential (projected) part of the
+    subgradient. step_mode "sqrt": the plain diminishing schedule
+    t_j = 1/((1 + eps) sqrt(j)).
     """
 
     max_iterations: int = 1100
     step_mode: str = "polyak"
-    t0: Optional[float] = None
-    delta0_fraction: float = 0.25
-    delta_final_rel: float = 1e-14
-    cap: Optional[float] = None
     seed: int = 0
     gap_config: DualGapConfig = field(default_factory=DualGapConfig)
-    max_nonconverged_fraction: float = 0.5
-    tangent_probe: float = 1e-7
 
     def __post_init__(self):
         if self.step_mode not in ("polyak", "sqrt"):
@@ -252,32 +257,6 @@ class SubgradientConfig:
 # constants
 # ---------------------------------------------------------------------------
 
-def _theta_fn(problem, cfg: InnerConfig, epsilon: float, reg: Optional[Regularizer]):
-    """Fast closure for the D-gap at fixed (alpha, beta, eps, phi).
-
-    Returns (theta, y_alpha, y_beta); avoids per-call validation in the hot
-    descent loop.
-    """
-    F = problem.map
-    proj = problem.set.project
-    alpha, beta = cfg.alpha, cfg.beta
-    use_reg = epsilon > 0.0 and reg is not None
-
-    def theta(x: Vector):
-        Tx = F(x)
-        if use_reg:
-            Tx = Tx + epsilon * grad_or_subgrad(reg, x)
-        ya = proj(x - Tx / alpha)
-        yb = proj(x - Tx / beta)
-        ra = x - ya
-        rb = x - yb
-        val = (float(Tx @ ra) - 0.5 * alpha * float(ra @ ra)
-               - float(Tx @ rb) + 0.5 * beta * float(rb @ rb))
-        return val, ya, yb
-
-    return theta
-
-
 def estimate_L_theta(problem, x0: Vector, cfg: InnerConfig, epsilon: float,
                      reg: Optional[Regularizer] = None) -> float:
     """Sampled Lipschitz estimate of theta_ab on the initial level set.
@@ -286,7 +265,7 @@ def estimate_L_theta(problem, x0: Vector, cfg: InnerConfig, epsilon: float,
     returns the largest difference quotient |theta(u)-theta(v)| / ||u-v||
     over consecutive kept pairs.
     """
-    theta = _theta_fn(problem, cfg, epsilon, reg)
+    theta = _theta_ab_kernel(problem, cfg.alpha, cfg.beta, epsilon, reg)
     x0 = as_point(x0, problem.map.dimension)
     th0, ya0, _ = theta(x0)
     rng = np.random.default_rng(cfg.seed)
@@ -294,7 +273,7 @@ def estimate_L_theta(problem, x0: Vector, cfg: InnerConfig, epsilon: float,
     pts = [x0]
     vals = [th0]
     draws = 0
-    while len(pts) < cfg.L_theta_samples + 1 and draws < 50 * cfg.L_theta_samples:
+    while len(pts) < L_THETA_SAMPLES + 1 and draws < 50 * L_THETA_SAMPLES:
         draws += 1
         cand = x0 + radius * rng.standard_normal(x0.shape[0])
         tv, _, _ = theta(cand)
@@ -331,27 +310,27 @@ def _resolve_constants(problem, x0: Vector, cfg: InnerConfig, epsilon: float,
 # direction and line search
 # ---------------------------------------------------------------------------
 
+def _direction(x: Vector, ya: Vector, yb: Vector, c: float):
+    """Li-Ng switch: (y_alpha - y_beta) when c ||x - y_alpha|| <= ||y_alpha - y_beta||,
+    otherwise (y_alpha - x); returns (d, branch)."""
+    if c * np.linalg.norm(x - ya) <= np.linalg.norm(ya - yb):
+        return ya - yb, BRANCH_GAP_DIFF
+    return ya - x, BRANCH_RESIDUAL
+
+
 def li_ng_direction(problem, x: Vector, cfg: InnerConfig, epsilon: float = 0.0,
-                    reg: Optional[Regularizer] = None,
-                    gap_eval: Optional[GapEvaluation] = None):
+                    reg: Optional[Regularizer] = None):
     """Descent direction for the D-gap of VI(T_eps, Omega).
 
     Returns (d, branch) with d = y_alpha - y_beta when
     c ||x - y_alpha|| <= ||y_alpha - y_beta||, otherwise d = y_alpha - x.
-    cfg.c is used as given here (no admissibility capping); pass gap_eval to
-    reuse an existing theta_ab evaluation.
+    cfg.c is used as given here (no admissibility capping).
     """
     x = as_point(x, problem.map.dimension)
-    if gap_eval is None or gap_eval.maximizer_beta is None:
-        gap_eval = theta_ab(problem, x, cfg.alpha, cfg.beta, epsilon, reg)
-    ya = gap_eval.maximizer
-    yb = gap_eval.maximizer_beta
-    c = cfg.c
-    if c is None:
+    ev = theta_ab(problem, x, cfg.alpha, cfg.beta, epsilon, reg)
+    if cfg.c is None:
         raise ValueError("cfg.c must be set for li_ng_direction (resolve constants first)")
-    if c * np.linalg.norm(x - ya) <= np.linalg.norm(ya - yb):
-        return ya - yb, BRANCH_GAP_DIFF
-    return ya - x, BRANCH_RESIDUAL
+    return _direction(x, ev.maximizer, ev.maximizer_beta, cfg.c)
 
 
 def armijo_step(problem, x: Vector, d: Vector, cfg: InnerConfig, epsilon: float = 0.0,
@@ -366,7 +345,7 @@ def armijo_step(problem, x: Vector, d: Vector, cfg: InnerConfig, epsilon: float 
         raise ValueError("zero direction")
     if cfg.delta is None:
         cfg = _resolve_constants(problem, x, cfg, epsilon, reg)
-    theta = _theta_fn(problem, cfg, epsilon, reg)
+    theta = _theta_ab_kernel(problem, cfg.alpha, cfg.beta, epsilon, reg)
     th, _, _ = theta(as_point(x, problem.map.dimension))
     m, x_next, _, _, _ = _armijo(theta, as_point(x), d, th, cfg)
     return m, x_next
@@ -428,7 +407,7 @@ def solve_inner(problem, x0: Vector, epsilon: float, tau: float,
     else:
         p = 0.0  # no certified threshold without a strongly convex smooth phi
 
-    theta = _theta_fn(problem, cfg, epsilon, reg)
+    theta = _theta_ab_kernel(problem, cfg.alpha, cfg.beta, epsilon, reg)
     th, ya, yb = theta(x)
     records: list = []
     status = None
@@ -455,10 +434,7 @@ def solve_inner(problem, x0: Vector, epsilon: float, tau: float,
         if p < cfg.floor and th <= cfg.floor:
             status = "floor"
             break
-        if cfg.c * np.linalg.norm(x - ya) <= np.linalg.norm(ya - yb):
-            d, branch = ya - yb, BRANCH_GAP_DIFF
-        else:
-            d, branch = ya - x, BRANCH_RESIDUAL
+        d, branch = _direction(x, ya, yb, cfg.c)
         nd = float(np.linalg.norm(d))
         if nd <= 1e-15 * (1.0 + float(np.linalg.norm(x))):
             if not smooth_mode:
@@ -481,8 +457,8 @@ def solve_inner(problem, x0: Vector, epsilon: float, tau: float,
                 break
             raise
         records.append(InnerRecord(j=j, theta=tn, m=m, branch=branch,
-                                   step_norm=(cfg.gamma ** m) * nd, x=xn))
-        if float(np.linalg.norm(xn - x)) <= cfg.stagnation_tol * (1.0 + float(np.linalg.norm(x))):
+                                   step_norm=(cfg.gamma ** m) * nd))
+        if float(np.linalg.norm(xn - x)) <= STAGNATION_TOL * (1.0 + float(np.linalg.norm(x))):
             stagnant += 1
         else:
             stagnant = 0
@@ -525,8 +501,8 @@ def sequential_inexact_descent(problem, x0: Vector, outer_cfg: Optional[OuterCon
     outer: list = []
     inner: list = []
     oracle = getattr(problem, "solution_oracle", None)
+    icfg = cfg.inner
     for k, (e, tk) in enumerate(zip(eps, taus)):
-        icfg = cfg.inner_factory(k, e) if cfg.inner_factory is not None else cfg.inner
         tick = time.perf_counter()
         try:
             x, itrace = solve_inner(problem, x, e, tk, icfg, reg)
@@ -564,8 +540,8 @@ def solve_pge(problem, regularizer: Regularizer, epsilon: float, x0: Vector,
     dual-gap inner maximizer; returns the best-so-far iterate by objective
     value together with a per-iterate trace.
 
-    Raises DualGapUnreliableError when the fraction of non-converged inner
-    solves exceeds sg_config.max_nonconverged_fraction.
+    Raises DualGapUnreliableError when more than PGE_MAX_NONCONVERGED_FRACTION
+    of the inner solves did not converge.
     """
     cfg = sg_config or SubgradientConfig()
     if epsilon < 0:
@@ -583,10 +559,10 @@ def solve_pge(problem, regularizer: Regularizer, epsilon: float, x0: Vector,
     x_best, f_best = x.copy(), f
 
     scale0 = 1.0 + abs(f)
-    delta = max(cfg.delta0_fraction * abs(f), 1e-12 * scale0)
-    rho_decay = (cfg.delta_final_rel * scale0 / delta) ** (1.0 / cfg.max_iterations)
-    cap = cfg.cap if cfg.cap is not None else 2.0 * (1.0 + float(np.linalg.norm(x)))
-    t0 = cfg.t0 if cfg.t0 is not None else 1.0 / (1.0 + epsilon)
+    delta = max(PGE_DELTA0_FRACTION * abs(f), 1e-12 * scale0)
+    rho_decay = (PGE_DELTA_FINAL_REL * scale0 / delta) ** (1.0 / cfg.max_iterations)
+    cap = 2.0 * (1.0 + float(np.linalg.norm(x)))
+    t0 = 1.0 / (1.0 + epsilon)
 
     records: list = []
     j = 0
@@ -595,7 +571,7 @@ def solve_pge(problem, regularizer: Regularizer, epsilon: float, x0: Vector,
         if cfg.step_mode == "sqrt":
             t = t0 / math.sqrt(j)
         else:
-            s = cfg.tangent_probe * (1.0 + float(np.linalg.norm(x))) \
+            s = PGE_TANGENT_PROBE * (1.0 + float(np.linalg.norm(x))) \
                 / (1.0 + float(np.linalg.norm(sg)))
             g_tan = (x - omega.project(x - s * sg)) / s
             n_tan = float(np.linalg.norm(g_tan))
@@ -615,7 +591,7 @@ def solve_pge(problem, regularizer: Regularizer, epsilon: float, x0: Vector,
                                  best_objective=f_best, step=t,
                                  inner_converged=ev.converged))
         delta *= rho_decay
-        if j >= 20 and n_bad > cfg.max_nonconverged_fraction * (j + 1):
+        if j >= 20 and n_bad > PGE_MAX_NONCONVERGED_FRACTION * (j + 1):
             raise DualGapUnreliableError(
                 f"{n_bad}/{j + 1} dual-gap inner solves failed to converge; "
                 "increase the inner budget or multistarts")

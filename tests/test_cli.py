@@ -2,6 +2,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -85,6 +86,22 @@ def test_determinism_byte_identical():
     a = rows_to_csv(run_experiment(small_cfg()))
     b = rows_to_csv(run_experiment(small_cfg()))
     assert a == b
+
+
+GOLDEN = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("argv, golden", [
+    ("run --problem example5_1 --model direct --reg l2 --eps 0.5,0.1,0.01 --x0 1,-2,1 "
+     "--no-timing", "golden_direct_l2.csv"),
+    ("run --problem example5_1 --model dualgap --reg l1 --eps 0.5 --max-iter 50 "
+     "--no-timing", "golden_dualgap_l1.csv"),
+], ids=["direct-l2", "dualgap-l1"])
+def test_output_matches_committed_golden(argv, golden, capsys):
+    # the golden files hold the bytes of an earlier commit, so a refactor that
+    # moves any printed number by one ulp fails here
+    assert main(argv.split()) == 0
+    assert capsys.readouterr().out == (GOLDEN / golden).read_text()
 
 
 def test_csv_json_round_trip_no_drift():

@@ -9,20 +9,18 @@ from vigap.core import (
     DimensionMismatchError,
     EvaluationError,
     MonotoneMap,
-    RegularizedMap,
     affine_map,
     ball,
     box,
     composite_set,
-    evaluate_T,
     halfspace,
     hyperplane,
     l1_regularizer,
     probe_convexity,
     probe_lipschitz,
     probe_monotonicity,
-    probe_strong_monotonicity,
     product_set,
+    regularized_operator,
     sample_in_set,
     shifted_orthant,
     tikhonov,
@@ -144,20 +142,29 @@ def test_ba_operator_value(ba_problem):
 
 
 def test_evaluate_T_reduces_to_F_at_eps_zero(ba_problem, l2):
-    T = RegularizedMap(ba_problem.map, l2, 0.0)
-    np.testing.assert_allclose(evaluate_T(T, XSTAR), ba_problem.map(XSTAR))
+    T = regularized_operator(ba_problem.map, l2, 0.0)
+    np.testing.assert_allclose(T(XSTAR), ba_problem.map(XSTAR))
 
 
 def test_evaluate_T_quadratic_reg(ba_problem, l2):
-    T = RegularizedMap(ba_problem.map, l2, 0.5)
-    np.testing.assert_allclose(evaluate_T(T, XSTAR), [0.0, -0.875, -0.625], atol=1e-15)
+    T = regularized_operator(ba_problem.map, l2, 0.5)
+    np.testing.assert_allclose(T(XSTAR), [0.0, -0.875, -0.625], atol=1e-15)
 
 
 def test_evaluate_T_identity_for_zero_map(l2):
     zero = affine_map(np.zeros((3, 3)), np.zeros(3))
-    T = RegularizedMap(zero, l2, 1.0)
+    T = regularized_operator(zero, l2, 1.0)
     x = np.array([0.3, -1.2, 2.0])
-    np.testing.assert_allclose(evaluate_T(T, x), x)
+    np.testing.assert_allclose(T(x), x)
+
+
+def test_regularized_operator_rejects_bad_epsilon(ba_problem, l2):
+    with pytest.raises(ValueError, match="nonnegative"):
+        regularized_operator(ba_problem.map, l2, -0.1)
+    with pytest.raises(ValueError, match="requires a regularizer"):
+        regularized_operator(ba_problem.map, None, 0.1)
+    # eps = 0 needs no regularizer: T is F
+    assert regularized_operator(ba_problem.map, None, 0.0) is ba_problem.map
 
 
 def test_operator_errors():
@@ -181,9 +188,8 @@ def test_ba_monotone_and_lipschitz_probes(ba_problem):
 
 def test_regularized_map_strong_monotonicity(ba_problem, l2):
     eps = 0.25
-    T = RegularizedMap(ba_problem.map, l2, eps)
-    margin = probe_strong_monotonicity(lambda x: evaluate_T(T, x), ba_problem.set,
-                                       modulus=eps * l2.rho, n_pairs=400, seed=5)
+    T = regularized_operator(ba_problem.map, l2, eps)
+    margin = probe_monotonicity(T, ba_problem.set, n_pairs=400, seed=5, mu=eps * l2.rho)
     assert margin >= -1e-10
 
 

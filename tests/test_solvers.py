@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from vigap.core import affine_map, box
-from vigap.gap import theta_ab
+from vigap.gap import DualGapConfig, theta_ab
 from vigap.problems import ProblemInstance, strongly_monotone_quadratic
 from vigap.solvers import (
     BRANCH_GAP_DIFF,
     BRANCH_RESIDUAL,
+    DualGapUnreliableError,
     InnerConfig,
     MaxIterationsError,
     OuterConfig,
@@ -242,6 +243,14 @@ def test_pge_l1_exact_recovery(ba_problem, l1):
     x, tr = solve_pge(ba_problem, l1, 0.1, X0, SubgradientConfig(seed=0))
     assert np.linalg.norm(x - XSTAR) <= 1e-6
     assert ba_problem.solution_oracle.distance_to_S0(x) <= 1e-6
+
+
+def test_pge_raises_when_dual_gap_unreliable(ba_problem, l1):
+    # a one-iteration inner budget cannot reach stationarity, so every dual-gap
+    # solve fails and the solver gives up instead of trusting its subgradients
+    cfg = SubgradientConfig(gap_config=DualGapConfig(max_iterations=1, tol=1e-14))
+    with pytest.raises(DualGapUnreliableError, match="multistarts"):
+        solve_pge(ba_problem, l1, 0.1, X0, cfg)
 
 
 def test_pge_sqrt_mode_runs(ba_problem, l2):
