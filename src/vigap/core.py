@@ -84,6 +84,11 @@ class MonotoneMap:
     checks. F is evaluated wherever its formula is defined — membership of
     the argument in the feasible set is the caller's contract.
 
+    Calling the map validates: the point must be a finite vector of the
+    right dimension, and a non-finite value raises EvaluationError. The
+    D-gap descent instead calls `evaluate` raw through
+    `regularized_operator` and checks finiteness once per theta_ab value.
+
     Fields
     ------
     dimension : ambient dimension n
@@ -190,7 +195,7 @@ def box(lower, upper) -> FeasibleSet:
     n = lo.shape[0]
     return FeasibleSet(
         dimension=n,
-        project=lambda z: np.clip(z, lo, hi),
+        project=lambda z: np.minimum(np.maximum(z, lo), hi),
         project_rows=lambda Z: np.clip(Z, lo, hi),
         contains=lambda x, tol=1e-10: bool(np.all(x >= lo - tol) and np.all(x <= hi + tol)),
         description={"kind": "box", "lower": lo.tolist(), "upper": hi.tolist()},
@@ -278,10 +283,17 @@ def product_set(blocks: list[tuple[list[int], FeasibleSet]], dimension: int) -> 
         if s.dimension != len(i):
             raise DimensionMismatchError("block set dimension does not match its index count")
 
+    # a block of consecutive increasing coordinates is addressed by a slice
+    # (a view), any other block by its index array (a copy)
+    keys = [slice(int(i[0]), int(i[0]) + len(i))
+            if len(i) and np.array_equal(i, np.arange(i[0], i[0] + len(i))) else i
+            for i in idx]
+    block_projs = [(k, s.project) for k, s in zip(keys, sets)]
+
     def proj(z):
-        y = np.array(z, dtype=float)
-        for i, s in zip(idx, sets):
-            y[i] = s.project(z[i])
+        y = np.empty(z.shape)
+        for k, p in block_projs:
+            y[k] = p(z[k])
         return y
 
     def proj_rows(Z):
@@ -337,6 +349,7 @@ class Regularizer:
     rho is the strong-convexity modulus (0 if merely convex), lipschitz_M
     the gradient Lipschitz constant for smooth phi (None otherwise). For
     nonsmooth phi, `subgradient_select` must be a deterministic selection.
+    Both return float arrays: `regularized_operator` uses them unwrapped.
     """
 
     value: Callable[[Vector], float]
@@ -394,16 +407,20 @@ def regularized_operator(fmap: MonotoneMap, reg: Optional[Regularizer],
                          epsilon: float) -> Callable[[Vector], Vector]:
     """T = F + eps * g as a raw callable, g the gradient or selected subgradient of phi.
 
-    eps is checked once here; the returned callable does no validation of
-    its own beyond F's. For eps = 0 (or no regularizer) T is F itself.
+    eps is checked once here. The returned callable validates nothing: it
+    calls `fmap.evaluate` and g directly, so its caller checks the point
+    beforehand and the result afterwards. For eps = 0 (or no regularizer)
+    T is F.
     """
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
+    F = fmap.evaluate
     if epsilon == 0.0 or reg is None:
         if epsilon != 0.0:
             raise ValueError("epsilon > 0 requires a regularizer")
-        return fmap
-    return lambda x: fmap(x) + epsilon * grad_or_subgrad(reg, x)
+        return lambda x: np.asarray(F(x), dtype=float)
+    g = reg.gradient if reg.smooth else reg.subgradient_select
+    return lambda x: np.asarray(F(x), dtype=float) + epsilon * g(x)
 
 
 # ---------------------------------------------------------------------------

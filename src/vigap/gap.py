@@ -6,12 +6,14 @@ multistart projected gradient ascent on y -> <F(y), x - y> over Omega.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .core import (
+    EvaluationError,
     FeasibleSet,
     MonotoneMap,
     Regularizer,
@@ -78,14 +80,21 @@ class DualGapConfig:
 FD_STEP = 1e-6
 
 
+def _non_finite(problem, what: str, x: Vector) -> EvaluationError:
+    name = problem.map.name or "F"
+    return EvaluationError(f"{what} is non-finite at {x} (operator {name})")
+
+
 def y_alpha(problem, x: Vector, alpha: float, epsilon: float = 0.0,
             reg: Optional[Regularizer] = None) -> Vector:
     """Unique maximizer of the regularized gap: P_Omega(x - T(x)/alpha)."""
     if not alpha > 0:
         raise ValueError("alpha must be positive")
     x = as_point(x, problem.map.dimension)
-    T = regularized_operator(problem.map, reg, epsilon)
-    return problem.set.project(x - T(x) / alpha)
+    Tx = regularized_operator(problem.map, reg, epsilon)(x)
+    if not np.all(np.isfinite(Tx)):
+        raise _non_finite(problem, "T", x)
+    return problem.set.project(x - Tx / alpha)
 
 
 def theta_alpha(problem, x: Vector, alpha: float, epsilon: float = 0.0,
@@ -98,13 +107,21 @@ def theta_alpha(problem, x: Vector, alpha: float, epsilon: float = 0.0,
     y = problem.set.project(x - Tx / alpha)
     r = x - y
     val = float(Tx @ r) - 0.5 * alpha * float(r @ r)
+    if not math.isfinite(val):
+        raise _non_finite(problem, "theta_alpha", x)
     return GapEvaluation(value=val, maximizer=y, alpha=alpha, beta=None, epsilon=epsilon)
 
 
 def _theta_ab_kernel(problem, alpha: float, beta: float, epsilon: float,
                      reg: Optional[Regularizer]):
-    """Unvalidated closure x -> (theta_ab(x), y_alpha(x), y_beta(x)) at fixed
-    (alpha, beta, eps, phi): the D-gap as the descent loop evaluates it."""
+    """Closure x -> (theta_ab(x), y_alpha(x), y_beta(x)) at fixed (alpha, beta,
+    eps, phi): the D-gap as the descent loop evaluates it.
+
+    x is not validated, and T is F's raw `evaluate`. One scalar check
+    replaces a check of T(x): a non-finite entry of T(x) makes theta
+    non-finite (its term in Tx @ ra is inf * r, inf * 0 or NaN), and a
+    non-finite theta raises EvaluationError.
+    """
     T = regularized_operator(problem.map, reg, epsilon)
     proj = problem.set.project
 
@@ -116,6 +133,8 @@ def _theta_ab_kernel(problem, alpha: float, beta: float, epsilon: float,
         rb = x - yb
         val = (float(Tx @ ra) - 0.5 * alpha * float(ra @ ra)
                - float(Tx @ rb) + 0.5 * beta * float(rb @ rb))
+        if not math.isfinite(val):
+            raise _non_finite(problem, "theta_ab", x)
         return val, ya, yb
 
     return theta

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import bounds
 from .core import Regularizer, Vector, as_point, grad_or_subgrad
-from .gap import DualGapConfig, _theta_ab_kernel, dual_gap, theta_ab, y_alpha
+from .gap import DualGapConfig, _theta_ab_kernel, dual_gap, y_alpha
 
 __all__ = [
     "StepFailureError",
@@ -169,7 +169,7 @@ class OuterConfig:
         return t
 
 
-@dataclass
+@dataclass(slots=True)
 class InnerRecord:
     j: int
     theta: float
@@ -310,10 +310,16 @@ def _resolve_constants(problem, x0: Vector, cfg: InnerConfig, epsilon: float,
 # direction and line search
 # ---------------------------------------------------------------------------
 
+def _norm(v: Vector) -> float:
+    """Euclidean norm of a real 1-D vector: the sqrt of v.dot(v) that
+    np.linalg.norm computes, without its dispatch."""
+    return math.sqrt(v.dot(v))
+
+
 def _direction(x: Vector, ya: Vector, yb: Vector, c: float):
     """Li-Ng switch: (y_alpha - y_beta) when c ||x - y_alpha|| <= ||y_alpha - y_beta||,
     otherwise (y_alpha - x); returns (d, branch)."""
-    if c * np.linalg.norm(x - ya) <= np.linalg.norm(ya - yb):
+    if c * _norm(x - ya) <= _norm(ya - yb):
         return ya - yb, BRANCH_GAP_DIFF
     return ya - x, BRANCH_RESIDUAL
 
@@ -326,11 +332,11 @@ def li_ng_direction(problem, x: Vector, cfg: InnerConfig, epsilon: float = 0.0,
     c ||x - y_alpha|| <= ||y_alpha - y_beta||, otherwise d = y_alpha - x.
     cfg.c is used as given here (no admissibility capping).
     """
-    x = as_point(x, problem.map.dimension)
-    ev = theta_ab(problem, x, cfg.alpha, cfg.beta, epsilon, reg)
     if cfg.c is None:
         raise ValueError("cfg.c must be set for li_ng_direction (resolve constants first)")
-    return _direction(x, ev.maximizer, ev.maximizer_beta, cfg.c)
+    x = as_point(x, problem.map.dimension)
+    _, ya, yb = _theta_ab_kernel(problem, cfg.alpha, cfg.beta, epsilon, reg)(x)
+    return _direction(x, ya, yb, cfg.c)
 
 
 def armijo_step(problem, x: Vector, d: Vector, cfg: InnerConfig, epsilon: float = 0.0,
@@ -343,17 +349,18 @@ def armijo_step(problem, x: Vector, d: Vector, cfg: InnerConfig, epsilon: float 
     d = np.asarray(d, dtype=float)
     if float(np.linalg.norm(d)) == 0.0:
         raise ValueError("zero direction")
+    x = as_point(x, problem.map.dimension)
     if cfg.delta is None:
         cfg = _resolve_constants(problem, x, cfg, epsilon, reg)
     theta = _theta_ab_kernel(problem, cfg.alpha, cfg.beta, epsilon, reg)
-    th, _, _ = theta(as_point(x, problem.map.dimension))
-    m, x_next, _, _, _ = _armijo(theta, as_point(x), d, th, cfg)
+    th, _, _ = theta(x)
+    m, x_next, _, _, _ = _armijo(theta, x, d, th, cfg)
     return m, x_next
 
 
 def _armijo(theta, x: Vector, d: Vector, theta_x: float, cfg: InnerConfig):
     """Backtracking core; returns (m, x_next, theta_next, ya_next, yb_next)."""
-    nd = float(np.linalg.norm(d))
+    nd = _norm(d)
     sq = math.sqrt(max(theta_x, 0.0))
     delta = cfg.delta
     step = 1.0
@@ -435,8 +442,9 @@ def solve_inner(problem, x0: Vector, epsilon: float, tau: float,
             status = "floor"
             break
         d, branch = _direction(x, ya, yb, cfg.c)
-        nd = float(np.linalg.norm(d))
-        if nd <= 1e-15 * (1.0 + float(np.linalg.norm(x))):
+        nd = _norm(d)
+        nx = _norm(x)
+        if nd <= 1e-15 * (1.0 + nx):
             if not smooth_mode:
                 status = "stagnated"
             elif p <= cfg.floor:
@@ -458,7 +466,7 @@ def solve_inner(problem, x0: Vector, epsilon: float, tau: float,
             raise
         records.append(InnerRecord(j=j, theta=tn, m=m, branch=branch,
                                    step_norm=(cfg.gamma ** m) * nd))
-        if float(np.linalg.norm(xn - x)) <= STAGNATION_TOL * (1.0 + float(np.linalg.norm(x))):
+        if _norm(xn - x) <= STAGNATION_TOL * (1.0 + nx):
             stagnant += 1
         else:
             stagnant = 0

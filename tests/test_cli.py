@@ -96,7 +96,13 @@ GOLDEN = Path(__file__).parent / "data"
      "--no-timing", "golden_direct_l2.csv"),
     ("run --problem example5_1 --model dualgap --reg l1 --eps 0.5 --max-iter 50 "
      "--no-timing", "golden_dualgap_l1.csv"),
-], ids=["direct-l2", "dualgap-l1"])
+    # finite bounds on both sides of a 5-D box, about 2,400 D-gap steps
+    ("run --problem affine5d --model direct --reg l2 --eps 0.5,0.1,0.01 --no-timing",
+     "golden_affine5d_direct_l2.csv"),
+    # the cold solve at eps = 1e-4: all 170,341 steps up to the floor exit
+    ("run --problem example5_1 --model direct --reg l2 --eps 0.0001 --x0 1,-2,1 "
+     "--no-timing", "golden_cold_direct_l2.csv"),
+], ids=["direct-l2", "dualgap-l1", "affine5d-direct-l2", "cold-direct-l2"])
 def test_output_matches_committed_golden(argv, golden, capsys):
     # the golden files hold the bytes of an earlier commit, so a refactor that
     # moves any printed number by one ulp fails here

@@ -93,6 +93,51 @@ def test_projection_invariants_1000_pairs(feasible):
         assert feasible.contains(pz, 1e-10)
 
 
+def _same_floats(got, ref):
+    """Exact equality that also tells -0.0 from 0.0 and matches NaN with NaN."""
+    assert got.dtype == ref.dtype and got.shape == ref.shape
+    assert np.array_equal(got, ref, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+
+def test_box_projection_matches_clip_on_special_values():
+    # np.clip is the reference form of the box projection
+    special = [-0.0, 0.0, np.nan, np.inf, -np.inf, 1.0, -1.0, 2.5]
+    bounds = [(lo, hi) for lo in special for hi in special
+              if not (np.isnan(lo) or np.isnan(hi)) and lo <= hi]
+    cases = [(z, lo, hi) for z in special for lo, hi in bounds]
+    z, lo, hi = (np.array(col) for col in zip(*cases))
+    for n in (1, 3, 8, len(z)):  # short vectors and long enough for SIMD loops
+        for start in range(0, len(z), n):
+            part = slice(start, start + n)
+            s = box(lo[part], hi[part])
+            _same_floats(s.project(z[part]), np.clip(z[part], lo[part], hi[part]))
+
+
+def _blockwise_projection(blocks, z):
+    """The per-block loop the product projection is checked against."""
+    y = np.array(z, dtype=float)
+    for i, s in blocks:
+        y[i] = s.project(z[i])
+    return y
+
+
+@pytest.mark.parametrize("blocks", [
+    [([0, 2], box([-1.0, 0.0], [1.0, 2.0])), ([1], hyperplane([2.0], 1.0))],
+    [([0], box([-np.inf], [1.0])), ([1, 2], hyperplane([1.0, 1.0], -1.0))],
+    [([2, 1], ball([0.5, -0.5], 1.0)), ([0], box([0.0], [np.inf]))],
+], ids=["non-contiguous", "contiguous", "reversed"])
+def test_product_projection_matches_blockwise_loop(blocks):
+    s = product_set(blocks, dimension=3)
+    rng = np.random.default_rng(17)
+    for z in 3.0 * rng.standard_normal((200, 3)):
+        _same_floats(s.project(z), _blockwise_projection(blocks, z))
+    z_int = np.array([3, -2, 5])
+    got = s.project(z_int)
+    assert got.dtype == np.float64
+    _same_floats(got, _blockwise_projection(blocks, z_int))
+
+
 def test_ba_set_projection_invariants(ba_problem):
     rng = np.random.default_rng(13)
     Z = 3.0 * rng.standard_normal((1000, 3))
@@ -164,7 +209,16 @@ def test_regularized_operator_rejects_bad_epsilon(ba_problem, l2):
     with pytest.raises(ValueError, match="requires a regularizer"):
         regularized_operator(ba_problem.map, None, 0.1)
     # eps = 0 needs no regularizer: T is F
-    assert regularized_operator(ba_problem.map, None, 0.0) is ba_problem.map
+    T = regularized_operator(ba_problem.map, None, 0.0)
+    for x in (XSTAR, np.array([2.0, -3.0, 1.5])):
+        np.testing.assert_array_equal(T(x), ba_problem.map(x))
+
+
+def test_regularized_operator_accepts_list_valued_map(l2):
+    fmap = MonotoneMap(dimension=2, evaluate=lambda x: [x[0], 2.0 * x[1]], lipschitz_L=2.0)
+    x = np.array([1.0, -1.0])
+    np.testing.assert_array_equal(regularized_operator(fmap, None, 0.0)(x), [1.0, -2.0])
+    np.testing.assert_array_equal(regularized_operator(fmap, l2, 0.5)(x), [1.5, -2.5])
 
 
 def test_operator_errors():

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from vigap.core import affine_map, box
-from vigap.gap import DualGapConfig, theta_ab
+from vigap.core import EvaluationError, MonotoneMap, affine_map, box
+from vigap.gap import DualGapConfig, theta_ab, theta_alpha, y_alpha
 from vigap.problems import ProblemInstance, strongly_monotone_quadratic
 from vigap.solvers import (
     BRANCH_GAP_DIFF,
@@ -16,6 +16,7 @@ from vigap.solvers import (
     OuterConfig,
     StepFailureError,
     SubgradientConfig,
+    _norm,
     armijo_step,
     li_ng_direction,
     reference_solution,
@@ -41,6 +42,46 @@ def x_eps_l2(eps):
     """Regularized solution of the best-approximation benchmark, quadratic phi."""
     s = -(3.0 + 2.0 * eps) / (4.0 * (1.0 + eps))
     return np.array([0.0, s, -1.0 - s])
+
+
+def test_norm_matches_numpy_norm():
+    # np.linalg.norm is the reference form of the private _norm
+    rng = np.random.default_rng(19)
+    vectors = [np.zeros(0), np.zeros(3), np.array([-0.0, 0.0]), np.array([1e-200, -1e-200]),
+               np.array([1e200, 1.0]), np.array([np.inf, 1.0]), np.array([np.nan, 1.0])]
+    for n in range(1, 13):
+        for mag in (1e-200, 1e-100, 1e-20, 1.0, 1e20, 1e100, 1e200):
+            vectors.append(mag * rng.standard_normal(n))
+    vectors += list(10.0 ** rng.uniform(-20, 20, size=(2000, 1)) * rng.standard_normal((2000, 3)))
+    with np.errstate(over="ignore", under="ignore"):
+        for v in vectors:
+            ref = np.linalg.norm(v)
+            got = _norm(v)
+            assert got == ref or (math.isnan(got) and math.isnan(ref)), v
+
+
+def test_nan_off_region_raises_evaluation_error(l2):
+    # F is defined on x <= 1 only and returns NaN beyond; the descent from 0
+    # towards the solution 5 leaves that region on its first trial step
+    def F(x):
+        return x - 5.0 if x[0] <= 1.0 else np.full(1, np.nan)
+
+    p = ProblemInstance(name="partial", dimension=1,
+                        map=MonotoneMap(dimension=1, evaluate=F, lipschitz_L=1.0),
+                        set=box([-10.0], [10.0]))
+    outside = np.array([2.0])
+    with pytest.raises(EvaluationError):
+        theta_ab(p, outside, 1.0, 2.0, 0.1, l2)
+    with pytest.raises(EvaluationError):
+        theta_alpha(p, outside, 1.0, 0.1, l2)
+    with pytest.raises(EvaluationError):
+        y_alpha(p, outside, 1.0, 0.1, l2)
+    x0 = np.zeros(1)
+    assert math.isfinite(theta_ab(p, x0, 1.0, 2.0, 0.1, l2).value)
+    # both with the sampled L_theta estimate and with a given one
+    for cfg in (InnerConfig(), InnerConfig(L_theta_estimate=1.0)):
+        with pytest.raises(EvaluationError):
+            solve_inner(p, x0, 0.1, 1e-6, cfg, l2)
 
 
 # ---------------------------------------------------------------------------
