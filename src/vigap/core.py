@@ -7,12 +7,18 @@ immutable after construction; evaluation and projection are pure functions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 from numpy.typing import NDArray
 
 Vector = NDArray[np.float64]
+
+try:  # the ufunc np.clip calls, without np.clip's Python-level dispatch
+    from numpy._core.umath import clip as _clip
+except ImportError:  # numpy < 2
+    _clip = np.clip
 
 __all__ = [
     "Vector",
@@ -165,7 +171,8 @@ class FeasibleSet:
     """A closed convex set exposed through a projection oracle.
 
     `project_rows`, when provided, projects each row of an (m, n) array
-    (used by the vectorized inner solvers); the generic fallback loops.
+    (used by the vectorized inner solvers) and returns a new float array,
+    as every built-in set does; the generic fallback loops.
     `description` is structured metadata (kind + parameters) so problem
     files and reports can name the set.
     """
@@ -196,7 +203,9 @@ def box(lower, upper) -> FeasibleSet:
     return FeasibleSet(
         dimension=n,
         project=lambda z: np.minimum(np.maximum(z, lo), hi),
-        project_rows=lambda Z: np.clip(Z, lo, hi),
+        # not the min/max form: with the bounds broadcast down a single
+        # column it breaks ties between -0.0 and 0.0 unlike np.clip
+        project_rows=lambda Z: _clip(Z, lo, hi),
         contains=lambda x, tol=1e-10: bool(np.all(x >= lo - tol) and np.all(x <= hi + tol)),
         description={"kind": "box", "lower": lo.tolist(), "upper": hi.tolist()},
     )
@@ -219,7 +228,7 @@ def hyperplane(normal, offset: float) -> FeasibleSet:
     return FeasibleSet(
         dimension=a.shape[0],
         project=lambda z: z - ((a @ z - b) / nn) * a,
-        project_rows=lambda Z: Z - np.outer((Z @ a - b) / nn, a),
+        project_rows=lambda Z: Z - ((Z @ a - b) / nn)[:, None] * a,
         contains=lambda x, tol=1e-10: bool(abs(a @ x - b) <= tol * (1.0 + abs(b))),
         description={"kind": "hyperplane", "normal": a.tolist(), "offset": b},
     )
@@ -235,7 +244,7 @@ def halfspace(normal, offset: float) -> FeasibleSet:
     return FeasibleSet(
         dimension=a.shape[0],
         project=lambda z: z - (max(a @ z - b, 0.0) / nn) * a,
-        project_rows=lambda Z: Z - np.outer(np.maximum(Z @ a - b, 0.0) / nn, a),
+        project_rows=lambda Z: Z - (np.maximum(Z @ a - b, 0.0) / nn)[:, None] * a,
         contains=lambda x, tol=1e-10: bool(a @ x - b <= tol * (1.0 + abs(b))),
         description={"kind": "halfspace", "normal": a.tolist(), "offset": b},
     )
@@ -289,6 +298,8 @@ def product_set(blocks: list[tuple[list[int], FeasibleSet]], dimension: int) -> 
             if len(i) and np.array_equal(i, np.arange(i[0], i[0] + len(i))) else i
             for i in idx]
     block_projs = [(k, s.project) for k, s in zip(keys, sets)]
+    block_rows = [(k, s.project_rows if s.project_rows is not None
+                   else partial(project_rows, s)) for k, s in zip(keys, sets)]
 
     def proj(z):
         y = np.empty(z.shape)
@@ -297,9 +308,9 @@ def product_set(blocks: list[tuple[list[int], FeasibleSet]], dimension: int) -> 
         return y
 
     def proj_rows(Z):
-        Y = np.array(Z, dtype=float)
-        for i, s in zip(idx, sets):
-            Y[:, i] = project_rows(s, Z[:, i])
+        Y = np.empty(Z.shape)
+        for k, p in block_rows:
+            Y[:, k] = p(Z[:, k])
         return Y
 
     def cont(x, tol=1e-10):

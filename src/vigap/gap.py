@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -159,15 +160,9 @@ def theta_ab(problem, x: Vector, alpha: float, beta: float, epsilon: float = 0.0
 # dual gap
 # ---------------------------------------------------------------------------
 
-def _inner_objective(F: MonotoneMap, x: Vector, Y: np.ndarray) -> np.ndarray:
-    FY = F.rows(Y)
-    return np.einsum("ij,ij->i", FY, x - Y)
-
-
-def _inner_gradient(F: MonotoneMap, x: Vector, Y: np.ndarray) -> np.ndarray:
-    if F.inner_gradient is not None:
-        return np.asarray(F.inner_gradient(x, Y), dtype=float)
-    # central differences of y -> <F(y), x - y>
+def _fd_inner_gradient(F: MonotoneMap, x: Vector, Y: np.ndarray) -> np.ndarray:
+    """Central differences of y -> <F(y), x - y>, for maps without an
+    analytic inner gradient."""
     G = np.empty_like(Y)
     for i, y in enumerate(Y):
         h = FD_STEP * (1.0 + float(np.linalg.norm(y)))
@@ -191,6 +186,10 @@ def dual_gap(problem, x: Vector, config: Optional[DualGapConfig] = None,
     failure is flagged through the converged flag, never silently, and
     solve_pge raises DualGapUnreliableError when too many solves fail.
 
+    x and warm are validated once here. The ascent then calls F's rows, the
+    inner gradient and the set's row projection raw, and updates its points
+    in place, so the set's `project_rows` must return a new float array.
+
     Parameters
     ----------
     problem : object with `map` (MonotoneMap) and `set` (FeasibleSet)
@@ -205,30 +204,35 @@ def dual_gap(problem, x: Vector, config: Optional[DualGapConfig] = None,
     rng = np.random.default_rng(cfg.seed)
     radius = 1.5 * (1.0 + float(np.linalg.norm(x)))
 
+    F_rows = F.rows
+    grad = (F.inner_gradient if F.inner_gradient is not None
+            else partial(_fd_inner_gradient, F))
+    proj_rows = (omega.project_rows if omega.project_rows is not None
+                 else partial(project_rows, omega))
+    cap = 4.0 * max(radius, 1.0)
+
     starts = [x]
     if warm is not None:
         starts.append(as_point(warm, F.dimension))
     n_rand = max(cfg.multistarts - len(starts), 0)
-    Y = np.vstack([np.array(starts),
-                   x + radius * rng.standard_normal((n_rand, F.dimension))])
-    Y = project_rows(omega, Y)
+    Y = proj_rows(np.vstack([np.array(starts),
+                             x + radius * rng.standard_normal((n_rand, F.dimension))]))
     steps = np.full(len(Y), 1.0 / (1.0 + F.lipschitz_L))
 
-    f = _inner_objective(F, x, Y)
+    f = np.einsum("ij,ij->i", F_rows(Y), x - Y)
     f_prev_best = float(f.max())
     collapse = 3e-10 * (1.0 + radius)
     stall = 0
     used = 0
     for it in range(cfg.max_iterations):
         used = it + 1
-        G = _inner_gradient(F, x, Y)
-        cand = project_rows(omega, Y + steps[:, None] * G)
-        fc = _inner_objective(F, x, cand)
+        cand = proj_rows(Y + steps[:, None] * grad(x, Y))
+        fc = np.einsum("ij,ij->i", F_rows(cand), x - cand)
         better = fc > f
-        Y = np.where(better[:, None], cand, Y)
-        f = np.where(better, fc, f)
-        steps = np.minimum(np.where(better, steps * 1.2, steps * 0.5),
-                           4.0 * max(radius, 1.0))
+        np.copyto(Y, cand, where=better[:, None])
+        np.copyto(f, fc, where=better)
+        steps *= np.where(better, 1.2, 0.5)
+        np.minimum(steps, cap, out=steps)
         if used % 12 == 0:
             fb = float(f.max())
             if fb - f_prev_best <= 1e-17 * (1.0 + abs(fb)):
@@ -243,7 +247,7 @@ def dual_gap(problem, x: Vector, config: Optional[DualGapConfig] = None,
 
     k = int(np.argmax(f))
     ybar = Y[k]
-    g = _inner_gradient(F, x, ybar[None, :])[0]
+    g = np.asarray(grad(x, ybar[None, :])[0], dtype=float)
     s = 0.1 / (1.0 + float(np.linalg.norm(g)))
     res = float(np.linalg.norm(ybar - omega.project(ybar + s * g))) / s
     converged = (res <= cfg.tol) or (steps[k] <= collapse)

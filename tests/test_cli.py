@@ -102,7 +102,14 @@ GOLDEN = Path(__file__).parent / "data"
     # the cold solve at eps = 1e-4: all 170,341 steps up to the floor exit
     ("run --problem example5_1 --model direct --reg l2 --eps 0.0001 --x0 1,-2,1 "
      "--no-timing", "golden_cold_direct_l2.csv"),
-], ids=["direct-l2", "dualgap-l1", "affine5d-direct-l2", "cold-direct-l2"])
+    # the dual-gap ascent on box rows with the analytic affine inner gradient
+    ("run --problem affine5d --model dualgap --reg l2 --eps 0.1 --max-iter 100 --no-timing",
+     "golden_affine5d_dualgap_l2.csv"),
+    # the dual-gap ascent on ball rows (from the default x0 it stops after one step)
+    ("run --problem sharp_ball2d --model dualgap --reg l2 --eps 0.1 --x0 0.6,-0.7 "
+     "--max-iter 100 --no-timing", "golden_sharp_ball2d_dualgap_l2.csv"),
+], ids=["direct-l2", "dualgap-l1", "affine5d-direct-l2", "cold-direct-l2",
+        "affine5d-dualgap-l2", "sharp-ball2d-dualgap-l2"])
 def test_output_matches_committed_golden(argv, golden, capsys):
     # the golden files hold the bytes of an earlier commit, so a refactor that
     # moves any printed number by one ulp fails here

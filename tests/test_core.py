@@ -20,6 +20,7 @@ from vigap.core import (
     probe_lipschitz,
     probe_monotonicity,
     product_set,
+    project_rows,
     regularized_operator,
     sample_in_set,
     shifted_orthant,
@@ -101,17 +102,35 @@ def _same_floats(got, ref):
 
 
 def test_box_projection_matches_clip_on_special_values():
-    # np.clip is the reference form of the box projection
+    # np.clip is the reference form of the box projection, of points and of rows
     special = [-0.0, 0.0, np.nan, np.inf, -np.inf, 1.0, -1.0, 2.5]
     bounds = [(lo, hi) for lo in special for hi in special
               if not (np.isnan(lo) or np.isnan(hi)) and lo <= hi]
     cases = [(z, lo, hi) for z in special for lo, hi in bounds]
     z, lo, hi = (np.array(col) for col in zip(*cases))
+    rows = np.tile(special, 4)[:, None]
     for n in (1, 3, 8, len(z)):  # short vectors and long enough for SIMD loops
         for start in range(0, len(z), n):
             part = slice(start, start + n)
             s = box(lo[part], hi[part])
             _same_floats(s.project(z[part]), np.clip(z[part], lo[part], hi[part]))
+            # every special value in every column
+            Z = np.repeat(rows, len(lo[part]), axis=1)
+            _same_floats(s.project_rows(Z), np.clip(Z, lo[part], hi[part]))
+
+
+@pytest.mark.parametrize("feasible, shift", [
+    (hyperplane([1.0, -2.0, 0.5], 0.25), lambda Z, a, b, nn: (Z @ a - b) / nn),
+    (halfspace([1.0, -2.0, 0.5], 0.25), lambda Z, a, b, nn: np.maximum(Z @ a - b, 0.0) / nn),
+], ids=["hyperplane", "halfspace"])
+def test_affine_row_projection_matches_outer_form(feasible, shift):
+    a = np.array(feasible.description["normal"])
+    b = feasible.description["offset"]
+    rng = np.random.default_rng(19)
+    Z = 3.0 * rng.standard_normal((200, 3))
+    Z[:3] = [[np.inf, 0.0, 0.0], [np.nan, 1.0, -1.0], [-0.0, 0.0, -0.0]]
+    # np.outer is the reference form
+    _same_floats(feasible.project_rows(Z), Z - np.outer(shift(Z, a, b, float(a @ a)), a))
 
 
 def _blockwise_projection(blocks, z):
@@ -122,20 +141,35 @@ def _blockwise_projection(blocks, z):
     return y
 
 
+def _blockwise_row_projection(blocks, Z):
+    """The per-block loop the product row projection is checked against."""
+    Y = np.array(Z, dtype=float)
+    for i, s in blocks:
+        Y[:, i] = project_rows(s, Z[:, i])
+    return Y
+
+
 @pytest.mark.parametrize("blocks", [
     [([0, 2], box([-1.0, 0.0], [1.0, 2.0])), ([1], hyperplane([2.0], 1.0))],
     [([0], box([-np.inf], [1.0])), ([1, 2], hyperplane([1.0, 1.0], -1.0))],
     [([2, 1], ball([0.5, -0.5], 1.0)), ([0], box([0.0], [np.inf]))],
-], ids=["non-contiguous", "contiguous", "reversed"])
+    # a set without project_rows: its rows go through the row-by-row fallback
+    [([0], box([-1.0], [1.0])),
+     ([2, 1], composite_set(2, [ball([0.0, 0.0], 1.0), box([-2.0, -2.0], [2.0, 2.0])],
+                            projector=ball([0.0, 0.0], 1.0).project))],
+], ids=["non-contiguous", "contiguous", "reversed", "fallback"])
 def test_product_projection_matches_blockwise_loop(blocks):
     s = product_set(blocks, dimension=3)
     rng = np.random.default_rng(17)
-    for z in 3.0 * rng.standard_normal((200, 3)):
+    Z = 3.0 * rng.standard_normal((200, 3))
+    for z in Z:
         _same_floats(s.project(z), _blockwise_projection(blocks, z))
-    z_int = np.array([3, -2, 5])
-    got = s.project(z_int)
-    assert got.dtype == np.float64
-    _same_floats(got, _blockwise_projection(blocks, z_int))
+    _same_floats(s.project_rows(Z), _blockwise_row_projection(blocks, Z))
+    Z_int = np.array([[3, -2, 5], [0, 1, -4]])
+    for got, ref in ((s.project(Z_int[0]), _blockwise_projection(blocks, Z_int[0])),
+                     (s.project_rows(Z_int), _blockwise_row_projection(blocks, Z_int))):
+        assert got.dtype == np.float64
+        _same_floats(got, ref)
 
 
 def test_ba_set_projection_invariants(ba_problem):

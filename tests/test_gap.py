@@ -1,9 +1,12 @@
 """Gap function values against hand computations and grid oracles."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from vigap.core import affine_map, box, l1_regularizer, tikhonov
 from vigap.gap import (
+    FD_STEP,
     DualGapConfig,
     InnerSolveError,
     dual_gap,
@@ -17,6 +20,7 @@ from vigap.problems import (
     affine_monotone,
     brute_force_dual_gap,
     brute_force_gap,
+    get_problem,
 )
 
 X0 = np.array([1.0, -2.0, 1.0])
@@ -240,6 +244,36 @@ def test_dual_gap_zero_set_separation(ba_problem):
             n_far += 1
             assert g >= 1e-4
     assert n_far > 10
+
+
+def _inner_points(p, count=4, seed=31):
+    rng = np.random.default_rng(seed)
+    return [p.default_x0] + [p.set.project(rng.uniform(-2, 2, size=p.dimension))
+                             for _ in range(count)]
+
+
+@pytest.mark.parametrize("name", ["affine5d", "example5_1"])
+def test_dual_gap_row_projection_fallback_is_bit_identical(name):
+    # the set's own project_rows and the row-by-row fallback give the same ascent
+    p = get_problem(name)
+    fallback = replace(p, set=replace(p.set, project_rows=None))
+    for x in _inner_points(p):
+        fast, slow = dual_gap(p, x), dual_gap(fallback, x)
+        assert fast.value == slow.value
+        assert np.array_equal(fast.maximizer, slow.maximizer)
+        assert fast.inner_iterations == slow.inner_iterations
+
+
+def test_dual_gap_central_differences_match_analytic_gradient():
+    # y -> <My + q, x - y> is quadratic, so central differences carry only
+    # rounding, far below FD_STEP; the maximizers then agree to FD_STEP and,
+    # G being stationary there, the values to FD_STEP**2
+    p = get_problem("affine5d")
+    fd = replace(p, map=replace(p.map, inner_gradient=None))
+    for x in _inner_points(p):
+        exact, approx = dual_gap(p, x), dual_gap(fd, x)
+        assert abs(exact.value - approx.value) <= FD_STEP ** 2 * (1.0 + abs(exact.value))
+        assert np.max(np.abs(exact.maximizer - approx.maximizer)) <= FD_STEP
 
 
 # ---------------------------------------------------------------------------
