@@ -1,14 +1,16 @@
 """Command-line front end: experiment sweeps, the two-model comparison
-table, and invariant check suites with machine-readable CSV/JSON output.
+table with machine-readable CSV/JSON output, and the invariant check suites
+of `checks`.
 """
 from __future__ import annotations
 
 import argparse
 import configparser
 import json
+import math
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -25,16 +27,9 @@ from .core import (
     shifted_orthant,
     tikhonov,
 )
-from .gap import DualGapConfig, dual_gap, theta_alpha
-from .problems import (
-    BUILTIN_PROBLEMS,
-    ProblemInstance,
-    affine_monotone,
-    brute_force_gap,
-    example_5_1,
-    get_problem,
-    strongly_monotone_quadratic,
-)
+from .checks import CHECK_SUITES, CheckReport
+from .gap import DualGapConfig, dual_gap
+from .problems import BUILTIN_PROBLEMS, ProblemInstance, get_problem
 from .solvers import (
     InnerConfig,
     MaxIterationsError,
@@ -43,7 +38,6 @@ from .solvers import (
     SubgradientConfig,
     reference_solution,
     sequential_inexact_descent,
-    solve_inner,
     solve_pge,
 )
 
@@ -93,8 +87,6 @@ class ExperimentConfig:
     tau: float = 1e-6
     max_iter: Optional[int] = None
     x0: Optional[tuple] = None
-    out: Optional[str] = None
-    fmt: str = "csv"
     timing: bool = True
     experimental_nonsmooth: bool = False
 
@@ -106,17 +98,17 @@ class ExperimentConfig:
                 f"regularizer must be one of {REGULARIZERS}, got {self.regularizer!r}")
         if not self.epsilons:
             raise ConfigError("epsilon list must not be empty")
-        if any(e <= 0 for e in self.epsilons):
-            raise ConfigError(f"epsilon values must be positive, got {self.epsilons}")
-        if self.fmt not in ("csv", "json"):
-            raise ConfigError(f"format must be csv or json, got {self.fmt!r}")
+        if not all(0 < e < math.inf for e in self.epsilons):
+            raise ConfigError(f"epsilon values must be finite and positive, got {self.epsilons}")
         if self.model == "direct" and self.regularizer == "l1" \
                 and not self.experimental_nonsmooth:
             raise ConfigError(
                 "direct model with the l1 regularizer is experimental; "
                 "pass --experimental-nonsmooth to enable it")
-        if not self.tol > 0 or not self.tau > 0:
-            raise ConfigError("tol and tau must be positive")
+        if not (0 < self.tol < math.inf and 0 < self.tau < math.inf):
+            raise ConfigError("tol and tau must be finite and positive")
+        if self.max_iter is not None and self.max_iter < 1:
+            raise ConfigError(f"max_iter must be positive, got {self.max_iter}")
 
 
 @dataclass
@@ -278,22 +270,26 @@ def run_experiment(config: ExperimentConfig) -> list:
     config.validate()
     problem = _resolve_problem(config)
     reg = _regularizer(config.regularizer)
-    x0 = np.asarray(config.x0, dtype=float) if config.x0 is not None else (
-        problem.default_x0 if problem.default_x0 is not None
-        else problem.set.project(np.zeros(problem.dimension)))
+    x0 = _start_point(config, problem)
 
-    rows: list = []
-    if config.model == "direct":
-        rows = _run_direct(config, problem, reg, x0)
-    else:
-        rows = _run_dualgap(config, problem, reg, x0)
+    run = _run_direct if config.model == "direct" else _run_dualgap
+    rows = run(config, problem, reg, x0)
     rows.sort(key=lambda r: (r.model, r.regularizer, r.epsilon))
     if not config.timing:
         for r in rows:
             r.wall_time_s = 0.0
-    if config.out:
-        _write_rows(rows, config.out, config.fmt)
     return rows
+
+
+def _start_point(config, problem) -> np.ndarray:
+    """config.x0, else the problem's default start, else P_Omega(0)."""
+    x0 = config.x0 if config.x0 is not None else problem.default_x0
+    if x0 is None:
+        return problem.set.project(np.zeros(problem.dimension))
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (problem.dimension,) or not np.all(np.isfinite(x0)):
+        raise ConfigError(f"x0 must be {problem.dimension} finite numbers, got {x0.tolist()}")
+    return x0
 
 
 def _row_shell(config, problem, eps) -> ResultRow:
@@ -423,8 +419,12 @@ def rows_to_json(rows) -> str:
     return json.dumps([r.to_dict() for r in rows], indent=2) + "\n"
 
 
-def _write_rows(rows, path: str, fmt: str):
+def _write_rows(rows, path: Optional[str], fmt: str):
+    """Write rows as CSV or JSON to path, or to stdout when path is None."""
     text = rows_to_csv(rows) if fmt == "csv" else rows_to_json(rows)
+    if path is None:
+        sys.stdout.write(text)
+        return
     with open(path, "w") as fh:
         fh.write(text)
 
@@ -432,136 +432,6 @@ def _write_rows(rows, path: str, fmt: str):
 # ---------------------------------------------------------------------------
 # invariant check suites
 # ---------------------------------------------------------------------------
-
-@dataclass
-class CheckReport:
-    suite: str
-    lines: list = field(default_factory=list)  # (name, passed, margin text)
-
-    def record(self, name: str, passed: bool, margin: str):
-        self.lines.append((name, bool(passed), margin))
-
-    @property
-    def passed(self) -> bool:
-        return all(ok for _, ok, _ in self.lines)
-
-    def render(self) -> str:
-        out = [f"suite {self.suite}"]
-        for name, ok, margin in self.lines:
-            out.append(f"{'PASS' if ok else 'FAIL'}  {name}  ({margin})")
-        out.append(f"{'all checks passed' if self.passed else 'FAILURES present'}")
-        return "\n".join(out)
-
-
-def _check_core_geometry(seed: int) -> CheckReport:
-    report = CheckReport("core-geometry")
-    rng = np.random.default_rng(seed)
-    sets = {
-        "box": box([-1.0, 0.0], [1.0, 2.0]),
-        "orthant": shifted_orthant([0.0, -0.25, 0.25]),
-        "ball": ball([0.5, -0.5, 0.0], 1.5),
-        "plane_box_product": example_5_1().set,
-    }
-    for name, s in sets.items():
-        Z = rng.standard_normal((1000, s.dimension)) * 3.0
-        W = rng.standard_normal((1000, s.dimension)) * 3.0
-        worst_idem = worst_nonexp = 0.0
-        all_in = True
-        for z, w in zip(Z, W):
-            pz, pw = s.project(z), s.project(w)
-            worst_idem = max(worst_idem, float(np.linalg.norm(s.project(pz) - pz)))
-            worst_nonexp = max(worst_nonexp,
-                               float(np.linalg.norm(pz - pw) - np.linalg.norm(z - w)))
-            all_in = all_in and s.contains(pz, 1e-10)
-        report.record(f"{name}: projection idempotent", worst_idem <= 1e-10,
-                      f"worst drift {worst_idem:.2e}")
-        report.record(f"{name}: projection nonexpansive", worst_nonexp <= 1e-10,
-                      f"worst excess {worst_nonexp:.2e}")
-        report.record(f"{name}: projected points feasible", all_in, "1000 points")
-    return report
-
-
-def _check_gap_oracle(seed: int) -> CheckReport:
-    report = CheckReport("gap-oracle")
-    rng = np.random.default_rng(seed)
-    regs = (l1_regularizer(), tikhonov())
-    cases = [affine_monotone(1, seed), affine_monotone(2, seed),
-             strongly_monotone_quadratic(2, seed)]
-    n_checked = 0
-    for problem in cases:
-        lo, hi = problem.bounding_box
-        h = 1e-3 * float(np.linalg.norm(np.asarray(hi) - np.asarray(lo)))
-        worst = 0.0
-        for _ in range(17):
-            x = problem.set.project(rng.uniform(-1.5, 1.5, size=problem.dimension))
-            alpha = float(rng.uniform(0.5, 3.0))
-            eps = float(rng.choice([0.0, 0.3]))
-            reg = regs[int(rng.integers(2))]
-            explicit = theta_alpha(problem, x, alpha, eps, reg).value
-            grid = brute_force_gap(problem, x, alpha, eps, reg=reg, grid_resolution=h)
-            worst = max(worst, abs(explicit - grid))
-            n_checked += 1
-        report.record(f"{problem.name}: explicit vs grid", worst <= 5 * h,
-                      f"worst |diff| {worst:.2e} vs 5h={5 * h:.2e}")
-    report.record("total triples", n_checked >= 50, f"{n_checked} triples")
-    return report
-
-
-def _check_bounds_soundness(seed: int) -> CheckReport:
-    report = CheckReport("bounds-soundness")
-    problem = example_5_1()
-    reg = tikhonov()
-    rng = np.random.default_rng(seed)
-    taus = {0.5: 1e-6, 0.1: 1e-5, 0.01: 1e-4}
-    refs = {e: reference_solution(problem, e, reg)[0] for e in taus}
-    worst_slack = np.inf
-    ok_all = True
-    for e, tau in taus.items():
-        for _ in range(4):
-            x0 = problem.set.project(rng.uniform(-1.5, 1.5, size=3))
-            x, tr = solve_inner(problem, x0, e, tau, InnerConfig(seed=seed), reg)
-            p = bounds.stopping_threshold(tau, 2.0, 1.0, 1.0, 1.0, 2.0, e).radius
-            ok_p = (tr.p == p) and (tr.theta_final <= p)
-            radius = bounds.dgap_error_bound(max(tr.theta_final, 0.0),
-                                             2.0, 1.0, 1.0, 1.0, 2.0, e).radius
-            dist = float(np.linalg.norm(x - refs[e]))
-            ok_all = ok_all and ok_p and (dist <= radius) and (dist <= tau)
-            if radius > 0:
-                worst_slack = min(worst_slack, radius / max(dist, 1e-300))
-    report.record("stopping threshold matches and is met", ok_all,
-                  "p recomputed bit-for-bit")
-    report.record("distance within certified radius", ok_all,
-                  f"tightest radius/dist {worst_slack:.2f}x")
-    return report
-
-
-def _check_exactness(seed: int) -> CheckReport:
-    report = CheckReport("exactness")
-    problem = example_5_1()
-    x0 = problem.default_x0
-    tol = 1e-7
-    for e in (0.5, 0.01):
-        x, _ = solve_pge(problem, l1_regularizer(), e, x0, SubgradientConfig(seed=seed))
-        verdict = bounds.exactness_check(problem, problem.set.project(x), tol=tol)
-        report.record(f"l1 eps={e}: exact", verdict == bounds.EXACT, verdict)
-    for e in (0.5, 0.005):
-        x, _ = solve_pge(problem, tikhonov(), e, x0, SubgradientConfig(seed=seed))
-        verdict = bounds.exactness_check(problem, problem.set.project(x), tol=tol)
-        report.record(f"l2 eps={e}: not_exact", verdict == bounds.NOT_EXACT, verdict)
-    xs = problem.solution_oracle.sample_S0(3, seed)
-    for i, x in enumerate(xs):
-        verdict = bounds.exactness_check(problem, x, tol=tol)
-        report.record(f"S0 sample {i}: exact", verdict == bounds.EXACT, verdict)
-    return report
-
-
-CHECK_SUITES = {
-    "core-geometry": _check_core_geometry,
-    "gap-oracle": _check_gap_oracle,
-    "bounds-soundness": _check_bounds_soundness,
-    "exactness": _check_exactness,
-}
-
 
 def check_invariants(suite: str, seed: int = 0) -> CheckReport:
     """Run a named property suite; see CHECK_SUITES for the catalogue."""
@@ -621,18 +491,14 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "run":
-            eps = tuple(float(v) for v in args.eps.split(",") if v.strip())
-            x0 = tuple(float(v) for v in args.x0.split(",")) if args.x0 else None
+            eps = tuple(_parse_vector(args.eps, "--eps").tolist())
+            x0 = tuple(_parse_vector(args.x0, "--x0").tolist()) if args.x0 else None
             cfg = ExperimentConfig(
                 problem=args.problem, model=args.model, regularizer=args.reg,
                 epsilons=eps, seed=args.seed, tol=args.tol, tau=args.tau,
-                max_iter=args.max_iter, x0=x0, out=args.out, fmt=args.fmt,
-                timing=not args.no_timing,
+                max_iter=args.max_iter, x0=x0, timing=not args.no_timing,
                 experimental_nonsmooth=args.experimental_nonsmooth)
-            rows = run_experiment(cfg)  # writes cfg.out itself when set
-            if not cfg.out:
-                text = rows_to_csv(rows) if cfg.fmt == "csv" else rows_to_json(rows)
-                sys.stdout.write(text)
+            _write_rows(run_experiment(cfg), args.out, args.fmt)
             return 0
         if args.command == "table1":
             table1(args.out, fmt=args.fmt, seed=args.seed, timing=not args.no_timing)

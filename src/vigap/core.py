@@ -7,7 +7,6 @@ immutable after construction; evaluation and projection are pure functions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -170,9 +169,11 @@ def affine_map(M: np.ndarray, q, name: str = "affine") -> MonotoneMap:
 class FeasibleSet:
     """A closed convex set exposed through a projection oracle.
 
-    `project_rows`, when provided, projects each row of an (m, n) array
-    (used by the vectorized inner solvers) and returns a new float array,
-    as every built-in set does; the generic fallback loops.
+    `project_rows` projects each row of an (m, n) array (used by the
+    vectorized inner solvers) and returns a new float array. A set built
+    without one gets a loop over its `project` row by row, bound at
+    construction: `replace(s, project_rows=None)` gives the same set with
+    that loop, and a `replace` of `project` alone keeps the old rows.
     `description` is structured metadata (kind + parameters) so problem
     files and reports can name the set.
     """
@@ -183,12 +184,17 @@ class FeasibleSet:
     description: dict = field(default_factory=dict)
     project_rows: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
+    def __post_init__(self):
+        if self.project_rows is None:
+            project = self.project
+            object.__setattr__(self, "project_rows",
+                               lambda Z: np.array([project(z) for z in
+                                                   np.asarray(Z, dtype=float)]))
+
 
 def project_rows(feasible: FeasibleSet, Z: np.ndarray) -> np.ndarray:
     """Project each row of Z onto the set."""
-    if feasible.project_rows is not None:
-        return feasible.project_rows(np.asarray(Z, dtype=float))
-    return np.array([feasible.project(z) for z in np.asarray(Z, dtype=float)])
+    return feasible.project_rows(np.asarray(Z, dtype=float))
 
 
 def box(lower, upper) -> FeasibleSet:
@@ -202,9 +208,10 @@ def box(lower, upper) -> FeasibleSet:
     n = lo.shape[0]
     return FeasibleSet(
         dimension=n,
-        project=lambda z: np.minimum(np.maximum(z, lo), hi),
-        # not the min/max form: with the bounds broadcast down a single
-        # column it breaks ties between -0.0 and 0.0 unlike np.clip
+        # the clip ufunc, not the min/max form: with the bounds broadcast
+        # down a single column that form breaks ties between -0.0 and 0.0
+        # unlike np.clip
+        project=lambda z: _clip(z, lo, hi),
         project_rows=lambda Z: _clip(Z, lo, hi),
         contains=lambda x, tol=1e-10: bool(np.all(x >= lo - tol) and np.all(x <= hi + tol)),
         description={"kind": "box", "lower": lo.tolist(), "upper": hi.tolist()},
@@ -298,8 +305,7 @@ def product_set(blocks: list[tuple[list[int], FeasibleSet]], dimension: int) -> 
             if len(i) and np.array_equal(i, np.arange(i[0], i[0] + len(i))) else i
             for i in idx]
     block_projs = [(k, s.project) for k, s in zip(keys, sets)]
-    block_rows = [(k, s.project_rows if s.project_rows is not None
-                   else partial(project_rows, s)) for k, s in zip(keys, sets)]
+    block_rows = [(k, s.project_rows) for k, s in zip(keys, sets)]
 
     def proj(z):
         y = np.empty(z.shape)

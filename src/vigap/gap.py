@@ -20,24 +20,17 @@ from .core import (
     Regularizer,
     Vector,
     as_point,
-    project_rows,
     regularized_operator,
 )
 
 __all__ = [
     "GapEvaluation",
     "DualGapConfig",
-    "InnerSolveError",
     "y_alpha",
     "theta_alpha",
     "theta_ab",
     "dual_gap",
-    "dual_gap_subgradient",
 ]
-
-
-class InnerSolveError(RuntimeError):
-    """The dual-gap inner maximization did not converge."""
 
 
 @dataclass
@@ -207,8 +200,7 @@ def dual_gap(problem, x: Vector, config: Optional[DualGapConfig] = None,
     F_rows = F.rows
     grad = (F.inner_gradient if F.inner_gradient is not None
             else partial(_fd_inner_gradient, F))
-    proj_rows = (omega.project_rows if omega.project_rows is not None
-                 else partial(project_rows, omega))
+    proj_rows = omega.project_rows
     cap = 4.0 * max(radius, 1.0)
 
     starts = [x]
@@ -254,15 +246,3 @@ def dual_gap(problem, x: Vector, config: Optional[DualGapConfig] = None,
     return GapEvaluation(value=float(f[k]), maximizer=ybar, alpha=None, beta=None,
                          epsilon=0.0, converged=converged, inner_iterations=used)
 
-
-def dual_gap_subgradient(problem, x: Vector, config: Optional[DualGapConfig] = None) -> Vector:
-    """Subgradient F(ybar) of G at x, ybar the inner maximizer.
-
-    Raises InnerSolveError when the inner solve did not converge.
-    """
-    ev = dual_gap(problem, x, config)
-    if not ev.converged:
-        raise InnerSolveError(
-            f"dual-gap inner maximization did not converge at x={x} "
-            f"(value {ev.value:.3e} after {ev.inner_iterations} iterations)")
-    return np.asarray(problem.map(ev.maximizer), dtype=float)

@@ -4,12 +4,13 @@ Three layers:
 
 * a derivative-free D-gap descent (direction switching between
   y_alpha - y_beta and y_alpha - x, Armijo backtracking on sqrt(theta_ab))
-  for VI(T_eps, Omega) with T_eps = F + eps * grad(phi);
-* a sequential inexact outer loop that shrinks eps while warm-starting each
-  inner solve, stopping each inner iteration through the computable D-gap
-  error bound;
-* a projected subgradient method for the regularized dual-gap model
-  min_{Omega} G + eps * phi.
+  for VI(T_eps, Omega) with T_eps = F + eps * grad(phi), at the fixed
+  constants ALPHA, BETA, GAMMA and MAX_BACKTRACKS below;
+* a sequential inexact outer loop over a given decreasing eps schedule that
+  warm-starts each inner solve and stops it through the computable D-gap
+  error bound at one tolerance tau;
+* a projected subgradient method with gap-anchored Polyak steps for the
+  regularized dual-gap model min_{Omega} G + eps * phi.
 """
 from __future__ import annotations
 
@@ -49,8 +50,13 @@ __all__ = [
 BRANCH_GAP_DIFF = "y_alpha_minus_y_beta"
 BRANCH_RESIDUAL = "y_alpha_minus_x"
 
-# D-gap descent: sample pairs of the L_theta estimate, and the relative move
-# below which an iterate counts as stagnant
+# D-gap descent: the pair 0 < alpha < beta of theta_ab, the Armijo
+# backtracking factor and budget, the sample pairs of the L_theta estimate,
+# and the relative move below which an iterate counts as stagnant
+ALPHA = 1.0
+BETA = 2.0
+GAMMA = 0.9
+MAX_BACKTRACKS = 60
 L_THETA_SAMPLES = 200
 STAGNATION_TOL = 1e-13
 
@@ -100,20 +106,19 @@ class DualGapUnreliableError(RuntimeError):
 class InnerConfig:
     """Parameters of the D-gap descent for one regularization level.
 
-    c and delta default to the admissible bounds
+    alpha, beta, the Armijo factor gamma and its backtracking budget are
+    the module constants ALPHA, BETA, GAMMA and MAX_BACKTRACKS. c and delta
+    default to the admissible bounds
     c <= min{1, (beta-alpha)/(2(L_theta+beta))} and
     delta <= min{sqrt((beta-alpha)/2)/2, sqrt(2) c mu / sqrt(beta-alpha)}
     with mu = eps*rho; explicit values are capped at those bounds when a
     solve resolves its constants. L_theta_estimate=None triggers a seeded
-    sampling estimate over pairs in the initial level set.
+    sampling estimate over pairs in the initial level set. floor is the
+    theta value below which the descent cannot tell progress from noise.
     """
 
-    alpha: float = 1.0
-    beta: float = 2.0
-    gamma: float = 0.9
     c: Optional[float] = None
     delta: Optional[float] = None
-    max_backtracks: int = 60
     max_iterations: int = 400_000
     L_theta_estimate: Optional[float] = None
     floor: float = 1e-16
@@ -121,52 +126,31 @@ class InnerConfig:
     experimental_nonsmooth: bool = False
 
     def __post_init__(self):
-        if not (0 < self.alpha < self.beta):
-            raise ValueError("need 0 < alpha < beta")
-        if not (0 < self.gamma < 1):
-            raise ValueError("gamma must lie in (0, 1)")
-        if self.max_backtracks < 1 or self.max_iterations < 1:
-            raise ValueError("iteration budgets must be positive")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be positive")
 
 
 @dataclass(frozen=True)
 class OuterConfig:
     """Schedule for the sequential inexact descent.
 
-    epsilons=None builds the geometric default eps0 * ratio^k truncated at
-    max_outer terms. tau is the (stable) per-level error tolerance; a tuple
-    gives per-level values.
+    epsilons is the strictly decreasing, positive eps schedule (stored as a
+    tuple of floats); tau is the error tolerance every level is certified to.
     """
 
-    epsilons: Optional[tuple] = None
-    eps0: float = 0.5
-    ratio: float = 0.5
-    max_outer: int = 12
+    epsilons: tuple
     tau: float = 1e-6
     inner: InnerConfig = field(default_factory=InnerConfig)
 
-    def schedule(self) -> tuple:
-        if self.epsilons is not None:
-            eps = tuple(float(e) for e in self.epsilons)
-        else:
-            eps = tuple(self.eps0 * self.ratio ** k for k in range(self.max_outer))
+    def __post_init__(self):
+        eps = tuple(float(e) for e in self.epsilons)
         if not eps or any(e <= 0 for e in eps):
             raise ValueError("epsilon schedule must be positive")
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise ValueError("epsilon schedule must be strictly decreasing")
-        return eps
-
-    def taus(self, n: int) -> tuple:
-        t = self.tau
-        if np.isscalar(t):
-            t = (float(t),) * n
-        else:
-            t = tuple(float(v) for v in t)
-            if len(t) != n:
-                raise ValueError("tau sequence length must match the epsilon schedule")
-        if any(v <= 0 for v in t):
+        if not self.tau > 0:
             raise ValueError("tau must be positive")
-        return t
+        object.__setattr__(self, "epsilons", eps)
 
 
 @dataclass(slots=True)
@@ -232,23 +216,19 @@ class PgeTrace:
 
 @dataclass(frozen=True)
 class SubgradientConfig:
-    """Budget and step rule for the projected subgradient solver.
+    """Budget and inner dual-gap solves of the projected subgradient solver.
 
-    step_mode "polyak": gap-anchored steps (f - f_best + delta_j)/||g_T||^2
-    with geometrically decaying relaxation delta_j and displacement cap
+    Its steps are gap-anchored: (f - f_best + delta_j)/||g_T||^2 with a
+    geometrically decaying relaxation delta_j and displacement cap
     2 (1 + ||x0||), where g_T is the tangential (projected) part of the
-    subgradient. step_mode "sqrt": the plain diminishing schedule
-    t_j = 1/((1 + eps) sqrt(j)).
+    subgradient. seed overrides gap_config.seed and is varied per iterate.
     """
 
     max_iterations: int = 1100
-    step_mode: str = "polyak"
     seed: int = 0
     gap_config: DualGapConfig = field(default_factory=DualGapConfig)
 
     def __post_init__(self):
-        if self.step_mode not in ("polyak", "sqrt"):
-            raise ValueError(f"unknown step_mode {self.step_mode!r}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
 
@@ -265,7 +245,7 @@ def estimate_L_theta(problem, x0: Vector, cfg: InnerConfig, epsilon: float,
     returns the largest difference quotient |theta(u)-theta(v)| / ||u-v||
     over consecutive kept pairs.
     """
-    theta = _theta_ab_kernel(problem, cfg.alpha, cfg.beta, epsilon, reg)
+    theta = _theta_ab_kernel(problem, ALPHA, BETA, epsilon, reg)
     x0 = as_point(x0, problem.map.dimension)
     th0, ya0, _ = theta(x0)
     rng = np.random.default_rng(cfg.seed)
@@ -296,12 +276,12 @@ def _resolve_constants(problem, x0: Vector, cfg: InnerConfig, epsilon: float,
     L_theta = cfg.L_theta_estimate
     if L_theta is None:
         L_theta = estimate_L_theta(problem, x0, cfg, epsilon, reg)
-    c_bound = min(1.0, (cfg.beta - cfg.alpha) / (2.0 * (L_theta + cfg.beta)))
+    c_bound = min(1.0, (BETA - ALPHA) / (2.0 * (L_theta + BETA)))
     c = c_bound if cfg.c is None else min(cfg.c, c_bound)
     rho = reg.rho if (reg is not None and reg.smooth) else 0.0
     mu = epsilon * rho
-    d_bound = min(0.5 * math.sqrt((cfg.beta - cfg.alpha) / 2.0),
-                  math.sqrt(2.0) * c * mu / math.sqrt(cfg.beta - cfg.alpha))
+    d_bound = min(0.5 * math.sqrt((BETA - ALPHA) / 2.0),
+                  math.sqrt(2.0) * c * mu / math.sqrt(BETA - ALPHA))
     delta = d_bound if cfg.delta is None else min(cfg.delta, d_bound)
     return replace(cfg, c=c, delta=delta, L_theta_estimate=L_theta)
 
@@ -335,7 +315,7 @@ def li_ng_direction(problem, x: Vector, cfg: InnerConfig, epsilon: float = 0.0,
     if cfg.c is None:
         raise ValueError("cfg.c must be set for li_ng_direction (resolve constants first)")
     x = as_point(x, problem.map.dimension)
-    _, ya, yb = _theta_ab_kernel(problem, cfg.alpha, cfg.beta, epsilon, reg)(x)
+    _, ya, yb = _theta_ab_kernel(problem, ALPHA, BETA, epsilon, reg)(x)
     return _direction(x, ya, yb, cfg.c)
 
 
@@ -344,7 +324,7 @@ def armijo_step(problem, x: Vector, d: Vector, cfg: InnerConfig, epsilon: float 
     """Smallest m >= 0 with sqrt(theta(x + gamma^m d)) - sqrt(theta(x)) <=
     -(delta/4) gamma^m ||d||; returns (m, x_next).
 
-    Raises StepFailureError when max_backtracks is exceeded.
+    Raises StepFailureError when MAX_BACKTRACKS is exceeded.
     """
     d = np.asarray(d, dtype=float)
     if float(np.linalg.norm(d)) == 0.0:
@@ -352,7 +332,7 @@ def armijo_step(problem, x: Vector, d: Vector, cfg: InnerConfig, epsilon: float 
     x = as_point(x, problem.map.dimension)
     if cfg.delta is None:
         cfg = _resolve_constants(problem, x, cfg, epsilon, reg)
-    theta = _theta_ab_kernel(problem, cfg.alpha, cfg.beta, epsilon, reg)
+    theta = _theta_ab_kernel(problem, ALPHA, BETA, epsilon, reg)
     th, _, _ = theta(x)
     m, x_next, _, _, _ = _armijo(theta, x, d, th, cfg)
     return m, x_next
@@ -364,16 +344,16 @@ def _armijo(theta, x: Vector, d: Vector, theta_x: float, cfg: InnerConfig):
     sq = math.sqrt(max(theta_x, 0.0))
     delta = cfg.delta
     step = 1.0
-    for m in range(cfg.max_backtracks + 1):
+    for m in range(MAX_BACKTRACKS + 1):
         xn = x + step * d
         tn, ya, yb = theta(xn)
         if math.sqrt(max(tn, 0.0)) - sq <= -(delta / 4.0) * step * nd:
             return m, xn, tn, ya, yb
-        step *= cfg.gamma
+        step *= GAMMA
     raise StepFailureError(
-        f"no Armijo step after {cfg.max_backtracks} backtracks "
+        f"no Armijo step after {MAX_BACKTRACKS} backtracks "
         f"(theta={theta_x:.3e}, ||d||={nd:.3e}); mis-set constants or tolerance floor",
-        x=x, d=d, theta=theta_x, backtracks=cfg.max_backtracks)
+        x=x, d=d, theta=theta_x, backtracks=MAX_BACKTRACKS)
 
 
 # ---------------------------------------------------------------------------
@@ -410,11 +390,11 @@ def solve_inner(problem, x0: Vector, epsilon: float, tau: float,
     if smooth_mode and epsilon > 0:
         L = problem.map.lipschitz_L
         M = reg.lipschitz_M
-        p = bounds.stopping_threshold(tau, L, M, reg.rho, cfg.alpha, cfg.beta, epsilon).radius
+        p = bounds.stopping_threshold(tau, L, M, reg.rho, ALPHA, BETA, epsilon).radius
     else:
         p = 0.0  # no certified threshold without a strongly convex smooth phi
 
-    theta = _theta_ab_kernel(problem, cfg.alpha, cfg.beta, epsilon, reg)
+    theta = _theta_ab_kernel(problem, ALPHA, BETA, epsilon, reg)
     th, ya, yb = theta(x)
     records: list = []
     status = None
@@ -465,7 +445,7 @@ def solve_inner(problem, x0: Vector, epsilon: float, tau: float,
                 break
             raise
         records.append(InnerRecord(j=j, theta=tn, m=m, branch=branch,
-                                   step_norm=(cfg.gamma ** m) * nd))
+                                   step_norm=(GAMMA ** m) * nd))
         if _norm(xn - x) <= STAGNATION_TOL * (1.0 + nx):
             stagnant += 1
         else:
@@ -492,28 +472,25 @@ def solve_inner(problem, x0: Vector, epsilon: float, tau: float,
 # outer loop
 # ---------------------------------------------------------------------------
 
-def sequential_inexact_descent(problem, x0: Vector, outer_cfg: Optional[OuterConfig] = None,
-                               reg: Optional[Regularizer] = None):
+def sequential_inexact_descent(problem, x0: Vector, outer_cfg: OuterConfig,
+                               reg: Regularizer):
     """Sequential inexact descent over a decreasing epsilon schedule.
 
     Each level solves VI(T_eps_k, Omega) by solve_inner warm-started from
     the previous level's point. Returns (SolverTrace, x_final); inner
     failures propagate with the partial trace attached to the exception.
     """
-    cfg = outer_cfg or OuterConfig()
     if reg is None:
         raise ValueError("sequential descent needs a regularizer")
-    eps = cfg.schedule()
-    taus = cfg.taus(len(eps))
     x = as_point(x0, problem.map.dimension)
     outer: list = []
     inner: list = []
     oracle = getattr(problem, "solution_oracle", None)
-    icfg = cfg.inner
-    for k, (e, tk) in enumerate(zip(eps, taus)):
+    icfg = outer_cfg.inner
+    for k, e in enumerate(outer_cfg.epsilons):
         tick = time.perf_counter()
         try:
-            x, itrace = solve_inner(problem, x, e, tk, icfg, reg)
+            x, itrace = solve_inner(problem, x, e, outer_cfg.tau, icfg, reg)
         except (StepFailureError, MaxIterationsError) as err:
             err.partial_trace = SolverTrace(outer=outer, inner=inner)
             raise
@@ -525,7 +502,7 @@ def sequential_inexact_descent(problem, x0: Vector, outer_cfg: Optional[OuterCon
             # from the floor, so the certified radius is floored accordingly
             radius = bounds.dgap_error_bound(max(itrace.theta_final, icfg.floor),
                                              problem.map.lipschitz_L, reg.lipschitz_M,
-                                             reg.rho, icfg.alpha, icfg.beta, e).radius
+                                             reg.rho, ALPHA, BETA, e).radius
         dist = None
         if oracle is not None:
             dist = float(oracle.distance_to_S0(x))
@@ -570,23 +547,18 @@ def solve_pge(problem, regularizer: Regularizer, epsilon: float, x0: Vector,
     delta = max(PGE_DELTA0_FRACTION * abs(f), 1e-12 * scale0)
     rho_decay = (PGE_DELTA_FINAL_REL * scale0 / delta) ** (1.0 / cfg.max_iterations)
     cap = 2.0 * (1.0 + float(np.linalg.norm(x)))
-    t0 = 1.0 / (1.0 + epsilon)
 
     records: list = []
     j = 0
     for j in range(1, cfg.max_iterations + 1):
         sg = np.asarray(F(ybar), dtype=float) + epsilon * grad_or_subgrad(regularizer, x)
-        if cfg.step_mode == "sqrt":
-            t = t0 / math.sqrt(j)
-        else:
-            s = PGE_TANGENT_PROBE * (1.0 + float(np.linalg.norm(x))) \
-                / (1.0 + float(np.linalg.norm(sg)))
-            g_tan = (x - omega.project(x - s * sg)) / s
-            n_tan = float(np.linalg.norm(g_tan))
-            if n_tan <= 1e-14:
-                break  # subgradient is normal to Omega at x: stationary
-            t = (f - f_best + delta) / n_tan ** 2
-            t = min(t, cap / n_tan)
+        s = PGE_TANGENT_PROBE * (1.0 + float(np.linalg.norm(x))) \
+            / (1.0 + float(np.linalg.norm(sg)))
+        g_tan = (x - omega.project(x - s * sg)) / s
+        n_tan = float(np.linalg.norm(g_tan))
+        if n_tan <= 1e-14:
+            break  # subgradient is normal to Omega at x: stationary
+        t = min((f - f_best + delta) / n_tan ** 2, cap / n_tan)
         x = omega.project(x - t * sg)
         ev = dual_gap(problem, x, replace(gcfg, seed=cfg.seed + 7919 * j), warm=ybar)
         ybar = ev.maximizer
@@ -612,13 +584,13 @@ def solve_pge(problem, regularizer: Regularizer, epsilon: float, x0: Vector,
 # ---------------------------------------------------------------------------
 
 def reference_solution(problem, epsilon: float = 0.0, reg: Optional[Regularizer] = None,
-                       alpha: float = 1.0, tol_residual: float = 1e-12,
-                       x0: Optional[Vector] = None, max_newton: int = 80):
+                       tol_residual: float = 1e-12):
     """Solve a strongly monotone VI(T_eps, Omega) to machine-level residual.
 
-    Runs a short D-gap descent for globalization, then a finite-difference
-    semismooth Newton polish on the natural residual
-    H(x) = x - P_Omega(x - T(x)/alpha), stopping at ||H|| <= tol_residual.
+    Runs a short D-gap descent from P_Omega(0) for globalization, then at
+    most 80 steps of a finite-difference semismooth Newton polish on the
+    natural residual H(x) = x - P_Omega(x - T(x)/alpha), stopping at
+    ||H|| <= tol_residual.
     A residual r certifies the true theta_ab <= (beta-alpha)/2 * r^2, far
     below anything evaluable in floating point.
 
@@ -631,7 +603,7 @@ def reference_solution(problem, epsilon: float = 0.0, reg: Optional[Regularizer]
     if epsilon == 0.0 and F.monotonicity_class != "strongly_monotone":
         raise ValueError("unregularized reference needs a strongly monotone map")
     n = F.dimension
-    x = as_point(x0, n) if x0 is not None else problem.set.project(np.zeros(n))
+    x = problem.set.project(np.zeros(n))
 
     cfg = InnerConfig(max_iterations=3000, floor=1e-15)
     if reg is not None and not reg.smooth:
@@ -643,11 +615,11 @@ def reference_solution(problem, epsilon: float = 0.0, reg: Optional[Regularizer]
             x = err.x
 
     def residual(z):
-        return z - as_point(y_alpha(problem, z, alpha, epsilon, reg), n)
+        return z - as_point(y_alpha(problem, z, ALPHA, epsilon, reg), n)
 
     h = residual(x)
     nh = float(np.linalg.norm(h))
-    for _ in range(max_newton):
+    for _ in range(80):
         if nh <= tol_residual:
             break
         J = np.empty((n, n))

@@ -1,5 +1,6 @@
 """CLI wiring: config validation, emitters, problem files, check suites."""
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import vigap
 from vigap.cli import (
     CSV_COLUMNS,
     CheckReport,
@@ -204,11 +206,15 @@ def test_main_run_writes_deterministic_files(tmp_path):
 
 def test_main_module_invocation(tmp_path):
     out = tmp_path / "m.csv"
+    # the child imports the same vigap as this process, installed or not
+    src = str(Path(vigap.__file__).resolve().parent.parent)
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     res = subprocess.run(
         [sys.executable, "-m", "vigap", "run", "--problem", "example5_1",
          "--model", "direct", "--reg", "l2", "--eps", "0.5", "--no-timing",
          "--out", str(out)],
-        capture_output=True, text=True, timeout=300)
+        capture_output=True, text=True, timeout=300, env=env)
     assert res.returncode == 0, res.stderr
     assert out.read_text().startswith(",".join(CSV_COLUMNS))
 
@@ -216,6 +222,27 @@ def test_main_module_invocation(tmp_path):
 def test_main_rejects_bad_config():
     assert main(["run", "--problem", "example5_1", "--model", "direct",
                  "--reg", "l1", "--eps", "0.5"]) == 2
+
+
+@pytest.mark.parametrize("model", ["direct", "dualgap"])
+@pytest.mark.parametrize("flags, message", [
+    ("--eps nan", "finite and positive"),
+    ("--eps inf", "finite and positive"),
+    ("--eps 0.5,-inf", "finite and positive"),
+    ("--eps abc", "--eps: cannot parse"),
+    ("--eps 0.5 --x0 1,2", "x0 must be 3 finite numbers"),
+    ("--eps 0.5 --x0 1,-2,nan", "x0 must be 3 finite numbers"),
+    ("--eps 0.5 --x0 1,x,1", "--x0: cannot parse"),
+    ("--eps 0.5 --tol inf", "tol and tau must be finite and positive"),
+    ("--eps 0.5 --max-iter 0", "max_iter must be positive"),
+])
+def test_main_rejects_bad_run_inputs(model, flags, message, capsys):
+    # caught at the boundary on both models, before any solve starts
+    argv = f"run --problem example5_1 --model {model} --reg l2 {flags}".split()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
 
 
 def test_check_unknown_suite():
