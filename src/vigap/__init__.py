@@ -36,6 +36,7 @@ from .bounds import (
     eps_error_bound_dualgap,
     exactness_check,
     fit_sharpness,
+    residual_error_bound,
     stopping_threshold,
 )
 from .problems import (

@@ -1,9 +1,10 @@
 """Computable error bounds and regularization diagnostics.
 
-The D-gap distance bound and its stopping threshold certify inner-solve
-accuracy for VI(T_eps, Omega); the weak-sharpness bounds relate regularized
-solutions to the unregularized solution set; exactness_check classifies a
-candidate point through the dual gap.
+The D-gap distance bound with its stopping threshold, and the
+natural-residual bound, certify inner-solve accuracy for VI(T_eps, Omega);
+the weak-sharpness bounds relate regularized solutions to the unregularized
+solution set; exactness_check classifies a candidate point through the
+dual gap.
 """
 from __future__ import annotations
 
@@ -25,6 +26,8 @@ __all__ = [
     "BoundReport",
     "dgap_error_bound",
     "stopping_threshold",
+    "residual_rounding",
+    "residual_error_bound",
     "eps_error_bound_dualgap",
     "eps_error_bound_direct",
     "order1_inequality",
@@ -123,6 +126,48 @@ def stopping_threshold(tau: float, L: float, M: float, rho: float,
         radius=p,
         inputs={"tau": tau, "L": L, "M": M, "rho": rho, "alpha": alpha,
                 "beta": beta, "epsilon": epsilon, "L_k": L_k},
+    )
+
+
+def residual_rounding(x: Vector, Tx: Vector, alpha: float) -> float:
+    """Float64 rounding of H(x) = x - P_Omega(x - T(x)/alpha), about
+    n * u * (||x|| + ||T(x)||/alpha) with u the unit roundoff.
+
+    Below this size an evaluated ||H(x)|| says nothing, and H may even
+    evaluate to 0 at a point that is not x_eps.
+    """
+    scale = float(np.linalg.norm(x)) + float(np.linalg.norm(Tx)) / alpha
+    return x.shape[0] * np.finfo(float).eps * scale
+
+
+def residual_error_bound(r: float, L: float, M: float, rho: float, alpha: float,
+                         epsilon: float, rounding: float = 0.0) -> BoundReport:
+    """Distance bound ||x - x_eps|| <= ((L + eps*M + alpha)/(eps*rho)) * ||H(x)||
+    from the natural residual H(x) = x - y_alpha(x), y_alpha(x) = P_Omega(x - T(x)/alpha).
+
+    T = F + eps*grad(phi) is Lipschitz with L_T = L + eps*M and strongly
+    monotone with mu = eps*rho, on all of R^n. With y = y_alpha(x) and
+    x* = x_eps, the projection gives <T(x) - alpha (x - y), x* - y> >= 0 and
+    the VI at x* gives <T(x*), y - x*> >= 0. Adding them and writing
+    y - x* = (x - x*) - H(x):
+        <T(x) - T(x*), x - x*> <= <T(x) - T(x*), H> + alpha <H, x - x*> - alpha ||H||^2,
+    so mu ||x - x*||^2 <= (L_T + alpha) ||H|| ||x - x*||, which is the bound
+    (Facchinei & Pang 2003, Prop. 6.3.1, at alpha = 1). It holds for every x
+    in R^n, not only in Omega.
+
+    r is the evaluated ||H(x)|| and rounding its float64 rounding (see
+    `residual_rounding`); the radius uses max(r, rounding), so it stays
+    sound where H evaluates to 0.
+    """
+    _check_dgap_inputs(L, M, rho, alpha, math.inf, epsilon)
+    if r < 0 or rounding < 0:
+        raise ValueError("residual and rounding must be nonnegative")
+    factor = (L + epsilon * M + alpha) / (epsilon * rho)
+    return BoundReport(
+        bound_kind="residual_to_regularized",
+        radius=factor * max(r, rounding),
+        inputs={"r": r, "rounding": rounding, "L": L, "M": M, "rho": rho,
+                "alpha": alpha, "epsilon": epsilon, "factor": factor},
     )
 
 

@@ -125,6 +125,23 @@ def _check_bounds_soundness(seed: int) -> CheckReport:
                   "p recomputed bit-for-bit")
     report.record("distance within certified radius", ok_all,
                   f"tightest radius/dist {worst_slack:.2f}x")
+
+    # below the floor (p < 1e-16) the level must end residual-certified;
+    # x_eps = (0, -3/4 + t, -1/4 - t) with t = eps / (4 (1 + eps)) in closed form
+    e, tau = 1e-4, 1e-6
+    t = e / (4.0 * (1.0 + e))
+    x_eps = np.array([0.0, -0.75 + t, -0.25 - t])
+    ok_res = True
+    worst_dist = 0.0
+    for _ in range(4):
+        x0 = problem.set.project(rng.uniform(-1.5, 1.5, size=3))
+        x, tr = solve_inner(problem, x0, e, tau, InnerConfig(seed=seed), reg)
+        dist = float(np.linalg.norm(x - x_eps))
+        worst_dist = max(worst_dist, dist)
+        ok_res = ok_res and tr.status == "certified" and tr.certificate == "residual"
+        ok_res = ok_res and dist <= tr.radius <= tau
+    report.record(f"eps={e:g}: residual-certified within tau of the closed form", ok_res,
+                  f"worst dist {worst_dist:.2e} vs tau {tau:g}")
     return report
 
 

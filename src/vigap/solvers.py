@@ -5,10 +5,12 @@ Three layers:
 * a derivative-free D-gap descent (direction switching between
   y_alpha - y_beta and y_alpha - x, Armijo backtracking on sqrt(theta_ab))
   for VI(T_eps, Omega) with T_eps = F + eps * grad(phi), at the fixed
-  constants ALPHA, BETA, GAMMA and MAX_BACKTRACKS below;
+  constants ALPHA, BETA, GAMMA and MAX_BACKTRACKS below, finished by
+  semismooth Newton on the natural residual where the D-gap stopping level
+  lies below the floor of theta evaluation;
 * a sequential inexact outer loop over a given decreasing eps schedule that
-  warm-starts each inner solve and stops it through the computable D-gap
-  error bound at one tolerance tau;
+  warm-starts each inner solve and stops it through a computable error
+  bound (D-gap or natural residual) at one tolerance tau;
 * a projected subgradient method with gap-anchored Polyak steps for the
   regularized dual-gap model min_{Omega} G + eps * phi.
 """
@@ -22,8 +24,15 @@ from typing import Optional
 import numpy as np
 
 from . import bounds
-from .core import Regularizer, Vector, as_point, grad_or_subgrad
-from .gap import DualGapConfig, _theta_ab_kernel, dual_gap, y_alpha
+from .core import (
+    EvaluationError,
+    Regularizer,
+    Vector,
+    as_point,
+    grad_or_subgrad,
+    regularized_operator,
+)
+from .gap import DualGapConfig, _theta_ab_kernel, dual_gap
 
 __all__ = [
     "StepFailureError",
@@ -49,6 +58,7 @@ __all__ = [
 
 BRANCH_GAP_DIFF = "y_alpha_minus_y_beta"
 BRANCH_RESIDUAL = "y_alpha_minus_x"
+BRANCH_NEWTON = "newton"
 
 # D-gap descent: the pair 0 < alpha < beta of theta_ab, the Armijo
 # backtracking factor and budget, the sample pairs of the L_theta estimate,
@@ -59,6 +69,9 @@ GAMMA = 0.9
 MAX_BACKTRACKS = 60
 L_THETA_SAMPLES = 200
 STAGNATION_TOL = 1e-13
+# semismooth Newton: central-difference step of the generalized Jacobian,
+# relative to 1 + ||x||
+NEWTON_FD_STEP = 1e-7
 
 # projected subgradient: initial Polyak relaxation as a fraction of |f(x0)|,
 # its final value relative to 1 + |f(x0)|, the relative probe step for the
@@ -164,6 +177,11 @@ class InnerRecord:
 
 @dataclass
 class InnerTrace:
+    """One inner solve. certificate names the bound behind a "certified"
+    status, "dgap" or "residual", and radius the distance to x_eps that it
+    certifies; both are None for any other status and without a strongly
+    convex smooth phi."""
+
     epsilon: float
     tau: float
     p: float
@@ -174,6 +192,8 @@ class InnerTrace:
     status: str
     iterations: int
     theta_final: float
+    certificate: Optional[str] = None
+    radius: Optional[float] = None
 
 
 @dataclass
@@ -338,22 +358,70 @@ def armijo_step(problem, x: Vector, d: Vector, cfg: InnerConfig, epsilon: float 
     return m, x_next
 
 
-def _armijo(theta, x: Vector, d: Vector, theta_x: float, cfg: InnerConfig):
-    """Backtracking core; returns (m, x_next, theta_next, ya_next, yb_next)."""
+def _armijo(theta, x: Vector, d: Vector, theta_x: float, cfg: InnerConfig,
+            max_backtracks: int = MAX_BACKTRACKS):
+    """Backtracking core; returns (m, x_next, theta_next, ya_next, yb_next).
+    max_backtracks=0 tests the full step alone."""
     nd = _norm(d)
     sq = math.sqrt(max(theta_x, 0.0))
     delta = cfg.delta
     step = 1.0
-    for m in range(MAX_BACKTRACKS + 1):
+    for m in range(max_backtracks + 1):
         xn = x + step * d
         tn, ya, yb = theta(xn)
         if math.sqrt(max(tn, 0.0)) - sq <= -(delta / 4.0) * step * nd:
             return m, xn, tn, ya, yb
         step *= GAMMA
     raise StepFailureError(
-        f"no Armijo step after {MAX_BACKTRACKS} backtracks "
+        f"no Armijo step after {max_backtracks} backtracks "
         f"(theta={theta_x:.3e}, ||d||={nd:.3e}); mis-set constants or tolerance floor",
-        x=x, d=d, theta=theta_x, backtracks=MAX_BACKTRACKS)
+        x=x, d=d, theta=theta_x, backtracks=max_backtracks)
+
+
+def _newton_step(theta, x: Vector, h: Vector) -> Vector:
+    """Semismooth Newton step s solving J s = -h for the natural residual
+    h = H(x) = x - y_alpha(x), J a generalized Jacobian of H by central
+    differences of y_alpha from the raw D-gap kernel `theta` (2n
+    evaluations). A singular J gives its least-squares step."""
+    n = x.shape[0]
+    fd = NEWTON_FD_STEP * (1.0 + _norm(x))
+    J = np.eye(n)
+    e = np.zeros(n)
+    for k in range(n):
+        e[k] = fd
+        J[:, k] -= (theta(x + e)[1] - theta(x - e)[1]) / (2.0 * fd)
+        e[k] = 0.0
+    try:
+        return np.linalg.solve(J, -h)
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(J, -h, rcond=None)[0]
+
+
+def _newton_trial(theta, x: Vector, ya: Vector, theta_x: float, cfg: InnerConfig):
+    """The full Newton step from x if accepted, as (x_next, theta_next,
+    ya_next, yb_next, step_norm); None if rejected.
+
+    Above cfg.floor the test is the Armijo test on sqrt(theta_ab) of
+    `_armijo`. At or below it theta_ab is evaluation noise and cannot judge
+    a step, so there the step must halve the natural residual ||H|| instead.
+    A trial that leaves F's domain counts as rejected.
+    """
+    h = x - ya
+    try:
+        s = _newton_step(theta, x, h)
+        ns = _norm(s)
+        if not (math.isfinite(ns) and ns > 0.0):
+            return None
+        if theta_x > cfg.floor:
+            _, xn, tn, yan, ybn = _armijo(theta, x, s, theta_x, cfg, max_backtracks=0)
+        else:
+            xn = x + s
+            tn, yan, ybn = theta(xn)
+            if _norm(xn - yan) > 0.5 * _norm(h):
+                return None
+    except (StepFailureError, EvaluationError):
+        return None
+    return xn, tn, yan, ybn, ns
 
 
 # ---------------------------------------------------------------------------
@@ -366,10 +434,17 @@ def solve_inner(problem, x0: Vector, epsilon: float, tau: float,
     """Approximately solve VI(T_eps, Omega) by D-gap descent.
 
     Smooth strongly-convex phi (rho > 0): stops once
-    theta_ab <= p = tau^2 / L_k^2, which certifies ||x - x_eps|| <= tau.
-    When p falls below the numerical floor of theta evaluation the solve
-    stops at the floor instead (status "floor"); the certificate then no
-    longer applies and the returned trace says so.
+    theta_ab <= p = tau^2 / L_k^2, which certifies ||x - x_eps|| <= tau
+    (certificate "dgap"). When p lies below the numerical floor of theta
+    evaluation that test cannot fire, and the level finishes by semismooth
+    Newton instead. Each iteration then stops once the natural-residual
+    bound certifies ||x - x_eps|| <= tau (certificate "residual"), else
+    takes one full Newton step on H(x) = x - y_alpha(x) (branch "newton")
+    if it passes the Armijo test on sqrt(theta_ab), or, once theta_ab is at
+    the floor and that test cannot judge, if it halves ||H||; else a D-gap
+    step. A level that reaches neither certificate stops at the floor
+    (status "floor" or "floor_stall"), uncertified, and the returned trace
+    says so.
 
     Nonsmooth phi requires cfg.experimental_nonsmooth and stops on
     stagnation or step failure (status "stagnated"); there is no certified
@@ -387,37 +462,71 @@ def solve_inner(problem, x0: Vector, epsilon: float, tau: float,
             "nonsmooth regularizer: enable InnerConfig.experimental_nonsmooth explicitly")
     x = as_point(x0, problem.map.dimension)
 
+    newton = False
     if smooth_mode and epsilon > 0:
         L = problem.map.lipschitz_L
         M = reg.lipschitz_M
         p = bounds.stopping_threshold(tau, L, M, reg.rho, ALPHA, BETA, epsilon).radius
+        newton = p < cfg.floor
     else:
         p = 0.0  # no certified threshold without a strongly convex smooth phi
 
+    T = regularized_operator(problem.map, reg, epsilon)
     theta = _theta_ab_kernel(problem, ALPHA, BETA, epsilon, reg)
     th, ya, yb = theta(x)
     records: list = []
-    status = None
+    status = certificate = radius = None
     stagnant = 0
     j = 0
 
     def done(st):
         return x, InnerTrace(epsilon=epsilon, tau=tau, p=p, c=cfg.c, delta=cfg.delta,
                              L_theta=cfg.L_theta_estimate, records=records, status=st,
-                             iterations=j, theta_final=th)
+                             iterations=j, theta_final=th, certificate=certificate,
+                             radius=radius)
+
+    def certified():
+        """Whether x is certified, setting certificate and radius if so."""
+        nonlocal certificate, radius
+        if newton:
+            r = _norm(x - ya)
+            rep = bounds.residual_error_bound(r, L, M, reg.rho, ALPHA, epsilon)
+            if rep.radius <= tau:  # only now pay one T(x) for the rounding floor
+                rep = bounds.residual_error_bound(r, L, M, reg.rho, ALPHA, epsilon,
+                                                  bounds.residual_rounding(x, T(x), ALPHA))
+            if rep.radius > tau:
+                return False
+            certificate, radius = "residual", rep.radius
+            return True
+        if th > p:
+            return False
+        if p > 0:
+            # theta below the evaluation floor is numerically indistinguishable
+            # from the floor, so the certified radius is floored accordingly
+            certificate = "dgap"
+            radius = bounds.dgap_error_bound(max(th, cfg.floor), L, M, reg.rho,
+                                             ALPHA, BETA, epsilon).radius
+        return True
 
     # quick exits before paying for the L_theta sampling estimate
-    if th <= p:
-        return done("certified")  # warm start already inside the threshold
-    if p < cfg.floor and th <= cfg.floor:
+    if certified():
+        return done("certified")  # warm start already certified
+    if not newton and p < cfg.floor and th <= cfg.floor:
         return done("floor")
 
     cfg = _resolve_constants(problem, x, cfg, epsilon, reg)
 
     for j in range(1, cfg.max_iterations + 1):
-        if th <= p:
+        if certified():
             status = "certified"
             break
+        if newton:
+            trial = _newton_trial(theta, x, ya, th, cfg)
+            if trial is not None:
+                x, th, ya, yb, ns = trial
+                records.append(InnerRecord(j=j, theta=th, m=0, branch=BRANCH_NEWTON,
+                                           step_norm=ns))
+                continue
         if p < cfg.floor and th <= cfg.floor:
             status = "floor"
             break
@@ -458,7 +567,7 @@ def solve_inner(problem, x0: Vector, epsilon: float, tau: float,
             raise StepFailureError("iterates stagnated above the certified threshold",
                                    x=x, theta=th)
     if status is None:
-        if th <= p:
+        if certified():
             status = "certified"
         else:
             raise MaxIterationsError(
@@ -477,8 +586,10 @@ def sequential_inexact_descent(problem, x0: Vector, outer_cfg: OuterConfig,
     """Sequential inexact descent over a decreasing epsilon schedule.
 
     Each level solves VI(T_eps_k, Omega) by solve_inner warm-started from
-    the previous level's point. Returns (SolverTrace, x_final); inner
-    failures propagate with the partial trace attached to the exception.
+    the previous level's point; OuterRecord.radius is the distance to x_eps
+    that the level's certificate (D-gap or residual) gives. Returns
+    (SolverTrace, x_final); inner failures propagate with the partial trace
+    attached to the exception.
     """
     if reg is None:
         raise ValueError("sequential descent needs a regularizer")
@@ -496,18 +607,11 @@ def sequential_inexact_descent(problem, x0: Vector, outer_cfg: OuterConfig,
             raise
         elapsed = time.perf_counter() - tick
         inner.append(itrace)
-        radius = None
-        if itrace.status == "certified" and reg.smooth and reg.rho > 0 and e > 0:
-            # theta below the evaluation floor is numerically indistinguishable
-            # from the floor, so the certified radius is floored accordingly
-            radius = bounds.dgap_error_bound(max(itrace.theta_final, icfg.floor),
-                                             problem.map.lipschitz_L, reg.lipschitz_M,
-                                             reg.rho, ALPHA, BETA, e).radius
         dist = None
         if oracle is not None:
             dist = float(oracle.distance_to_S0(x))
         outer.append(OuterRecord(k=k, epsilon=e, x=x, theta=itrace.theta_final, p=itrace.p,
-                                 radius=radius, dist_S0=dist,
+                                 radius=itrace.radius, dist_S0=dist,
                                  inner_iterations=itrace.iterations, status=itrace.status,
                                  wall_time_s=elapsed))
     return SolverTrace(outer=outer, inner=inner), x
@@ -587,10 +691,11 @@ def reference_solution(problem, epsilon: float = 0.0, reg: Optional[Regularizer]
                        tol_residual: float = 1e-12):
     """Solve a strongly monotone VI(T_eps, Omega) to machine-level residual.
 
-    Runs a short D-gap descent from P_Omega(0) for globalization, then at
-    most 80 steps of a finite-difference semismooth Newton polish on the
-    natural residual H(x) = x - P_Omega(x - T(x)/alpha), stopping at
-    ||H|| <= tol_residual.
+    Runs a short `solve_inner` from P_Omega(0), which finishes below-floor
+    levels by semismooth Newton and residual-certifies them, then at most 80
+    steps of the same Newton step (`_newton_step`), damped by halving until
+    the natural residual H(x) = x - P_Omega(x - T(x)/alpha) decreases,
+    stopping at ||H|| <= tol_residual.
     A residual r certifies the true theta_ab <= (beta-alpha)/2 * r^2, far
     below anything evaluable in floating point.
 
@@ -602,8 +707,7 @@ def reference_solution(problem, epsilon: float = 0.0, reg: Optional[Regularizer]
         raise ValueError("regularized reference needs a smooth strongly convex phi")
     if epsilon == 0.0 and F.monotonicity_class != "strongly_monotone":
         raise ValueError("unregularized reference needs a strongly monotone map")
-    n = F.dimension
-    x = problem.set.project(np.zeros(n))
+    x = problem.set.project(np.zeros(F.dimension))
 
     cfg = InnerConfig(max_iterations=3000, floor=1e-15)
     if reg is not None and not reg.smooth:
@@ -614,29 +718,18 @@ def reference_solution(problem, epsilon: float = 0.0, reg: Optional[Regularizer]
         if getattr(err, "x", None) is not None:
             x = err.x
 
-    def residual(z):
-        return z - as_point(y_alpha(problem, z, ALPHA, epsilon, reg), n)
-
-    h = residual(x)
-    nh = float(np.linalg.norm(h))
+    theta = _theta_ab_kernel(problem, ALPHA, BETA, epsilon, reg)
+    h = x - theta(x)[1]
+    nh = _norm(h)
     for _ in range(80):
         if nh <= tol_residual:
             break
-        J = np.empty((n, n))
-        fd = 1e-7 * (1.0 + float(np.linalg.norm(x)))
-        for k in range(n):
-            e = np.zeros(n)
-            e[k] = fd
-            J[:, k] = (residual(x + e) - residual(x - e)) / (2.0 * fd)
-        try:
-            step = np.linalg.solve(J, -h)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(J, -h, rcond=None)[0]
+        step = _newton_step(theta, x, h)
         t = 1.0
         for _ in range(40):
             cand = x + t * step
-            hc = residual(cand)
-            nhc = float(np.linalg.norm(hc))
+            hc = cand - theta(cand)[1]
+            nhc = _norm(hc)
             if nhc < nh:
                 x, h, nh = cand, hc, nhc
                 break

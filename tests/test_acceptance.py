@@ -297,8 +297,8 @@ def test_table_has_twenty_rows(table_rows, capsys):
 
 def test_cli_cold_direct_run_small_eps(capsys):
     # a single-level direct solve at the smallest parameter, cold from the
-    # default start: the soft coordinate needs its long tail of tiny steps
-    # before the floor exit, but the reported distance matches
+    # default start: the D-gap threshold lies below the theta floor, so the
+    # level finishes by Newton and is certified by the residual bound
     from vigap.cli import ExperimentConfig, run_experiment
 
     cfg = ExperimentConfig(problem="example5_1", model="direct", regularizer="l2",

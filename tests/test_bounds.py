@@ -18,10 +18,19 @@ from vigap.bounds import (
     exactness_check,
     fit_sharpness,
     order1_inequality,
+    residual_error_bound,
+    residual_rounding,
     stopping_threshold,
 )
-from vigap.core import sample_in_set
+from vigap.core import regularized_operator, sample_in_set
+from vigap.gap import y_alpha
 from vigap.problems import sharp_quadratic_ball
+
+
+def x_eps_direct(eps):
+    """Closed-form solution of VI(F + eps*x, Omega) on the best-approximation set."""
+    t = eps / (4.0 * (1.0 + eps))
+    return np.array([0.0, -0.75 + t, -0.25 - t])
 
 
 def x_G_l2(eps):
@@ -82,6 +91,60 @@ def test_stopping_threshold_monotone_in_tau():
           for t in (1e-4, 1e-5, 1e-6, 1e-8)]
     assert all(a > b for a, b in zip(ps, ps[1:]))
     assert ps[-1] > 0
+
+
+# ---------------------------------------------------------------------------
+# natural-residual bound
+# ---------------------------------------------------------------------------
+
+def test_residual_bound_arithmetic():
+    rep = residual_error_bound(1e-3, L=2.0, M=1.0, rho=1.0, alpha=1.0, epsilon=0.5)
+    # (2 + 0.5 + 1)/0.5 = 7
+    assert rep.bound_kind == "residual_to_regularized"
+    assert rep.inputs["factor"] == 7.0
+    assert rep.radius == pytest.approx(7e-3, rel=1e-15)
+    # the rounding floor takes over where the residual is below it
+    assert residual_error_bound(0.0, 2.0, 1.0, 1.0, 1.0, 0.5, rounding=1e-16).radius \
+        == pytest.approx(7e-16, rel=1e-15)
+    assert residual_error_bound(1e-3, 2.0, 1.0, 1.0, 1.0, 0.5, rounding=1e-16).radius \
+        == rep.radius
+
+
+def test_residual_rounding_scale():
+    x = np.array([3.0, 4.0])
+    Tx = np.array([0.0, 10.0])
+    assert residual_rounding(x, Tx, 2.0) == 2 * np.finfo(float).eps * (5.0 + 5.0)
+
+
+def test_residual_bound_rejects_bad_inputs():
+    for args in [(1e-3, 2.0, 1.0, 0.0, 1.0, 0.5),     # rho
+                 (1e-3, 2.0, 1.0, 1.0, 1.0, 0.0),     # epsilon
+                 (1e-3, 2.0, 1.0, 1.0, 0.0, 0.5),     # alpha
+                 (1e-3, -2.0, 1.0, 1.0, 1.0, 0.5),    # L
+                 (-1e-3, 2.0, 1.0, 1.0, 1.0, 0.5)]:   # residual
+        with pytest.raises(ValueError):
+            residual_error_bound(*args)
+    with pytest.raises(ValueError):
+        residual_error_bound(1e-3, 2.0, 1.0, 1.0, 1.0, 0.5, rounding=-1.0)
+
+
+def test_residual_bound_sound_against_closed_form(ba_problem, l2):
+    # ||x - x_eps|| <= radius on 200 seeded points per eps, at distances from
+    # 1e-15 to 3 of x_eps, and at x = fl(x_eps) itself, where H may evaluate
+    # to 0 and only the rounding floor keeps the radius above the true
+    # distance |fl(x_eps) - x_eps| <= u ||x_eps||
+    rng = np.random.default_rng(41)
+    u = np.finfo(float).eps
+    for eps in (0.5, 0.01, 1e-4):
+        x_e = x_eps_direct(eps)
+        T = regularized_operator(ba_problem.map, l2, eps)
+        points = [x_e] + [x_e + 10.0 ** rng.uniform(-15.0, 0.5) * rng.standard_normal(3)
+                          for _ in range(199)]
+        for x in points:
+            r = float(np.linalg.norm(x - y_alpha(ba_problem, x, 1.0, eps, l2)))
+            radius = residual_error_bound(r, 2.0, 1.0, 1.0, 1.0, eps,
+                                          residual_rounding(x, T(x), 1.0)).radius
+            assert float(np.linalg.norm(x - x_e)) + u * np.linalg.norm(x_e) <= radius
 
 
 # ---------------------------------------------------------------------------

@@ -98,10 +98,10 @@ GOLDEN = Path(__file__).parent / "data"
      "--no-timing", "golden_direct_l2.csv"),
     ("run --problem example5_1 --model dualgap --reg l1 --eps 0.5 --max-iter 50 "
      "--no-timing", "golden_dualgap_l1.csv"),
-    # finite bounds on both sides of a 5-D box, about 2,400 D-gap steps
+    # finite bounds on both sides of a 5-D box: D-gap steps at eps = 0.5, Newton below
     ("run --problem affine5d --model direct --reg l2 --eps 0.5,0.1,0.01 --no-timing",
      "golden_affine5d_direct_l2.csv"),
-    # the cold solve at eps = 1e-4: all 170,341 steps up to the floor exit
+    # the cold solve at eps = 1e-4: three Newton steps, then the residual certificate
     ("run --problem example5_1 --model direct --reg l2 --eps 0.0001 --x0 1,-2,1 "
      "--no-timing", "golden_cold_direct_l2.csv"),
     # the dual-gap ascent on box rows with the analytic affine inner gradient
@@ -257,6 +257,12 @@ def test_check_core_geometry_passes():
     assert report.passed
     text = report.render()
     assert "PASS" in text and "FAIL" not in text.replace("FAILURES", "")
+
+
+def test_check_bounds_soundness_passes():
+    report = check_invariants("bounds-soundness", seed=3)
+    assert report.passed, report.render()
+    assert any("residual-certified" in name for name, _, _ in report.lines)
 
 
 def test_check_report_render_failures():

@@ -6,9 +6,10 @@ import pytest
 
 from vigap.core import EvaluationError, MonotoneMap, affine_map, box
 from vigap.gap import DualGapConfig, theta_ab, theta_alpha, y_alpha
-from vigap.problems import ProblemInstance, strongly_monotone_quadratic
+from vigap.problems import ProblemInstance, affine_monotone, strongly_monotone_quadratic
 from vigap.solvers import (
     BRANCH_GAP_DIFF,
+    BRANCH_NEWTON,
     BRANCH_RESIDUAL,
     GAMMA,
     DualGapUnreliableError,
@@ -195,6 +196,37 @@ def test_solve_inner_descent_certificate(ba_problem, l2):
         prev = cur
 
 
+def test_solve_inner_cold_small_eps_finishes_by_newton(ba_problem, l2):
+    # at eps = 1e-4 the D-gap stopping level tau^2/L_k^2 lies below the theta
+    # floor, so the level finishes by Newton and the residual bound certifies it
+    eps, tau = 1e-4, 1e-6
+    x, tr = solve_inner(ba_problem, X0, eps, tau, InnerConfig(), l2)
+    assert tr.p < InnerConfig().floor
+    assert tr.status == "certified" and tr.certificate == "residual"
+    assert tr.iterations <= 20
+    assert np.linalg.norm(x - x_eps_l2(eps)) <= tr.radius <= tau
+    assert any(rec.branch == BRANCH_NEWTON for rec in tr.records)
+    # the descent certificate of criterion 8 holds on every record
+    prev = math.sqrt(max(theta_ab(ba_problem, X0, 1.0, 2.0, eps, l2).value, 0.0))
+    for rec in tr.records:
+        cur = math.sqrt(max(rec.theta, 0.0))
+        assert -(tr.delta / 4.0) * rec.step_norm - (cur - prev) >= -1e-14
+        prev = cur
+
+
+def test_solve_inner_newton_from_the_noise_band(ba_problem, l2):
+    # a warm start 1e-10 from x_eps: theta_ab there is evaluation noise, which
+    # cannot judge a step, and the residual bound is still above tau, so the
+    # Newton step is accepted by halving ||H|| and then certified
+    eps, tau = 1e-4, 1e-6
+    x0 = x_eps_l2(eps) + 1e-10 * np.array([0.0, 1.0, -1.0])
+    assert theta_ab(ba_problem, x0, 1.0, 2.0, eps, l2).value <= InnerConfig().floor
+    x, tr = solve_inner(ba_problem, x0, eps, tau, InnerConfig(), l2)
+    assert tr.status == "certified" and tr.certificate == "residual"
+    assert [rec.branch for rec in tr.records] == [BRANCH_NEWTON]
+    assert np.linalg.norm(x - x_eps_l2(eps)) <= tr.radius <= tau
+
+
 def test_solve_inner_nonsmooth_needs_flag(ba_problem, l1):
     with pytest.raises(ValueError):
         solve_inner(ba_problem, X0, 0.5, 1e-6, InnerConfig(), l1)
@@ -241,6 +273,19 @@ def test_sequential_distance_trend(ba_problem, l2):
     for r in trace.outer:
         expect = r.epsilon / (2.0 * math.sqrt(2.0) * (1.0 + r.epsilon))
         assert abs(r.dist_S0 - expect) <= 0.5 * expect
+
+
+def test_sequential_radius_from_the_certificate_that_fired(ba_problem, l2):
+    # levels with p >= floor stop on the D-gap bound, the others on the
+    # residual bound; each level's radius is that certificate's
+    cfg = OuterConfig(epsilons=(0.5, 0.1, 0.01, 0.005, 1e-4), tau=1e-6)
+    trace, _ = sequential_inexact_descent(ba_problem, X0, cfg, l2)
+    assert [t.certificate for t in trace.inner] == \
+        ["dgap", "dgap", "residual", "residual", "residual"]
+    for rec, itrace in zip(trace.outer, trace.inner):
+        assert rec.status == "certified"
+        assert rec.radius == itrace.radius <= cfg.tau
+        assert np.linalg.norm(rec.x - x_eps_l2(rec.epsilon)) <= rec.radius
 
 
 def test_sequential_rejects_nondecreasing_schedule(ba_problem, l2):
@@ -300,10 +345,31 @@ def test_pge_raises_when_dual_gap_unreliable(ba_problem, l1):
 # ---------------------------------------------------------------------------
 
 def test_reference_matches_closed_form(ba_problem, l2):
-    for eps in (0.5, 0.01):
+    for eps in (0.5, 0.01, 1e-4):
         x, res = reference_solution(ba_problem, eps, l2)
         assert res <= 1e-12
         assert np.linalg.norm(x - x_eps_l2(eps)) <= 1e-9
+
+
+def test_reference_matches_projected_fixed_point(l2):
+    # affine5d: F = Mx + q with M = A^T A on [-1, 1]^5, so x_eps is the fixed
+    # point of x -> clip(x - (Mx + q + eps x)/lambda_max, -1, 1), a
+    # contraction with rate 1 - lambda_min/lambda_max
+    p = affine_monotone(5, 0)
+    q = p.map(np.zeros(5))
+    M = np.column_stack([p.map(e) - q for e in np.eye(5)])
+    for eps in (0.5, 0.1, 0.01):
+        A = M + eps * np.eye(5)
+        step = 1.0 / np.linalg.eigvalsh(A)[-1]
+        z = np.zeros(5)
+        for _ in range(200_000):
+            zn = np.clip(z - step * (A @ z + q), -1.0, 1.0)
+            if np.max(np.abs(zn - z)) <= 1e-16:
+                break
+            z = zn
+        x, res = reference_solution(p, eps, l2)
+        assert res <= 1e-12
+        assert np.linalg.norm(x - z) <= 1e-9
 
 
 def test_reference_unregularized_needs_strong_monotonicity(ba_problem):
