@@ -109,10 +109,12 @@ def _check_bounds_soundness(seed: int) -> CheckReport:
     refs = {e: reference_solution(problem, e, reg)[0] for e in taus}
     worst_slack = np.inf
     ok_all = True
+    levels = []  # (trace, tau) of every seeded level
     for e, tau in taus.items():
         for _ in range(4):
             x0 = problem.set.project(rng.uniform(-1.5, 1.5, size=3))
             x, tr = solve_inner(problem, x0, e, tau, InnerConfig(seed=seed), reg)
+            levels.append((tr, tau))
             p = bounds.stopping_threshold(tau, 2.0, 1.0, 1.0, ALPHA, BETA, e).radius
             ok_p = (tr.p == p) and (tr.theta_final <= p)
             radius = bounds.dgap_error_bound(max(tr.theta_final, 0.0),
@@ -136,12 +138,24 @@ def _check_bounds_soundness(seed: int) -> CheckReport:
     for _ in range(4):
         x0 = problem.set.project(rng.uniform(-1.5, 1.5, size=3))
         x, tr = solve_inner(problem, x0, e, tau, InnerConfig(seed=seed), reg)
+        levels.append((tr, tau))
         dist = float(np.linalg.norm(x - x_eps))
         worst_dist = max(worst_dist, dist)
         ok_res = ok_res and tr.status == "certified" and tr.certificate == "residual"
         ok_res = ok_res and dist <= tr.radius <= tau
     report.record(f"eps={e:g}: residual-certified within tau of the closed form", ok_res,
                   f"worst dist {worst_dist:.2e} vs tau {tau:g}")
+
+    # "certified" exactly when a certificate within tau is attached; l1 has
+    # none, so its level at x* (theta_ab = 0) must not read certified
+    _, tr = solve_inner(problem, np.array([0.0, -0.75, -0.25]), 0.5, 1e-6,
+                        InnerConfig(seed=seed), l1_regularizer())
+    report.record("l1 at x*: not certified", tr.status != "certified", f"status {tr.status}")
+    levels.append((tr, 1e-6))
+    ok_inv = all(lv.status in ("certified", "floor", "stagnated")
+                 and (lv.status == "certified") == (lv.certificate in ("dgap", "residual"))
+                 and (lv.status != "certified" or lv.radius <= tol) for lv, tol in levels)
+    report.record("status/certificate invariant", ok_inv, f"{len(levels)} levels")
     return report
 
 

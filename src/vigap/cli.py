@@ -303,7 +303,6 @@ def _row_shell(config, problem, eps) -> ResultRow:
 def _run_direct(config, problem, reg, x0) -> list:
     eps_desc = tuple(sorted(set(float(e) for e in config.epsilons), reverse=True))
     inner = InnerConfig(seed=config.seed,
-                        experimental_nonsmooth=config.experimental_nonsmooth,
                         **({"max_iterations": config.max_iter}
                            if config.max_iter else {}))
     outer = OuterConfig(epsilons=eps_desc, tau=config.tau, inner=inner)

@@ -84,10 +84,10 @@ PGE_MAX_NONCONVERGED_FRACTION = 0.5
 
 
 class StepFailureError(RuntimeError):
-    """Armijo backtracking exhausted without sufficient decrease.
-
-    Signals mis-set constants or the numerical tolerance floor; carries the
-    point, direction and gap value where the search failed.
+    """The D-gap descent cannot progress: Armijo backtracking exhausted, or
+    (in `solve_inner`, on a level with a certificate, above the floor) a
+    vanishing direction or stagnant iterates. Carries the point, direction
+    and gap value where the descent failed.
     """
 
     def __init__(self, message, x=None, d=None, theta=None, backtracks=None):
@@ -127,7 +127,8 @@ class InnerConfig:
     with mu = eps*rho; explicit values are capped at those bounds when a
     solve resolves its constants. L_theta_estimate=None triggers a seeded
     sampling estimate over pairs in the initial level set. floor is the
-    theta value below which the descent cannot tell progress from noise.
+    theta value below which the descent cannot tell progress from noise; it
+    also picks a level's certificate (see `solve_inner`).
     """
 
     c: Optional[float] = None
@@ -136,7 +137,6 @@ class InnerConfig:
     L_theta_estimate: Optional[float] = None
     floor: float = 1e-16
     seed: int = 0
-    experimental_nonsmooth: bool = False
 
     def __post_init__(self):
         if self.max_iterations < 1:
@@ -177,10 +177,10 @@ class InnerRecord:
 
 @dataclass
 class InnerTrace:
-    """One inner solve. certificate names the bound behind a "certified"
-    status, "dgap" or "residual", and radius the distance to x_eps that it
-    certifies; both are None for any other status and without a strongly
-    convex smooth phi."""
+    """One inner solve: status "certified", "floor" or "stagnated" (see
+    `solve_inner`), or "max_iterations" on a MaxIterationsError's trace.
+    certificate ("dgap" or "residual") and radius (the distance to x_eps it
+    certifies, <= tau) are set exactly when the status is "certified"."""
 
     epsilon: float
     tau: float
@@ -433,148 +433,115 @@ def solve_inner(problem, x0: Vector, epsilon: float, tau: float,
                 reg: Optional[Regularizer] = None):
     """Approximately solve VI(T_eps, Omega) by D-gap descent.
 
-    Smooth strongly-convex phi (rho > 0): stops once
-    theta_ab <= p = tau^2 / L_k^2, which certifies ||x - x_eps|| <= tau
-    (certificate "dgap"). When p lies below the numerical floor of theta
-    evaluation that test cannot fire, and the level finishes by semismooth
-    Newton instead. Each iteration then stops once the natural-residual
-    bound certifies ||x - x_eps|| <= tau (certificate "residual"), else
-    takes one full Newton step on H(x) = x - y_alpha(x) (branch "newton")
-    if it passes the Armijo test on sqrt(theta_ab), or, once theta_ab is at
-    the floor and that test cannot judge, if it halves ||H||; else a D-gap
-    step. A level that reaches neither certificate stops at the floor
-    (status "floor" or "floor_stall"), uncertified, and the returned trace
-    says so.
+    Each level has one certificate, chosen once. A smooth phi with rho > 0
+    and eps > 0 stops once theta_ab <= p = tau^2 / L_k^2, which certifies
+    ||x - x_eps|| <= tau ("dgap"). Where p lies below cfg.floor, the floor of
+    theta evaluation, that test cannot fire: the natural-residual bound
+    certifies instead ("residual"), and each uncertified iteration first tries
+    one full Newton step on H(x) = x - y_alpha(x) (branch "newton"), kept if
+    it passes the Armijo test on sqrt(theta_ab) or, at the floor, where that
+    test cannot judge, if it halves ||H||; else it takes a D-gap step. Any
+    other level (nonsmooth phi, eps = 0 or rho = 0) has no certificate.
 
-    Nonsmooth phi requires cfg.experimental_nonsmooth and stops on
-    stagnation or step failure (status "stagnated"); there is no certified
-    threshold in that mode.
+    Status "certified" means the certificate holds with radius <= tau. A
+    level without a D-gap certificate stops "floor" once theta_ab <=
+    cfg.floor (on a residual level, after a rejected Newton trial). One
+    stall rule covers a vanishing direction, an exhausted Armijo search and
+    three steps that barely move x: "floor" if theta_ab <= 10 cfg.floor,
+    else "stagnated" without a certificate, else StepFailureError.
 
-    Returns (x, InnerTrace). Raises MaxIterationsError (with partial state
-    attached) and propagates StepFailureError outside the floor regime.
+    Returns (x, InnerTrace). Raises MaxIterationsError with the point and
+    the partial trace attached.
     """
     cfg = cfg or InnerConfig()
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
-    smooth_mode = reg is not None and reg.smooth and reg.rho > 0
-    if reg is not None and not reg.smooth and not cfg.experimental_nonsmooth:
-        raise ValueError(
-            "nonsmooth regularizer: enable InnerConfig.experimental_nonsmooth explicitly")
     x = as_point(x0, problem.map.dimension)
 
-    newton = False
-    if smooth_mode and epsilon > 0:
-        L = problem.map.lipschitz_L
-        M = reg.lipschitz_M
+    kind, p = None, 0.0
+    if reg is not None and reg.smooth and reg.rho > 0 and epsilon > 0:
+        L, M = problem.map.lipschitz_L, reg.lipschitz_M
         p = bounds.stopping_threshold(tau, L, M, reg.rho, ALPHA, BETA, epsilon).radius
-        newton = p < cfg.floor
-    else:
-        p = 0.0  # no certified threshold without a strongly convex smooth phi
+        kind = "dgap" if p >= cfg.floor else "residual"
 
     T = regularized_operator(problem.map, reg, epsilon)
     theta = _theta_ab_kernel(problem, ALPHA, BETA, epsilon, reg)
     th, ya, yb = theta(x)
     records: list = []
-    status = certificate = radius = None
-    stagnant = 0
-    j = 0
+    stagnant = j = 0
 
-    def done(st):
+    def done(status, rad=None):
         return x, InnerTrace(epsilon=epsilon, tau=tau, p=p, c=cfg.c, delta=cfg.delta,
-                             L_theta=cfg.L_theta_estimate, records=records, status=st,
-                             iterations=j, theta_final=th, certificate=certificate,
-                             radius=radius)
+                             L_theta=cfg.L_theta_estimate, records=records, status=status,
+                             iterations=j, theta_final=th,
+                             certificate=None if rad is None else kind, radius=rad)
 
-    def certified():
-        """Whether x is certified, setting certificate and radius if so."""
-        nonlocal certificate, radius
-        if newton:
+    def radius():
+        """The distance to x_eps that the level's certificate gives at x, or
+        None if there is none or it exceeds tau."""
+        if kind == "dgap":
+            # radius <= tau is the test theta_ab <= p; theta below the
+            # evaluation floor is indistinguishable from the floor, so the
+            # radius is floored accordingly
+            rad = bounds.dgap_error_bound(max(th, cfg.floor), L, M, reg.rho,
+                                          ALPHA, BETA, epsilon).radius
+        elif kind == "residual":
             r = _norm(x - ya)
-            rep = bounds.residual_error_bound(r, L, M, reg.rho, ALPHA, epsilon)
-            if rep.radius <= tau:  # only now pay one T(x) for the rounding floor
-                rep = bounds.residual_error_bound(r, L, M, reg.rho, ALPHA, epsilon,
-                                                  bounds.residual_rounding(x, T(x), ALPHA))
-            if rep.radius > tau:
-                return False
-            certificate, radius = "residual", rep.radius
-            return True
-        if th > p:
-            return False
-        if p > 0:
-            # theta below the evaluation floor is numerically indistinguishable
-            # from the floor, so the certified radius is floored accordingly
-            certificate = "dgap"
-            radius = bounds.dgap_error_bound(max(th, cfg.floor), L, M, reg.rho,
-                                             ALPHA, BETA, epsilon).radius
-        return True
+            rad = bounds.residual_error_bound(r, L, M, reg.rho, ALPHA, epsilon).radius
+            if rad <= tau:  # only now pay one T(x) for the rounding floor
+                rad = bounds.residual_error_bound(r, L, M, reg.rho, ALPHA, epsilon,
+                                                  bounds.residual_rounding(x, T(x), ALPHA)).radius
+        else:
+            return None
+        return rad if rad <= tau else None
+
+    def stalled(err):
+        """Exit where the descent makes no progress, else raise err."""
+        if th <= 10.0 * cfg.floor:
+            return done("floor")
+        if kind is None:
+            return done("stagnated")
+        raise err
 
     # quick exits before paying for the L_theta sampling estimate
-    if certified():
-        return done("certified")  # warm start already certified
-    if not newton and p < cfg.floor and th <= cfg.floor:
+    if (rad := radius()) is not None:
+        return done("certified", rad)  # warm start already certified
+    if kind is None and th <= cfg.floor:
         return done("floor")
 
     cfg = _resolve_constants(problem, x, cfg, epsilon, reg)
 
     for j in range(1, cfg.max_iterations + 1):
-        if certified():
-            status = "certified"
-            break
-        if newton:
+        if (rad := radius()) is not None:
+            return done("certified", rad)
+        if kind == "residual":
             trial = _newton_trial(theta, x, ya, th, cfg)
             if trial is not None:
                 x, th, ya, yb, ns = trial
                 records.append(InnerRecord(j=j, theta=th, m=0, branch=BRANCH_NEWTON,
                                            step_norm=ns))
                 continue
-        if p < cfg.floor and th <= cfg.floor:
-            status = "floor"
-            break
+        if kind != "dgap" and th <= cfg.floor:
+            return done("floor")
         d, branch = _direction(x, ya, yb, cfg.c)
-        nd = _norm(d)
-        nx = _norm(x)
+        nd, nx = _norm(d), _norm(x)
         if nd <= 1e-15 * (1.0 + nx):
-            if not smooth_mode:
-                status = "stagnated"
-            elif p <= cfg.floor:
-                status = "floor_stall"
-            else:
-                raise StepFailureError(
-                    "direction vanished above the certified threshold",
-                    x=x, d=d, theta=th)
-            break
+            return stalled(StepFailureError("the D-gap direction vanished", x=x, d=d, theta=th))
         try:
             m, xn, tn, yan, ybn = _armijo(theta, x, d, th, cfg)
-        except StepFailureError:
-            if not smooth_mode:
-                status = "stagnated"
-                break
-            if p <= cfg.floor and th <= 10.0 * cfg.floor:
-                status = "floor_stall"
-                break
-            raise
+        except StepFailureError as err:
+            return stalled(err)
         records.append(InnerRecord(j=j, theta=tn, m=m, branch=branch,
                                    step_norm=(GAMMA ** m) * nd))
-        if _norm(xn - x) <= STAGNATION_TOL * (1.0 + nx):
-            stagnant += 1
-        else:
-            stagnant = 0
+        stagnant = stagnant + 1 if _norm(xn - x) <= STAGNATION_TOL * (1.0 + nx) else 0
         x, th, ya, yb = xn, tn, yan, ybn
         if stagnant >= 3:
-            if not smooth_mode or p <= cfg.floor:
-                status = "stagnated" if not smooth_mode else "floor_stall"
-                break
-            raise StepFailureError("iterates stagnated above the certified threshold",
-                                   x=x, theta=th)
-    if status is None:
-        if certified():
-            status = "certified"
-        else:
-            raise MaxIterationsError(
-                f"inner solve exhausted {cfg.max_iterations} iterations "
-                f"(theta={th:.3e}, threshold={p:.3e})",
-                x=x, trace=done("max_iterations")[1])
-    return done(status)
+            return stalled(StepFailureError("the iterates stagnated", x=x, theta=th))
+    if (rad := radius()) is not None:
+        return done("certified", rad)
+    raise MaxIterationsError(
+        f"inner solve exhausted {cfg.max_iterations} iterations "
+        f"(theta={th:.3e}, threshold={p:.3e})", x=x, trace=done("max_iterations")[1])
 
 
 # ---------------------------------------------------------------------------
@@ -709,11 +676,9 @@ def reference_solution(problem, epsilon: float = 0.0, reg: Optional[Regularizer]
         raise ValueError("unregularized reference needs a strongly monotone map")
     x = problem.set.project(np.zeros(F.dimension))
 
-    cfg = InnerConfig(max_iterations=3000, floor=1e-15)
-    if reg is not None and not reg.smooth:
-        cfg = replace(cfg, experimental_nonsmooth=True)
     try:
-        x, _ = solve_inner(problem, x, epsilon, 1e-6, cfg, reg)
+        x, _ = solve_inner(problem, x, epsilon, 1e-6,
+                           InnerConfig(max_iterations=3000, floor=1e-15), reg)
     except (StepFailureError, MaxIterationsError) as err:
         if getattr(err, "x", None) is not None:
             x = err.x

@@ -240,8 +240,7 @@ def test_criterion_8_descent_certificate(ba, capsys):
     runs = [
         solve_inner(ba, X0, 0.5, 1e-6, InnerConfig(seed=1), l2),
         solve_inner(ba, X0, 0.1, 1e-5, InnerConfig(seed=2), l2),
-        solve_inner(ba, X0, 0.5, 1e-6,
-                    InnerConfig(seed=3, experimental_nonsmooth=True), l1),
+        solve_inner(ba, X0, 0.5, 1e-6, InnerConfig(seed=3), l1),
     ]
     regs = [l2, l2, l1]
     epss = [0.5, 0.1, 0.5]

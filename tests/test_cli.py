@@ -110,8 +110,11 @@ GOLDEN = Path(__file__).parent / "data"
     # the dual-gap ascent on ball rows (from the default x0 it stops after one step)
     ("run --problem sharp_ball2d --model dualgap --reg l2 --eps 0.1 --x0 0.6,-0.7 "
      "--max-iter 100 --no-timing", "golden_sharp_ball2d_dualgap_l2.csv"),
+    # the nonsmooth direct route: no certificate, every level stops at the theta floor
+    ("run --problem example5_1 --model direct --reg l1 --eps 0.5,0.1,0.01,0.005,0.0001 "
+     "--x0 1,-2,1 --experimental-nonsmooth --no-timing", "golden_direct_l1.csv"),
 ], ids=["direct-l2", "dualgap-l1", "affine5d-direct-l2", "cold-direct-l2",
-        "affine5d-dualgap-l2", "sharp-ball2d-dualgap-l2"])
+        "affine5d-dualgap-l2", "sharp-ball2d-dualgap-l2", "direct-l1"])
 def test_output_matches_committed_golden(argv, golden, capsys):
     # the golden files hold the bytes of an earlier commit, so a refactor that
     # moves any printed number by one ulp fails here
@@ -222,6 +225,19 @@ def test_main_module_invocation(tmp_path):
 def test_main_rejects_bad_config():
     assert main(["run", "--problem", "example5_1", "--model", "direct",
                  "--reg", "l1", "--eps", "0.5"]) == 2
+
+
+def test_main_direct_l1_gate(capsys):
+    # the nonsmooth direct route is opt-in at the CLI boundary only
+    argv = "run --problem example5_1 --model direct --reg l1 --eps 0.5 --no-timing".split()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "pass --experimental-nonsmooth to enable it" in captured.err
+    assert main(argv + ["--experimental-nonsmooth"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == ",".join(CSV_COLUMNS)
+    assert out[1].startswith("example5_1,direct,l1,0.5,")
 
 
 @pytest.mark.parametrize("model", ["direct", "dualgap"])

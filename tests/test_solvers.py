@@ -227,22 +227,88 @@ def test_solve_inner_newton_from_the_noise_band(ba_problem, l2):
     assert np.linalg.norm(x - x_eps_l2(eps)) <= tr.radius <= tau
 
 
-def test_solve_inner_nonsmooth_needs_flag(ba_problem, l1):
-    with pytest.raises(ValueError):
-        solve_inner(ba_problem, X0, 0.5, 1e-6, InnerConfig(), l1)
-
-
 def test_solve_inner_nonsmooth_mode(ba_problem, l1):
-    x, tr = solve_inner(ba_problem, X0, 0.5, 1e-6,
-                        InnerConfig(experimental_nonsmooth=True, seed=5), l1)
+    x, tr = solve_inner(ba_problem, X0, 0.5, 1e-6, InnerConfig(seed=5), l1)
     assert tr.status in ("stagnated", "floor")
     assert ba_problem.solution_oracle.distance_to_S0(x) <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# the exits of solve_inner
+# ---------------------------------------------------------------------------
+
+def test_solve_inner_without_certificate_at_x_star_reads_floor(ba_problem, l1):
+    # l1 gives no certificate, so theta_ab = 0 at x* is the floor, not "certified"
+    x, tr = solve_inner(ba_problem, XSTAR, 0.5, 1e-6, InnerConfig(), l1)
+    assert tr.status == "floor" and tr.iterations == 0
+    assert tr.certificate is None and tr.radius is None
+
+
+def test_solve_inner_armijo_exhaustion_without_certificate_stagnates(ba_problem, l1):
+    x, tr = solve_inner(ba_problem, np.array([0.3, -0.75, -0.25]), 0.5, 1e-6,
+                        InnerConfig(), l1)
+    assert tr.status == "stagnated"
+    assert tr.theta_final > 10.0 * InnerConfig().floor
+    assert tr.certificate is None and tr.radius is None
+
+
+def test_solve_inner_stall_on_certified_level_raises(l2):
+    # a non-monotone affine map on [-1, 1]^2 declared monotone: the Armijo
+    # search fails far above the floor of a level that has a D-gap certificate
+    rng = np.random.default_rng(0)
+    A = 2.0 * rng.standard_normal((2, 2))
+    q = rng.standard_normal(2)
+    x0 = rng.uniform(-1.0, 1.0, 2)
+    p = ProblemInstance(
+        name="nonmonotone", dimension=2,
+        map=MonotoneMap(dimension=2, evaluate=lambda x: A @ x + q,
+                        lipschitz_L=float(np.linalg.norm(A, 2))),
+        set=box([-1.0, -1.0], [1.0, 1.0]),
+        bounding_box=(np.array([-1.0, -1.0]), np.array([1.0, 1.0])),
+    )
+    with pytest.raises(StepFailureError):
+        solve_inner(p, x0, 0.1, 1e-6, InnerConfig(), l2)
+
+
+def test_solve_inner_kink_straddle_stops_at_floor(ba_problem, l2):
+    # Records a known fault, not a wanted outcome: the central differences of
+    # the Newton step straddle the kink of F at x1 = 0, the Newton trial is
+    # rejected at the floor and the level ends uncertified. Once the Newton
+    # Jacobian handles the kink this level should read "certified".
+    x0 = np.random.default_rng(0).uniform(-2.0, 2.0, 3)
+    x, tr = solve_inner(ba_problem, x0, 0.01, 1e-8, InnerConfig(), l2)
+    assert tr.p < InnerConfig().floor
+    assert tr.status == "floor"
+    assert tr.certificate is None and tr.radius is None
+
+
+def test_solve_inner_status_and_certificate_invariant(ba_problem, l1, l2):
+    # over seeded starts, levels and regularizers: three statuses, and
+    # "certified" exactly when a certificate within tau is attached
+    rng = np.random.default_rng(11)
+    seen = set()
+    levels = [(l1, 0.5, 1e-6), (l1, 0.1, 1e-6),
+              (l2, 0.5, 1e-6), (l2, 0.01, 1e-8), (l2, 1e-4, 1e-6)]
+    for reg, eps, tau in levels:
+        for k in range(4):
+            x, tr = solve_inner(ba_problem, rng.uniform(-2.0, 2.0, 3), eps, tau,
+                                InnerConfig(seed=k), reg)
+            seen.add((tr.status, tr.certificate))
+            assert tr.status in ("certified", "floor", "stagnated")
+            certified = tr.status == "certified"
+            assert certified == (tr.certificate in ("dgap", "residual"))
+            assert certified == (tr.radius is not None)
+            if certified:
+                assert tr.radius <= tau
+                assert np.linalg.norm(x - x_eps_l2(eps)) <= tr.radius
+    assert {("certified", "dgap"), ("certified", "residual"), ("floor", None),
+            ("stagnated", None)} <= seen
 
 
 def test_solve_inner_max_iterations(ba_problem, l2):
     with pytest.raises(MaxIterationsError) as err:
         solve_inner(ba_problem, X0, 0.5, 1e-6, InnerConfig(max_iterations=3), l2)
-    assert err.value.trace is not None
+    assert err.value.trace.status == "max_iterations"
     assert err.value.x is not None
 
 
