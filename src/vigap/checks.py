@@ -108,24 +108,24 @@ def _check_bounds_soundness(seed: int) -> CheckReport:
     taus = {0.5: 1e-6, 0.1: 1e-5, 0.01: 1e-4}
     refs = {e: reference_solution(problem, e, reg)[0] for e in taus}
     worst_slack = np.inf
-    ok_all = True
+    ok_p = ok_rad = True
     levels = []  # (trace, tau) of every seeded level
     for e, tau in taus.items():
         for _ in range(4):
             x0 = problem.set.project(rng.uniform(-1.5, 1.5, size=3))
-            x, tr = solve_inner(problem, x0, e, tau, InnerConfig(seed=seed), reg)
+            x, tr = solve_inner(problem, x0, e, tau, InnerConfig(), reg)
             levels.append((tr, tau))
             p = bounds.stopping_threshold(tau, 2.0, 1.0, 1.0, ALPHA, BETA, e).radius
-            ok_p = (tr.p == p) and (tr.theta_final <= p)
+            ok_p = ok_p and tr.p == p and tr.theta_final <= p
             radius = bounds.dgap_error_bound(max(tr.theta_final, 0.0),
                                              2.0, 1.0, 1.0, ALPHA, BETA, e).radius
             dist = float(np.linalg.norm(x - refs[e]))
-            ok_all = ok_all and ok_p and (dist <= radius) and (dist <= tau)
+            ok_rad = ok_rad and dist <= radius and dist <= tau
             if radius > 0:
                 worst_slack = min(worst_slack, radius / max(dist, 1e-300))
-    report.record("stopping threshold matches and is met", ok_all,
+    report.record("stopping threshold matches and is met", ok_p,
                   "p recomputed bit-for-bit")
-    report.record("distance within certified radius", ok_all,
+    report.record("distance within certified radius", ok_rad,
                   f"tightest radius/dist {worst_slack:.2f}x")
 
     # below the floor (p < 1e-16) the level must end residual-certified;
@@ -137,7 +137,7 @@ def _check_bounds_soundness(seed: int) -> CheckReport:
     worst_dist = 0.0
     for _ in range(4):
         x0 = problem.set.project(rng.uniform(-1.5, 1.5, size=3))
-        x, tr = solve_inner(problem, x0, e, tau, InnerConfig(seed=seed), reg)
+        x, tr = solve_inner(problem, x0, e, tau, InnerConfig(), reg)
         levels.append((tr, tau))
         dist = float(np.linalg.norm(x - x_eps))
         worst_dist = max(worst_dist, dist)
@@ -149,7 +149,7 @@ def _check_bounds_soundness(seed: int) -> CheckReport:
     # "certified" exactly when a certificate within tau is attached; l1 has
     # none, so its level at x* (theta_ab = 0) must not read certified
     _, tr = solve_inner(problem, np.array([0.0, -0.75, -0.25]), 0.5, 1e-6,
-                        InnerConfig(seed=seed), l1_regularizer())
+                        InnerConfig(), l1_regularizer())
     report.record("l1 at x*: not certified", tr.status != "certified", f"status {tr.status}")
     levels.append((tr, 1e-6))
     ok_inv = all(lv.status in ("certified", "floor", "stagnated")

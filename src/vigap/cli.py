@@ -74,8 +74,9 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     """One sweep: a problem, a model, a regularizer and an epsilon list.
 
-    `problem` is a registry name or a path to an INI problem file. All
-    randomness (multistarts, probes, sampling) flows from `seed`.
+    `problem` is a registry name or a path to an INI problem file. `seed`
+    draws the random builtin instances and feeds the dual-gap multistarts and
+    the exactness probes; the direct D-gap descent draws no random numbers.
     """
 
     problem: str
@@ -302,9 +303,7 @@ def _row_shell(config, problem, eps) -> ResultRow:
 
 def _run_direct(config, problem, reg, x0) -> list:
     eps_desc = tuple(sorted(set(float(e) for e in config.epsilons), reverse=True))
-    inner = InnerConfig(seed=config.seed,
-                        **({"max_iterations": config.max_iter}
-                           if config.max_iter else {}))
+    inner = InnerConfig(max_iterations=config.max_iter) if config.max_iter else InnerConfig()
     outer = OuterConfig(epsilons=eps_desc, tau=config.tau, inner=inner)
     rows = []
     failure = None

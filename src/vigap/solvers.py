@@ -61,13 +61,12 @@ BRANCH_RESIDUAL = "y_alpha_minus_x"
 BRANCH_NEWTON = "newton"
 
 # D-gap descent: the pair 0 < alpha < beta of theta_ab, the Armijo
-# backtracking factor and budget, the sample pairs of the L_theta estimate,
-# and the relative move below which an iterate counts as stagnant
+# backtracking factor and budget, and the relative move below which an
+# iterate counts as stagnant
 ALPHA = 1.0
 BETA = 2.0
 GAMMA = 0.9
 MAX_BACKTRACKS = 60
-L_THETA_SAMPLES = 200
 STAGNATION_TOL = 1e-13
 # semismooth Newton: central-difference step of the generalized Jacobian,
 # relative to 1 + ||x||
@@ -125,10 +124,12 @@ class InnerConfig:
     c <= min{1, (beta-alpha)/(2(L_theta+beta))} and
     delta <= min{sqrt((beta-alpha)/2)/2, sqrt(2) c mu / sqrt(beta-alpha)}
     with mu = eps*rho; explicit values are capped at those bounds when a
-    solve resolves its constants. L_theta_estimate=None triggers a seeded
-    sampling estimate over pairs in the initial level set. floor is the
-    theta value below which the descent cannot tell progress from noise; it
-    also picks a level's certificate (see `solve_inner`).
+    solve resolves its constants. The c bound: with d = y_alpha - x and ||J_T|| <= L_theta,
+    <grad theta_ab, d> <= -(beta-alpha)||d||^2 + (L_theta+beta)||y_alpha-y_beta|| ||d||,
+    so on the y_alpha - x branch, ||y_alpha-y_beta|| < c||d||, it is <= -(beta-alpha)/2 ||d||^2.
+    L_theta_estimate=None takes the declared L + eps*M (`estimate_L_theta`).
+    floor is the theta value below which the descent cannot tell progress
+    from noise; it also picks a level's certificate (see `solve_inner`).
     """
 
     c: Optional[float] = None
@@ -136,7 +137,6 @@ class InnerConfig:
     max_iterations: int = 400_000
     L_theta_estimate: Optional[float] = None
     floor: float = 1e-16
-    seed: int = 0
 
     def __post_init__(self):
         if self.max_iterations < 1:
@@ -180,7 +180,8 @@ class InnerTrace:
     """One inner solve: status "certified", "floor" or "stagnated" (see
     `solve_inner`), or "max_iterations" on a MaxIterationsError's trace.
     certificate ("dgap" or "residual") and radius (the distance to x_eps it
-    certifies, <= tau) are set exactly when the status is "certified"."""
+    certifies, <= tau) are set exactly when the status is "certified".
+    iterations is the number of steps taken, len(records)."""
 
     epsilon: float
     tau: float
@@ -257,45 +258,19 @@ class SubgradientConfig:
 # constants
 # ---------------------------------------------------------------------------
 
-def estimate_L_theta(problem, x0: Vector, cfg: InnerConfig, epsilon: float,
-                     reg: Optional[Regularizer] = None) -> float:
-    """Sampled Lipschitz estimate of theta_ab on the initial level set.
-
-    Draws seeded points around x0, keeps those with theta <= theta(x0), and
-    returns the largest difference quotient |theta(u)-theta(v)| / ||u-v||
-    over consecutive kept pairs.
-    """
-    theta = _theta_ab_kernel(problem, ALPHA, BETA, epsilon, reg)
-    x0 = as_point(x0, problem.map.dimension)
-    th0, ya0, _ = theta(x0)
-    rng = np.random.default_rng(cfg.seed)
-    radius = max(float(np.linalg.norm(x0 - ya0)), 0.1 * (1.0 + float(np.linalg.norm(x0))))
-    pts = [x0]
-    vals = [th0]
-    draws = 0
-    while len(pts) < L_THETA_SAMPLES + 1 and draws < 50 * L_THETA_SAMPLES:
-        draws += 1
-        cand = x0 + radius * rng.standard_normal(x0.shape[0])
-        tv, _, _ = theta(cand)
-        if tv <= th0 + 1e-12:
-            pts.append(cand)
-            vals.append(tv)
-        else:
-            radius *= 0.97
-    worst = 0.0
-    for (u, tu), (v, tv) in zip(zip(pts, vals), zip(pts[1:], vals[1:])):
-        den = float(np.linalg.norm(u - v))
-        if den > 1e-14:
-            worst = max(worst, abs(tu - tv) / den)
-    return max(worst, 1e-8)
+def estimate_L_theta(problem, epsilon: float, reg: Optional[Regularizer] = None) -> float:
+    """The declared Lipschitz constant L + eps*M of T_eps = F + eps*grad(phi);
+    F's L alone where phi is nonsmooth or absent."""
+    M = reg.lipschitz_M if (reg is not None and reg.smooth) else 0.0
+    return problem.map.lipschitz_L + epsilon * M
 
 
-def _resolve_constants(problem, x0: Vector, cfg: InnerConfig, epsilon: float,
+def _resolve_constants(problem, cfg: InnerConfig, epsilon: float,
                        reg: Optional[Regularizer]) -> InnerConfig:
     """Fill in c, delta and L_theta, capping explicit values at their bounds."""
     L_theta = cfg.L_theta_estimate
     if L_theta is None:
-        L_theta = estimate_L_theta(problem, x0, cfg, epsilon, reg)
+        L_theta = estimate_L_theta(problem, epsilon, reg)
     c_bound = min(1.0, (BETA - ALPHA) / (2.0 * (L_theta + BETA)))
     c = c_bound if cfg.c is None else min(cfg.c, c_bound)
     rho = reg.rho if (reg is not None and reg.smooth) else 0.0
@@ -351,7 +326,7 @@ def armijo_step(problem, x: Vector, d: Vector, cfg: InnerConfig, epsilon: float 
         raise ValueError("zero direction")
     x = as_point(x, problem.map.dimension)
     if cfg.delta is None:
-        cfg = _resolve_constants(problem, x, cfg, epsilon, reg)
+        cfg = _resolve_constants(problem, cfg, epsilon, reg)
     theta = _theta_ab_kernel(problem, ALPHA, BETA, epsilon, reg)
     th, _, _ = theta(x)
     m, x_next, _, _, _ = _armijo(theta, x, d, th, cfg)
@@ -468,12 +443,12 @@ def solve_inner(problem, x0: Vector, epsilon: float, tau: float,
     theta = _theta_ab_kernel(problem, ALPHA, BETA, epsilon, reg)
     th, ya, yb = theta(x)
     records: list = []
-    stagnant = j = 0
+    stagnant = 0
 
     def done(status, rad=None):
         return x, InnerTrace(epsilon=epsilon, tau=tau, p=p, c=cfg.c, delta=cfg.delta,
                              L_theta=cfg.L_theta_estimate, records=records, status=status,
-                             iterations=j, theta_final=th,
+                             iterations=len(records), theta_final=th,
                              certificate=None if rad is None else kind, radius=rad)
 
     def radius():
@@ -503,13 +478,7 @@ def solve_inner(problem, x0: Vector, epsilon: float, tau: float,
             return done("stagnated")
         raise err
 
-    # quick exits before paying for the L_theta sampling estimate
-    if (rad := radius()) is not None:
-        return done("certified", rad)  # warm start already certified
-    if kind is None and th <= cfg.floor:
-        return done("floor")
-
-    cfg = _resolve_constants(problem, x, cfg, epsilon, reg)
+    cfg = _resolve_constants(problem, cfg, epsilon, reg)
 
     for j in range(1, cfg.max_iterations + 1):
         if (rad := radius()) is not None:

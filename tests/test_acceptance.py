@@ -132,7 +132,7 @@ def test_criterion_4_error_bound_soundness(ba, capsys):
         p_expected = tau ** 2 / L_k ** 2
         for _ in range(17):
             x0 = ba.set.project(rng.uniform(-2.0, 2.0, size=3))
-            x, tr = solve_inner(ba, x0, eps, tau, InnerConfig(seed=7), l2)
+            x, tr = solve_inner(ba, x0, eps, tau, InnerConfig(), l2)
             n_runs += 1
             theta = theta_ab(ba, x, 1.0, 2.0, eps, l2).value
             ok = ok and tr.status == "certified" and theta <= p_expected
@@ -238,9 +238,9 @@ def test_criterion_8_descent_certificate(ba, capsys):
     l2 = tikhonov()
     l1 = l1_regularizer()
     runs = [
-        solve_inner(ba, X0, 0.5, 1e-6, InnerConfig(seed=1), l2),
-        solve_inner(ba, X0, 0.1, 1e-5, InnerConfig(seed=2), l2),
-        solve_inner(ba, X0, 0.5, 1e-6, InnerConfig(seed=3), l1),
+        solve_inner(ba, X0, 0.5, 1e-6, InnerConfig(), l2),
+        solve_inner(ba, X0, 0.1, 1e-5, InnerConfig(), l2),
+        solve_inner(ba, X0, 0.5, 1e-6, InnerConfig(), l1),
     ]
     regs = [l2, l2, l1]
     epss = [0.5, 0.1, 0.5]

@@ -1,4 +1,5 @@
 """CLI wiring: config validation, emitters, problem files, check suites."""
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import vigap
+from vigap import checks
 from vigap.cli import (
     CSV_COLUMNS,
     CheckReport,
@@ -21,6 +23,7 @@ from vigap.cli import (
     rows_to_json,
     run_experiment,
 )
+from vigap.solvers import solve_inner
 
 
 def small_cfg(**kw):
@@ -279,6 +282,19 @@ def test_check_bounds_soundness_passes():
     report = check_invariants("bounds-soundness", seed=3)
     assert report.passed, report.render()
     assert any("residual-certified" in name for name, _, _ in report.lines)
+
+
+def test_check_bounds_soundness_names_the_failing_check(monkeypatch):
+    # a solve that reports a wrong threshold p, at an unchanged point, fails
+    # the threshold line alone
+    def wrong_p(*args, **kwargs):
+        x, tr = solve_inner(*args, **kwargs)
+        return x, dataclasses.replace(tr, p=2.0 * tr.p)
+
+    monkeypatch.setattr(checks, "solve_inner", wrong_p)
+    report = check_invariants("bounds-soundness", seed=3)
+    failed = [name for name, ok, _ in report.lines if not ok]
+    assert failed == ["stopping threshold matches and is met"], report.render()
 
 
 def test_check_report_render_failures():

@@ -129,8 +129,9 @@ def test_affine_row_projection_matches_outer_form(feasible, shift):
     rng = np.random.default_rng(19)
     Z = 3.0 * rng.standard_normal((200, 3))
     Z[:3] = [[np.inf, 0.0, 0.0], [np.nan, 1.0, -1.0], [-0.0, 0.0, -0.0]]
-    # np.outer is the reference form
-    _same_floats(feasible.project_rows(Z), Z - np.outer(shift(Z, a, b, float(a @ a)), a))
+    # np.outer is the reference form; the inf and nan rows give nan on purpose
+    with np.errstate(invalid="ignore"):
+        _same_floats(feasible.project_rows(Z), Z - np.outer(shift(Z, a, b, float(a @ a)), a))
 
 
 def _blockwise_projection(blocks, z):

@@ -5,9 +5,16 @@ import numpy as np
 import pytest
 
 from vigap.core import EvaluationError, MonotoneMap, affine_map, box
-from vigap.gap import DualGapConfig, theta_ab, theta_alpha, y_alpha
-from vigap.problems import ProblemInstance, affine_monotone, strongly_monotone_quadratic
+from vigap.gap import DualGapConfig, _theta_ab_kernel, theta_ab, theta_alpha, y_alpha
+from vigap.problems import (
+    ProblemInstance,
+    affine_monotone,
+    get_problem,
+    strongly_monotone_quadratic,
+)
 from vigap.solvers import (
+    ALPHA,
+    BETA,
     BRANCH_GAP_DIFF,
     BRANCH_NEWTON,
     BRANCH_RESIDUAL,
@@ -18,7 +25,9 @@ from vigap.solvers import (
     OuterConfig,
     StepFailureError,
     SubgradientConfig,
+    _direction,
     _norm,
+    _resolve_constants,
     armijo_step,
     li_ng_direction,
     reference_solution,
@@ -80,7 +89,7 @@ def test_nan_off_region_raises_evaluation_error(l2):
         y_alpha(p, outside, 1.0, 0.1, l2)
     x0 = np.zeros(1)
     assert math.isfinite(theta_ab(p, x0, 1.0, 2.0, 0.1, l2).value)
-    # both with the sampled L_theta estimate and with a given one
+    # both with the declared L + eps*M as L_theta and with a given L_theta
     for cfg in (InnerConfig(), InnerConfig(L_theta_estimate=1.0)):
         with pytest.raises(EvaluationError):
             solve_inner(p, x0, 0.1, 1e-6, cfg, l2)
@@ -165,7 +174,7 @@ def test_solve_inner_warm_start_short_circuit(ba_problem, l2):
 def test_solve_inner_certified_run(ba_problem, l2):
     eps = 0.5
     tau = 1e-6
-    x, tr = solve_inner(ba_problem, X0, eps, tau, InnerConfig(seed=1), l2)
+    x, tr = solve_inner(ba_problem, X0, eps, tau, InnerConfig(), l2)
     assert tr.status == "certified"
     # exit threshold holds by re-evaluation
     assert theta_ab(ba_problem, x, 1.0, 2.0, eps, l2).value <= tr.p
@@ -179,7 +188,7 @@ def test_solve_inner_closed_form_quadratic(l2):
     p = strongly_monotone_quadratic(3, seed=4)
     eps = 0.5
     tau = 1e-7
-    x, tr = solve_inner(p, np.zeros(3), eps, tau, InnerConfig(seed=2), l2)
+    x, tr = solve_inner(p, np.zeros(3), eps, tau, InnerConfig(), l2)
     x_ref = np.clip(p.constants["c"] / (1.0 + eps), -1.0, 1.0)
     assert tr.status == "certified"
     assert np.linalg.norm(x - x_ref) <= tau
@@ -187,7 +196,7 @@ def test_solve_inner_closed_form_quadratic(l2):
 
 def test_solve_inner_descent_certificate(ba_problem, l2):
     eps = 0.1
-    x, tr = solve_inner(ba_problem, X0, eps, 1e-5, InnerConfig(seed=3), l2)
+    x, tr = solve_inner(ba_problem, X0, eps, 1e-5, InnerConfig(), l2)
     prev = math.sqrt(max(theta_ab(ba_problem, X0, 1.0, 2.0, eps, l2).value, 0.0))
     assert tr.records, "expected accepted steps"
     for rec in tr.records:
@@ -228,7 +237,7 @@ def test_solve_inner_newton_from_the_noise_band(ba_problem, l2):
 
 
 def test_solve_inner_nonsmooth_mode(ba_problem, l1):
-    x, tr = solve_inner(ba_problem, X0, 0.5, 1e-6, InnerConfig(seed=5), l1)
+    x, tr = solve_inner(ba_problem, X0, 0.5, 1e-6, InnerConfig(), l1)
     assert tr.status in ("stagnated", "floor")
     assert ba_problem.solution_oracle.distance_to_S0(x) <= 1e-6
 
@@ -290,9 +299,9 @@ def test_solve_inner_status_and_certificate_invariant(ba_problem, l1, l2):
     levels = [(l1, 0.5, 1e-6), (l1, 0.1, 1e-6),
               (l2, 0.5, 1e-6), (l2, 0.01, 1e-8), (l2, 1e-4, 1e-6)]
     for reg, eps, tau in levels:
-        for k in range(4):
+        for _ in range(4):
             x, tr = solve_inner(ba_problem, rng.uniform(-2.0, 2.0, 3), eps, tau,
-                                InnerConfig(seed=k), reg)
+                                InnerConfig(), reg)
             seen.add((tr.status, tr.certificate))
             assert tr.status in ("certified", "floor", "stagnated")
             certified = tr.status == "certified"
@@ -313,15 +322,38 @@ def test_solve_inner_max_iterations(ba_problem, l2):
 
 
 def test_solve_constants_capped_at_admissible_bounds(ba_problem, l2):
-    # explicit c/delta beyond the admissible formulas are capped at resolve
+    # explicit c/delta beyond the admissible formulas are capped at resolve,
+    # with L_theta the declared Lipschitz constant L + eps*M of T_eps
     eps = 0.5
     x, tr = solve_inner(ba_problem, X0, eps, 1e-6,
-                        InnerConfig(c=5.0, delta=9.0, seed=4), l2)
+                        InnerConfig(c=5.0, delta=9.0), l2)
+    assert tr.L_theta == ba_problem.map.lipschitz_L + eps * l2.lipschitz_M
     c_bound = min(1.0, (2.0 - 1.0) / (2.0 * (tr.L_theta + 2.0)))
     d_bound = min(0.5 * math.sqrt(0.5),
                   math.sqrt(2.0) * tr.c * eps * l2.rho / math.sqrt(1.0))
-    assert tr.c <= c_bound
+    assert tr.c == c_bound
     assert tr.delta <= d_bound
+
+
+@pytest.mark.parametrize("name", ["affine5d", "example5_1"])
+@pytest.mark.parametrize("eps", [0.5, 0.1, 0.01])
+def test_dgap_direction_descends_at_the_admissible_rate(name, eps, l2):
+    # with c from L + eps*M, the central-difference slope of theta_ab along
+    # the Li-Ng direction is <= -(beta-alpha)/2 ||d||^2 on the y_alpha - x
+    # branch and <= -eps*rho ||d||^2 on the y_alpha - y_beta branch (met with
+    # equality on example5_1 at eps = 0.5, hence the relative tolerance)
+    problem = get_problem(name)
+    rng = np.random.default_rng(23)
+    c = _resolve_constants(problem, InnerConfig(), eps, l2).c
+    theta = _theta_ab_kernel(problem, ALPHA, BETA, eps, l2)
+    h = 1e-6
+    for _ in range(500):
+        x = rng.uniform(-2.0, 2.0, problem.dimension)
+        _, ya, yb = theta(x)
+        d, branch = _direction(x, ya, yb, c)
+        slope = (theta(x + h * d)[0] - theta(x - h * d)[0]) / (2.0 * h)
+        rate = (BETA - ALPHA) / 2.0 if branch == BRANCH_RESIDUAL else eps * l2.rho
+        assert slope <= -(1.0 - 1e-4) * rate * d.dot(d), (x, branch)
 
 
 # ---------------------------------------------------------------------------
