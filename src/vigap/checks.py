@@ -11,8 +11,14 @@ import numpy as np
 
 from . import bounds
 from .core import ball, box, l1_regularizer, shifted_orthant, tikhonov
-from .gap import theta_alpha
-from .problems import affine_monotone, brute_force_gap, example_5_1, strongly_monotone_quadratic
+from .gap import dual_gap, theta_alpha
+from .problems import (
+    affine_monotone,
+    brute_force_dual_gap,
+    brute_force_gap,
+    example_5_1,
+    strongly_monotone_quadratic,
+)
 from .solvers import (
     ALPHA,
     BETA,
@@ -84,7 +90,12 @@ def _check_gap_oracle(seed: int) -> CheckReport:
     for problem in cases:
         lo, hi = problem.bounding_box
         h = 1e-3 * float(np.linalg.norm(np.asarray(hi) - np.asarray(lo)))
-        worst = 0.0
+        # grid nodes are feasible, so grid <= G <= upper; a node lies within
+        # r = h sqrt(n) of the maximizer ybar, and h(y) = <F(y), x - y> curves
+        # by at most 2L, so the grid misses G by at most |grad h(ybar)| r + L r^2
+        r = h * np.sqrt(problem.dimension)
+        worst = worst_gap = 0.0
+        bracket_ok = True
         for _ in range(17):
             x = problem.set.project(rng.uniform(-1.5, 1.5, size=problem.dimension))
             alpha = float(rng.uniform(0.5, 3.0))
@@ -93,9 +104,18 @@ def _check_gap_oracle(seed: int) -> CheckReport:
             explicit = theta_alpha(problem, x, alpha, eps, reg).value
             grid = brute_force_gap(problem, x, alpha, eps, reg=reg, grid_resolution=h)
             worst = max(worst, abs(explicit - grid))
+            ev = dual_gap(problem, x)
+            grid_G = brute_force_dual_gap(problem, x, grid_resolution=h)
+            slope = float(np.linalg.norm(problem.map.inner_gradient(x, ev.maximizer[None])))
+            miss = slope * r + problem.map.lipschitz_L * r * r
+            worst_gap = max(worst_gap, (ev.value - grid_G) / miss)
+            bracket_ok = bracket_ok and ev.converged and grid_G - 1e-12 <= ev.value <= ev.upper
             n_checked += 1
         report.record(f"{problem.name}: explicit vs grid", worst <= 5 * h,
                       f"worst |diff| {worst:.2e} vs 5h={5 * h:.2e}")
+        report.record(f"{problem.name}: exact dual gap vs grid",
+                      problem.dual_gap_exact is not None and bracket_ok and worst_gap <= 1.0,
+                      f"worst (G - grid) / bound {worst_gap:.2f}")
     report.record("total triples", n_checked >= 50, f"{n_checked} triples")
     return report
 

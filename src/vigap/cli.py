@@ -28,7 +28,7 @@ from .core import (
     tikhonov,
 )
 from .checks import CHECK_SUITES, CheckReport
-from .gap import DualGapConfig, dual_gap
+from .gap import DualGapConfig, affine_box_dual_gap, dual_gap
 from .problems import BUILTIN_PROBLEMS, ProblemInstance, get_problem
 from .solvers import (
     InnerConfig,
@@ -210,10 +210,13 @@ def load_problem_file(path: str) -> ProblemInstance:
             raise ConfigError(
                 f"set: dimension {feasible.dimension} does not match operator "
                 f"dimension {fmap.dimension}")
+        desc = feasible.description
+        exact = (affine_box_dual_gap(M, q, desc["lower"], desc["upper"])
+                 if desc["kind"] == "box" else None)
         inst = ProblemInstance(
             name=str(path), dimension=fmap.dimension, map=fmap, set=feasible,
             constants={"L": fmap.lipschitz_L, "mu": fmap.mu},
-            default_x0=feasible.project(np.zeros(fmap.dimension)))
+            default_x0=feasible.project(np.zeros(fmap.dimension)), dual_gap_exact=exact)
     if parser.has_section("constants"):
         sec = parser["constants"]
         if sec.get("x0"):

@@ -1,8 +1,12 @@
 """Gap functions for VI(F, Omega) and its regularizations.
 
 The regularized gap theta_alpha and the D-gap theta_ab are evaluated through
-their closed projection forms; the dual gap G is evaluated numerically by a
-multistart projected gradient ascent on y -> <F(y), x - y> over Omega.
+their closed projection forms. The dual gap G(x) = sup_{y in Omega}
+<F(y), x - y> is exact where the problem carries a `dual_gap_exact` oracle:
+the closed form of example5_1, and the certified concave box QP of
+`affine_box_dual_gap` for affine monotone F on a finite box (the built-in
+affine box instances and affine box problem files). Every other problem falls
+back to a multistart projected gradient ascent, which bounds G from below.
 """
 from __future__ import annotations
 
@@ -14,6 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (
+    _clip,
     EvaluationError,
     FeasibleSet,
     MonotoneMap,
@@ -30,6 +35,7 @@ __all__ = [
     "theta_alpha",
     "theta_ab",
     "dual_gap",
+    "affine_box_dual_gap",
 ]
 
 
@@ -40,7 +46,9 @@ class GapEvaluation:
     For theta_alpha / theta_ab the maximizer is y_alpha(x) (closed form, so
     converged is always True and inner_iterations 0); maximizer_beta
     additionally carries y_beta(x) for the D-gap. For the dual gap the
-    maximizer is the inner argmax and converged reflects the inner solve.
+    maximizer is the inner argmax and converged reflects the inner solve;
+    upper is a certified upper bound on G(x) when the evaluation has one (an
+    exact oracle), and None for the ascent, which only bounds G from below.
     """
 
     value: float
@@ -51,6 +59,7 @@ class GapEvaluation:
     converged: bool = True
     inner_iterations: int = 0
     maximizer_beta: Optional[Vector] = None
+    upper: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -60,7 +69,9 @@ class DualGapConfig:
     multistarts counts all starts including the query point itself (and a
     warm start when one is passed). The random starts are drawn within
     1.5 * (1 + ||x||) of x, and the (adaptive) ascent step starts at
-    1/(1 + L) using the operator's declared Lipschitz constant.
+    1/(1 + L) using the operator's declared Lipschitz constant. An exact
+    oracle uses only tol: its result is converged when its bracket
+    [value, upper] is at most tol wide.
     """
 
     multistarts: int = 8
@@ -170,12 +181,17 @@ def _fd_inner_gradient(F: MonotoneMap, x: Vector, Y: np.ndarray) -> np.ndarray:
 
 def dual_gap(problem, x: Vector, config: Optional[DualGapConfig] = None,
              warm: Optional[Vector] = None) -> GapEvaluation:
-    """Evaluate G(x) = sup_{y in Omega} <F(y), x - y> from below.
+    """Evaluate G(x) = sup_{y in Omega} <F(y), x - y>.
 
-    Multistart projected gradient ascent with a per-start adaptive step
-    (expand on success, halve on failure). For affine monotone F the inner
-    problem is concave, but the fixed budget can still fall short when M is
-    ill-conditioned; for general F the solve is a heuristic. Either way a
+    A problem with a `dual_gap_exact` oracle gets the oracle's answer, which
+    brackets G between its value and its `upper` bound; it is converged when
+    the bracket is at most config.tol wide. example5_1 has a closed form, and
+    affine monotone F on a finite box a certified concave QP
+    (`affine_box_dual_gap`).
+
+    Every other problem gets G from below by a multistart projected gradient
+    ascent with a per-start adaptive step (expand on success, halve on
+    failure) and a fixed budget. For general F this is a heuristic, so a
     failure is flagged through the converged flag, never silently, and
     solve_pge raises DualGapUnreliableError when too many solves fail.
 
@@ -185,12 +201,18 @@ def dual_gap(problem, x: Vector, config: Optional[DualGapConfig] = None,
 
     Parameters
     ----------
-    problem : object with `map` (MonotoneMap) and `set` (FeasibleSet)
+    problem : object with `map` (MonotoneMap) and `set` (FeasibleSet), and
+        optionally `dual_gap_exact` (x -> GapEvaluation with `upper` set)
     x : evaluation point
     config : DualGapConfig, optional
-    warm : optional warm-start inner point (used as an extra start)
+    warm : optional warm-start inner point of the ascent (an extra start)
     """
     cfg = config or DualGapConfig()
+    exact = getattr(problem, "dual_gap_exact", None)
+    if exact is not None:
+        ev = exact(as_point(x, problem.map.dimension))
+        ev.converged = ev.upper - ev.value <= cfg.tol
+        return ev
     F: MonotoneMap = problem.map
     omega: FeasibleSet = problem.set
     x = as_point(x, F.dimension)
@@ -246,3 +268,94 @@ def dual_gap(problem, x: Vector, config: Optional[DualGapConfig] = None,
     return GapEvaluation(value=float(f[k]), maximizer=ybar, alpha=None, beta=None,
                          epsilon=0.0, converged=converged, inner_iterations=used)
 
+
+# Newton iterations and Armijo halvings of the affine box oracle, the Armijo
+# constant of its projected path, and the widest band next to a bound, as a
+# share of the box's side, in which a bound is held; the QP is solved to
+# rounding within a few Newton steps once the bounds at the optimum are found
+QP_MAX_ITER = 100
+QP_MAX_HALVINGS = 60
+QP_ARMIJO = 1e-4
+QP_HOLD = 1e-3
+
+
+def affine_box_dual_gap(M, q, lower, upper):
+    """Exact dual-gap oracle x -> GapEvaluation for F(y) = My + q on a finite box.
+
+    h(y) = <My + q, x - y> is a concave quadratic when the symmetric part of
+    M is positive semidefinite, so G(x) = max_{box} h is a concave box QP. It
+    is solved by projected Newton (Bertsekas 1982): a Newton step on the
+    coordinates not held at a bound (numpy lstsq, since sym(M) may be
+    singular, plus the part of the gradient in its null space, along which h
+    rises linearly up to the box), an Armijo step along the projected path,
+    and the bounds within the last projected-gradient step held as active.
+    The result ybar is certified by the Frank-Wolfe bracket
+    h(ybar) <= G(x) <= h(ybar) + max_{z in box} <grad h(ybar), z - ybar>,
+    returned as (value, upper).
+
+    Returns None when the box has an infinite bound (the bracket is then
+    infinite) or sym(M) has a negative eigenvalue (h is then not concave and
+    the bracket does not bound G), so such problems keep the ascent.
+    """
+    M = np.asarray(M, dtype=float)
+    q = np.asarray(q, dtype=float)
+    lo = np.asarray(lower, dtype=float)
+    hi = np.asarray(upper, dtype=float)
+    H = M + M.T   # minus the Hessian of h
+    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+        return None
+    if np.linalg.eigvalsh(H).min() < -1e-12 * max(1.0, float(np.abs(H).max())):
+        return None
+    reach = float(np.linalg.norm(hi - lo))
+    band = QP_HOLD * (hi - lo)
+
+    def h(x, y):
+        return float((M @ y + q) @ (x - y))
+
+    def oracle(x: Vector) -> GapEvaluation:
+        b = M.T @ x - q   # grad h(y) = b - H y
+        y = _clip(x, lo, hi)
+        hy = h(x, y)
+        steps, held_prev, settled = 0, None, False
+        for _ in range(QP_MAX_ITER):
+            g = b - H @ y
+            # a bound is held when the gradient pushes against it and y lies
+            # within the projected-gradient step of it (at most QP_HOLD of the
+            # box's side); held coordinates move onto their bound
+            near = np.minimum(float(np.linalg.norm(y - _clip(y + g, lo, hi))), band)
+            held = ((y <= lo + near) & (g < 0.0)) | ((y >= hi - near) & (g > 0.0))
+            if settled and np.array_equal(held, held_prev):
+                break   # y maximizes h on this face, and the face is unchanged
+            d = np.where(held, np.where(g < 0.0, lo, hi) - y, 0.0)
+            free = ~held
+            if free.any():
+                HF = H[np.ix_(free, free)]
+                gF = g[free]
+                dF = np.linalg.lstsq(HF, gF, rcond=None)[0]
+                r = gF - HF @ dF   # gradient in null(H_FF): h rises linearly along it
+                nr = float(np.linalg.norm(r))
+                if nr > 1e-12 * (1.0 + float(np.linalg.norm(gF))):
+                    dF = dF + (reach / nr) * r
+                d[free] = dF
+            alpha = 1.0
+            for _ in range(QP_MAX_HALVINGS):
+                yn = _clip(y + alpha * d, lo, hi)
+                hn = h(x, yn)
+                if hn >= hy + QP_ARMIJO * float(g @ (yn - y)) and hn >= hy:
+                    break
+                alpha *= 0.5
+            else:
+                break
+            if np.array_equal(yn, y):
+                break
+            # a full, unclipped Newton step on a face whose held bounds did
+            # not move lands on the maximizer of h on that face
+            settled = alpha == 1.0 and not d[held].any() and np.array_equal(yn, y + d)
+            y, hy, held_prev = yn, hn, held
+            steps += 1
+        g = b - H @ y
+        width = float(np.maximum(g * (hi - y), g * (lo - y)).sum())
+        return GapEvaluation(value=hy, maximizer=y, alpha=None, beta=None, epsilon=0.0,
+                             inner_iterations=steps, upper=hy + width)
+
+    return oracle

@@ -27,6 +27,7 @@ from .core import (
     shifted_orthant,
 )
 from .core import grad_or_subgrad
+from .gap import GapEvaluation, affine_box_dual_gap
 
 __all__ = [
     "SolutionOracle",
@@ -52,7 +53,12 @@ class SolutionOracle:
 
 @dataclass(frozen=True)
 class ProblemInstance:
-    """A variational inequality problem: operator, set, and optional oracles."""
+    """A variational inequality problem: operator, set, and optional oracles.
+
+    dual_gap_exact, when set, is an exact oracle x -> GapEvaluation for the
+    dual gap G(x) with a certified upper bound `upper`; `gap.dual_gap` uses
+    it in place of its ascent.
+    """
 
     name: str
     dimension: int
@@ -62,6 +68,7 @@ class ProblemInstance:
     constants: dict = None
     default_x0: Optional[Vector] = None
     bounding_box: Optional[tuple] = None  # (lower, upper) arrays for grid oracles
+    dual_gap_exact: Optional[Callable[[Vector], GapEvaluation]] = None
 
 
 # ---------------------------------------------------------------------------
@@ -78,6 +85,13 @@ def example_5_1() -> ProblemInstance:
     {x : x2 + x3 = -1, x1 <= 1}. F is monotone (not strongly) with declared
     Lipschitz constant 2, and the solution set is the segment
     {(t, -3/4, -1/4) : t in [0, 1]}.
+
+    G has a closed form: F(y) = min(y - s, 0) is separable, so the inner
+    objective <F(y), x - y> splits into a concave quadratic in y1 <= 1,
+    peaking at min(x1/2, 0), and, along y = (u, -1 - u) on the hyperplane, a
+    continuous function of u made of three concave quadratic pieces split
+    at the kinks u = -1.25 and u = -0.25. Each piece's vertex, clamped into
+    its interval, is a candidate, and G is the best of the three.
     """
 
     def F(x):
@@ -105,6 +119,16 @@ def example_5_1() -> ProblemInstance:
         dimension=3,
     )
 
+    def dual_gap_exact(x):
+        _, x2, x3 = x
+        u = np.clip([(x2 - 0.25) / 2.0, (x2 - x3 - 2.5) / 4.0, -(x3 + 2.25) / 2.0],
+                    [-np.inf, -1.25, -0.25], [-1.25, -0.25, np.inf])
+        Y = np.column_stack([np.full(3, min(x[0] / 2.0, 0.0)), u, -1.0 - u])
+        vals = np.einsum("ij,ij->i", F_map.rows(Y), x - Y)
+        k = int(np.argmax(vals))
+        return GapEvaluation(value=float(vals[k]), maximizer=Y[k], alpha=None, beta=None,
+                             epsilon=0.0, upper=float(vals[k]))
+
     def dist_S0(x):
         t = min(max(float(x[0]), 0.0), 1.0)
         return float(np.linalg.norm(np.asarray(x, dtype=float)
@@ -125,6 +149,7 @@ def example_5_1() -> ProblemInstance:
         constants={"L": 2.0},
         default_x0=np.array([1.0, -2.0, 1.0]),
         bounding_box=(np.array([-2.0, -3.0, -3.0]), np.array([2.0, 2.0, 2.0])),
+        dual_gap_exact=dual_gap_exact,
     )
 
 
@@ -153,9 +178,11 @@ def affine_monotone(n: int, seed: int = 0, set_kind: str = "box") -> ProblemInst
     M = A.T @ A
     q = rng.standard_normal(n)
     F_map = affine_map(M, q, name=f"affine[{n},{seed}]")
+    exact = None
     if set_kind == "box":
         omega = box(-np.ones(n), np.ones(n))
         bbox = (-np.ones(n), np.ones(n))
+        exact = affine_box_dual_gap(M, q, *bbox)
     elif set_kind == "orthant":
         shift = rng.uniform(-1.0, 0.0, size=n)
         omega = shifted_orthant(shift)
@@ -170,6 +197,7 @@ def affine_monotone(n: int, seed: int = 0, set_kind: str = "box") -> ProblemInst
         constants={"L": F_map.lipschitz_L, "mu": F_map.mu},
         default_x0=omega.project(np.zeros(n)),
         bounding_box=bbox,
+        dual_gap_exact=exact,
     )
     if F_map.monotonicity_class == "strongly_monotone":
         from .solvers import reference_solution
@@ -208,6 +236,7 @@ def strongly_monotone_quadratic(n: int = 3, seed: int = 0) -> ProblemInstance:
         constants={"L": 1.0, "mu": 1.0, "c": c},
         default_x0=np.zeros(n),
         bounding_box=(-np.ones(n), np.ones(n)),
+        dual_gap_exact=affine_box_dual_gap(np.eye(n), -c, -np.ones(n), np.ones(n)),
     )
 
 

@@ -4,10 +4,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from vigap.cli import load_problem_file
 from vigap.core import affine_map, box, l1_regularizer, tikhonov
 from vigap.gap import (
     FD_STEP,
     DualGapConfig,
+    affine_box_dual_gap,
     dual_gap,
     theta_ab,
     theta_alpha,
@@ -19,7 +21,9 @@ from vigap.problems import (
     brute_force_dual_gap,
     brute_force_gap,
     get_problem,
+    strongly_monotone_quadratic,
 )
+from vigap.solvers import SubgradientConfig, solve_pge
 
 X0 = np.array([1.0, -2.0, 1.0])
 XSTAR = np.array([0.0, -0.75, -0.25])
@@ -250,10 +254,15 @@ def _inner_points(p, count=4, seed=31):
                              for _ in range(count)]
 
 
+def ascent_only(p):
+    """The same problem without its exact dual-gap oracle: dual_gap runs the ascent."""
+    return replace(p, dual_gap_exact=None)
+
+
 @pytest.mark.parametrize("name", ["affine5d", "example5_1"])
 def test_dual_gap_row_projection_fallback_is_bit_identical(name):
     # the set's own project_rows and the row-by-row fallback give the same ascent
-    p = get_problem(name)
+    p = ascent_only(get_problem(name))
     fallback = replace(p, set=replace(p.set, project_rows=None))
     for x in _inner_points(p):
         fast, slow = dual_gap(p, x), dual_gap(fallback, x)
@@ -266,7 +275,7 @@ def test_dual_gap_central_differences_match_analytic_gradient():
     # y -> <My + q, x - y> is quadratic, so central differences carry only
     # rounding, far below FD_STEP; the maximizers then agree to FD_STEP and,
     # G being stationary there, the values to FD_STEP**2
-    p = get_problem("affine5d")
+    p = ascent_only(get_problem("affine5d"))
     fd = replace(p, map=replace(p.map, inner_gradient=None))
     for x in _inner_points(p):
         exact, approx = dual_gap(p, x), dual_gap(fd, x)
@@ -309,4 +318,124 @@ def test_subgradient_inequality_on_S0(ba_problem):
 def test_subgradient_propagates_nonconvergence(ba_problem):
     # a one-iteration budget cannot reach stationarity away from solutions
     cfg = DualGapConfig(max_iterations=1, tol=1e-14)
-    assert not dual_gap(ba_problem, X0, cfg).converged
+    assert not dual_gap(ascent_only(ba_problem), X0, cfg).converged
+
+
+# ---------------------------------------------------------------------------
+# exact dual-gap oracles
+# ---------------------------------------------------------------------------
+
+def test_example5_1_oracle_is_d_squared_over_four_near_S0(ba_problem):
+    # within 0.25 of S0 on Omega, G = d(x, S0)^2 / 4 in closed form
+    rng = np.random.default_rng(41)
+    oracle = ba_problem.solution_oracle
+    n_checked = 0
+    for s in oracle.sample_S0(400, seed=42):
+        x = ba_problem.set.project(s + rng.uniform(-0.2, 0.2, size=3))
+        d = oracle.distance_to_S0(x)
+        if d > 0.25:
+            continue
+        ev = dual_gap(ba_problem, x)
+        assert ev.converged and ev.upper == ev.value
+        assert ba_problem.set.contains(ev.maximizer, 1e-12)
+        assert abs(ev.value - d * d / 4.0) <= 1e-15
+        n_checked += 1
+    assert n_checked >= 300
+
+
+def test_example5_1_ascent_never_above_oracle(ba_problem):
+    # the ascent evaluates <F(y), x - y> at feasible points, so it bounds G from
+    # below: it may fall short of the closed form but never exceed it
+    rng = np.random.default_rng(43)
+    ascent = ascent_only(ba_problem)
+    for _ in range(60):
+        x = ba_problem.set.project(rng.uniform(-2.5, 2.5, size=3))
+        exact, approx = dual_gap(ba_problem, x), dual_gap(ascent, x)
+        assert approx.value <= exact.value + 1e-12
+        assert exact.value - approx.value <= 1e-6
+
+
+def _affine_box_cases():
+    """Seeded affine box problems in 1-D and 2-D: the built-in ones, plus a
+    rank-one and a zero symmetric part, each with a skew part."""
+    cases = [affine_monotone(1, 3), affine_monotone(2, 4), strongly_monotone_quadratic(2, 5)]
+    rng = np.random.default_rng(44)
+    for rank in (1, 0):
+        A = rng.standard_normal((rank, 2))
+        M = A.T @ A + np.array([[0.0, 0.7], [-0.7, 0.0]])
+        q = rng.standard_normal(2)
+        lo, hi = np.array([-1.0, -0.5]), np.array([0.5, 1.0])
+        cases.append(ProblemInstance(
+            name=f"rank{rank}", dimension=2, map=affine_map(M, q), set=box(lo, hi),
+            bounding_box=(lo, hi), dual_gap_exact=affine_box_dual_gap(M, q, lo, hi)))
+    return cases
+
+
+@pytest.mark.parametrize("problem", _affine_box_cases(), ids=lambda p: p.name)
+def test_affine_box_oracle_matches_grid_and_brackets_G(problem):
+    # grid nodes are feasible, so grid <= G <= upper. The grid holds the box's
+    # faces, on which the maximizer of h(y) = <My + q, x - y> is stationary,
+    # and a node lies within h sqrt(n) / 2 of it; h curves by at most
+    # ||M + M^T|| <= 2L, so the grid misses G by at most L n h^2 / 4
+    rng = np.random.default_rng(45)
+    h = 2e-3
+    for _ in range(8):
+        x = rng.uniform(-1.5, 1.5, size=problem.dimension)
+        ev = dual_gap(problem, x)
+        grid = brute_force_dual_gap(problem, x, grid_resolution=h)
+        assert ev.converged
+        assert ev.value <= ev.upper <= ev.value + DualGapConfig().tol
+        assert grid <= ev.upper + 1e-12
+        assert ev.value >= grid - 1e-12
+        assert ev.value - grid <= problem.map.lipschitz_L * problem.dimension * h * h / 4 + 1e-12
+        assert problem.set.contains(ev.maximizer, 0.0)
+
+
+def test_affine_box_oracle_converged_is_the_bracket_width():
+    p = affine_monotone(5, 0)
+    x = p.default_x0 + 0.3
+    ev = dual_gap(p, x)
+    width = ev.upper - ev.value
+    assert 0.0 <= width <= 1e-12
+    assert dual_gap(p, x, DualGapConfig(tol=width)).converged
+    assert not dual_gap(p, x, DualGapConfig(tol=-1.0)).converged
+
+
+def test_affine_box_oracle_needs_a_concave_inner_problem():
+    # no finite box, or an indefinite symmetric part: no oracle, the ascent stays
+    M, q = np.eye(2), np.zeros(2)
+    assert affine_box_dual_gap(M, q, [-1.0, -np.inf], [1.0, 1.0]) is None
+    assert affine_box_dual_gap(np.diag([1.0, -1.0]), q, -np.ones(2), np.ones(2)) is None
+    assert get_problem("sharp_ball2d").dual_gap_exact is None   # a ball
+    assert affine_monotone(3, 0, set_kind="orthant").dual_gap_exact is None
+
+
+def _ill_conditioned_box_vi(seed):
+    """10-D affine VI on [-1, 1]^10: symmetric part with condition number 100
+    under a random rotation plus a skew part of norm 1."""
+    rng = np.random.default_rng(seed)
+    Q = np.linalg.qr(rng.standard_normal((10, 10)))[0]
+    S = Q @ np.diag(np.geomspace(0.1, 10.0, 10)) @ Q.T
+    B = rng.standard_normal((10, 10))
+    K = (B - B.T) / np.linalg.norm(B - B.T, 2)
+    return S + K, rng.standard_normal(10)
+
+
+def test_ill_conditioned_affine_box_pge_has_no_failed_inner_solve(tmp_path):
+    # without the oracle, the ascent under the default DualGapConfig fails 12
+    # of the first 21 solves here (seed 0) and solve_pge raises
+    # DualGapUnreliableError
+    def row(v):
+        return " ".join(repr(float(a)) for a in v)
+
+    for seed in (0, 1):
+        M, q = _ill_conditioned_box_vi(seed)
+        path = tmp_path / f"vi{seed}.ini"
+        path.write_text(f"[operator]\nkind = affine\nmatrix = {'; '.join(row(r) for r in M)}\n"
+                        f"offset = {row(q)}\n[set]\nkind = box\n"
+                        f"lower = {row(-np.ones(10))}\nupper = {row(np.ones(10))}\n")
+        problem = load_problem_file(str(path))
+        assert problem.dual_gap_exact is not None
+        _, trace = solve_pge(problem, tikhonov(), 0.01, np.zeros(10), SubgradientConfig(seed=0))
+        assert trace.n_nonconverged == 0
+        assert trace.iterations == SubgradientConfig().max_iterations

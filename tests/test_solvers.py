@@ -1,5 +1,6 @@
 """Direction switching, Armijo steps, inner/outer solves, subgradient solver."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -433,9 +434,10 @@ def test_pge_l1_exact_recovery(ba_problem, l1):
 def test_pge_raises_when_dual_gap_unreliable(ba_problem, l1):
     # a one-iteration inner budget cannot reach stationarity, so every dual-gap
     # solve fails and the solver gives up instead of trusting its subgradients
+    # (the ascent, not example5_1's exact oracle, which needs no budget)
     cfg = SubgradientConfig(gap_config=DualGapConfig(max_iterations=1, tol=1e-14))
     with pytest.raises(DualGapUnreliableError, match="multistarts"):
-        solve_pge(ba_problem, l1, 0.1, X0, cfg)
+        solve_pge(replace(ba_problem, dual_gap_exact=None), l1, 0.1, X0, cfg)
 
 
 # ---------------------------------------------------------------------------
