@@ -27,7 +27,7 @@ from .core import (
     shifted_orthant,
     tikhonov,
 )
-from .gap import DualGapConfig, GapEvaluation, dual_gap, theta_ab, theta_alpha, y_alpha
+from .gap import GapEvaluation, dual_gap, theta_ab, theta_alpha, y_alpha
 from .bounds import (
     BoundReport,
     SharpnessModel,

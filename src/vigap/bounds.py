@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .core import Vector, as_point
-from .gap import DualGapConfig, dual_gap
+from .gap import dual_gap
 
 __all__ = [
     "EXACT",
@@ -224,8 +224,7 @@ def order1_inequality(alpha_sharp: float, epsilon: float, dist_S0: float,
     return lhs, rhs, bool(lhs <= rhs + tol)
 
 
-def exactness_check(problem, x: Vector, tol: float = 1e-6,
-                    gap_config: Optional[DualGapConfig] = None) -> str:
+def exactness_check(problem, x: Vector, tol: float = 1e-6) -> str:
     """Classify x through the dual gap: exact / not_exact / inconclusive.
 
     exact: G(x) <= tol and x in Omega. not_exact: G(x) > 10*tol with a
@@ -236,7 +235,7 @@ def exactness_check(problem, x: Vector, tol: float = 1e-6,
     if not tol > 0:
         raise ValueError("tol must be positive")
     x = as_point(x, problem.map.dimension)
-    ev = dual_gap(problem, x, gap_config)
+    ev = dual_gap(problem, x)
     in_omega = problem.set.contains(x, 1e-8)
     if ev.value <= tol and in_omega:
         return EXACT
@@ -245,8 +244,7 @@ def exactness_check(problem, x: Vector, tol: float = 1e-6,
     return INCONCLUSIVE
 
 
-def fit_sharpness(problem, samples, gap_config: Optional[DualGapConfig] = None,
-                  window=(1e-4, 1.0)) -> SharpnessModel:
+def fit_sharpness(problem, samples, window=(1e-4, 1.0)) -> SharpnessModel:
     """Least-squares fit of log G(x) = log alpha_sharp + gamma log d(x, S0).
 
     Uses only samples whose distance to S0 lies inside `window` (avoids the
@@ -265,7 +263,7 @@ def fit_sharpness(problem, samples, gap_config: Optional[DualGapConfig] = None,
         d = float(oracle.distance_to_S0(x))
         if not (lo <= d <= hi):
             continue
-        g = dual_gap(problem, x, gap_config).value
+        g = dual_gap(problem, x).value
         if g <= 0:
             continue
         logs_d.append(math.log(d))

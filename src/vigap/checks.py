@@ -185,11 +185,11 @@ def _check_exactness(seed: int) -> CheckReport:
     x0 = problem.default_x0
     tol = 1e-7
     for e in (0.5, 0.01):
-        x, _ = solve_pge(problem, l1_regularizer(), e, x0, SubgradientConfig(seed=seed))
+        x, _ = solve_pge(problem, l1_regularizer(), e, x0, SubgradientConfig())
         verdict = bounds.exactness_check(problem, problem.set.project(x), tol=tol)
         report.record(f"l1 eps={e}: exact", verdict == bounds.EXACT, verdict)
     for e in (0.5, 0.005):
-        x, _ = solve_pge(problem, tikhonov(), e, x0, SubgradientConfig(seed=seed))
+        x, _ = solve_pge(problem, tikhonov(), e, x0, SubgradientConfig())
         verdict = bounds.exactness_check(problem, problem.set.project(x), tol=tol)
         report.record(f"l2 eps={e}: not_exact", verdict == bounds.NOT_EXACT, verdict)
     xs = problem.solution_oracle.sample_S0(3, seed)

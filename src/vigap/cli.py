@@ -17,6 +17,7 @@ import numpy as np
 
 from . import bounds
 from .core import (
+    EvaluationError,
     Regularizer,
     affine_map,
     ball,
@@ -28,9 +29,10 @@ from .core import (
     tikhonov,
 )
 from .checks import CHECK_SUITES, CheckReport
-from .gap import DualGapConfig, affine_box_dual_gap, dual_gap
+from .gap import affine_box_dual_gap, dual_gap
 from .problems import BUILTIN_PROBLEMS, ProblemInstance, get_problem
 from .solvers import (
+    DualGapUnreliableError,
     InnerConfig,
     MaxIterationsError,
     OuterConfig,
@@ -75,8 +77,7 @@ class ExperimentConfig:
     """One sweep: a problem, a model, a regularizer and an epsilon list.
 
     `problem` is a registry name or a path to an INI problem file. `seed`
-    draws the random builtin instances and feeds the dual-gap multistarts and
-    the exactness probes; the direct D-gap descent draws no random numbers.
+    draws the random builtin instances; nothing else in a sweep is random.
     """
 
     problem: str
@@ -178,8 +179,9 @@ def load_problem_file(path: str) -> ProblemInstance:
     """Build a ProblemInstance from an INI problem file.
 
     Either `[problem] name = <builtin>` or an explicit `[operator]`
-    (affine: matrix/offset) plus `[set]` section; `[constants]` may carry
-    x0, a declared Lipschitz constant and a bounding box for grid oracles.
+    (affine: matrix/offset, optionally a declared `lipschitz` constant) plus
+    `[set]` section; `[constants]` may carry x0 and a bounding box for grid
+    oracles. A matrix whose symmetric part is indefinite is rejected.
     """
     parser = configparser.ConfigParser()
     read = parser.read(path)
@@ -214,8 +216,7 @@ def load_problem_file(path: str) -> ProblemInstance:
         exact = (affine_box_dual_gap(M, q, desc["lower"], desc["upper"])
                  if desc["kind"] == "box" else None)
         inst = ProblemInstance(
-            name=str(path), dimension=fmap.dimension, map=fmap, set=feasible,
-            constants={"L": fmap.lipschitz_L, "mu": fmap.mu},
+            name=str(path), map=fmap, set=feasible,
             default_x0=feasible.project(np.zeros(fmap.dimension)), dual_gap_exact=exact)
     if parser.has_section("constants"):
         sec = parser["constants"]
@@ -250,10 +251,8 @@ def _feasible_point(problem, x) -> np.ndarray:
     return problem.set.project(np.asarray(x, dtype=float))
 
 
-def _exactness_at(problem, x, tol, seed) -> str:
-    xin = _feasible_point(problem, x)
-    return bounds.exactness_check(problem, xin, tol=tol,
-                                  gap_config=DualGapConfig(seed=seed))
+def _exactness_at(problem, x, tol) -> str:
+    return bounds.exactness_check(problem, _feasible_point(problem, x), tol=tol)
 
 
 def _dist_S0(problem, x) -> Optional[float]:
@@ -326,7 +325,7 @@ def _run_direct(config, problem, reg, x0) -> list:
         if config.regularizer == "l2":
             row.dist_to_reg_solution = _dist_to_reference(
                 problem, reg, rec.epsilon, rec.x, ref_cache)
-        row.exactness = _exactness_at(problem, rec.x, config.tol, config.seed)
+        row.exactness = _exactness_at(problem, rec.x, config.tol)
         rows.append(row)
     done = {r.epsilon for r in rows}
     for e in eps_desc:
@@ -352,15 +351,14 @@ def _dist_to_reference(problem, reg, eps, x, cache) -> Optional[float]:
 
 def _run_dualgap(config, problem, reg, x0) -> list:
     rows = []
+    sg = SubgradientConfig(max_iterations=config.max_iter) if config.max_iter else \
+        SubgradientConfig()
     for e in sorted(set(float(v) for v in config.epsilons), reverse=True):
         row = _row_shell(config, problem, e)
-        sg = SubgradientConfig(seed=config.seed,
-                               **({"max_iterations": config.max_iter}
-                                  if config.max_iter else {}))
         tick = time.perf_counter()
         try:
             x, trace = solve_pge(problem, reg, e, x0, sg)
-        except Exception as err:  # per-cell isolation
+        except (DualGapUnreliableError, EvaluationError) as err:  # per-cell isolation
             row.wall_time_s = time.perf_counter() - tick
             row.exactness = f"error:{type(err).__name__}"
             rows.append(row)
@@ -368,13 +366,13 @@ def _run_dualgap(config, problem, reg, x0) -> list:
         row.wall_time_s = time.perf_counter() - tick
         row.iterations = trace.iterations
         row.dist_to_S0 = _dist_S0(problem, x)
-        row.final_gap = dual_gap(problem, x, DualGapConfig(seed=config.seed)).value
-        row.exactness = _exactness_at(problem, x, config.tol, config.seed)
+        row.final_gap = dual_gap(problem, x).value
+        row.exactness = _exactness_at(problem, x, config.tol)
         rows.append(row)
     return rows
 
 
-def table1(out_path: Optional[str] = None, fmt: str = "csv", seed: int = 0,
+def table1(out_path: Optional[str] = None, fmt: str = "csv",
            timing: bool = True) -> list:
     """All 20 cells (2 models x 2 regularizers x 5 epsilons) of the
     best-approximation benchmark from the initial point (1, -2, 1).
@@ -386,7 +384,7 @@ def table1(out_path: Optional[str] = None, fmt: str = "csv", seed: int = 0,
     for model in MODELS:
         for reg in REGULARIZERS:
             cfg = ExperimentConfig(problem="example5_1", model=model, regularizer=reg,
-                                   epsilons=TABLE1_EPSILONS, seed=seed,
+                                   epsilons=TABLE1_EPSILONS,
                                    x0=(1.0, -2.0, 1.0), timing=timing,
                                    experimental_nonsmooth=True)
             rows.extend(run_experiment(cfg))
@@ -479,7 +477,6 @@ def _build_parser() -> argparse.ArgumentParser:
     t1 = sub.add_parser("table1", help="run the full 20-cell comparison table")
     t1.add_argument("--out", default="table1.csv")
     t1.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
-    t1.add_argument("--seed", type=int, default=0)
     t1.add_argument("--no-timing", action="store_true")
 
     chk = sub.add_parser("check", help="run an invariant check suite")
@@ -502,7 +499,7 @@ def main(argv=None) -> int:
             _write_rows(run_experiment(cfg), args.out, args.fmt)
             return 0
         if args.command == "table1":
-            table1(args.out, fmt=args.fmt, seed=args.seed, timing=not args.no_timing)
+            table1(args.out, fmt=args.fmt, timing=not args.no_timing)
             print(f"wrote {args.out}")
             return 0
         if args.command == "check":

@@ -23,7 +23,6 @@ __all__ = [
     "Vector",
     "DimensionMismatchError",
     "EvaluationError",
-    "CompositeProjectionError",
     "MonotoneMap",
     "FeasibleSet",
     "Regularizer",
@@ -36,7 +35,7 @@ __all__ = [
     "halfspace",
     "ball",
     "product_set",
-    "composite_set",
+    "psd_tolerance",
     "affine_map",
     "tikhonov",
     "l1_regularizer",
@@ -54,10 +53,6 @@ class DimensionMismatchError(ValueError):
 
 class EvaluationError(RuntimeError):
     """An operator produced NaN/Inf output."""
-
-
-class CompositeProjectionError(ValueError):
-    """Composite set used without a registered projector."""
 
 
 def as_point(x, dim: Optional[int] = None) -> Vector:
@@ -84,8 +79,8 @@ def as_point(x, dim: Optional[int] = None) -> Vector:
 class MonotoneMap:
     """An evaluable operator F: R^n -> R^n with declared constants.
 
-    The declared Lipschitz constant and monotonicity class are trusted
-    inputs; `probe_monotonicity` / `probe_lipschitz` provide seeded sampling
+    The declared Lipschitz constant and modulus are trusted inputs;
+    `probe_monotonicity` / `probe_lipschitz` provide seeded sampling
     checks. F is evaluated wherever its formula is defined — membership of
     the argument in the feasible set is the caller's contract.
 
@@ -99,8 +94,8 @@ class MonotoneMap:
     dimension : ambient dimension n
     evaluate : F itself
     lipschitz_L : declared Lipschitz constant on the feasible set
-    monotonicity_class : "monotone" or "strongly_monotone"
-    mu : strong-monotonicity modulus (0 for merely monotone maps)
+    mu : strong-monotonicity modulus; the map is strongly monotone iff
+        mu > 0, merely monotone at mu = 0
     evaluate_rows : optional vectorized form mapping an (m, n) array of
         points to an (m, n) array of values
     inner_gradient : optional y-gradient of y -> <F(y), x - y>, used by the
@@ -110,7 +105,6 @@ class MonotoneMap:
     dimension: int
     evaluate: Callable[[Vector], Vector]
     lipschitz_L: float
-    monotonicity_class: str = "monotone"
     mu: float = 0.0
     evaluate_rows: Optional[Callable[[np.ndarray], np.ndarray]] = None
     inner_gradient: Optional[Callable[[Vector, np.ndarray], np.ndarray]] = None
@@ -119,10 +113,8 @@ class MonotoneMap:
     def __post_init__(self):
         if self.lipschitz_L < 0:
             raise ValueError("lipschitz_L must be nonnegative")
-        if self.monotonicity_class not in ("monotone", "strongly_monotone"):
-            raise ValueError(f"unknown monotonicity class {self.monotonicity_class!r}")
-        if self.monotonicity_class == "strongly_monotone" and not self.mu > 0:
-            raise ValueError("strongly monotone map needs mu > 0")
+        if self.mu < 0:
+            raise ValueError("mu must be nonnegative")
 
     def __call__(self, x: Vector) -> Vector:
         v = np.asarray(self.evaluate(as_point(x, self.dimension)), dtype=float)
@@ -137,26 +129,36 @@ class MonotoneMap:
         return np.array([self.evaluate(y) for y in Y], dtype=float)
 
 
+def psd_tolerance(A: np.ndarray) -> float:
+    """Rounding allowance of a positive-semidefiniteness test built from A:
+    a least eigenvalue of sym(A) at or above -psd_tolerance(A) counts as
+    nonnegative."""
+    return 1e-12 * max(1.0, float(np.abs(A).max()))
+
+
 def affine_map(M: np.ndarray, q, name: str = "affine") -> MonotoneMap:
-    """F(x) = M x + q with M positive semidefinite (monotone affine map)."""
+    """F(x) = M x + q with sym(M) positive semidefinite (monotone affine map).
+
+    Raises ValueError when sym(M) has an eigenvalue below -psd_tolerance(M)
+    (F is then not monotone). mu is the least eigenvalue of sym(M) when it
+    exceeds 1e-12, else 0.
+    """
     M = np.asarray(M, dtype=float)
     q = np.asarray(q, dtype=float)
     n = q.shape[0]
     if M.shape != (n, n):
         raise DimensionMismatchError(f"matrix shape {M.shape} does not match offset length {n}")
-    sym = 0.5 * (M + M.T)
-    eigs = np.linalg.eigvalsh(sym)
-    mu = float(max(eigs.min(), 0.0))
-    L = float(np.linalg.norm(M, 2))
-    cls = "strongly_monotone" if eigs.min() > 1e-12 else "monotone"
+    least = float(np.linalg.eigvalsh(0.5 * (M + M.T)).min())
+    if least < -psd_tolerance(M):
+        raise ValueError(f"the symmetric part of the matrix is indefinite (least eigenvalue "
+                         f"{least:.3e}): F is not monotone")
     return MonotoneMap(
         dimension=n,
         evaluate=lambda x: M @ x + q,
         evaluate_rows=lambda Y: Y @ M.T + q,
         inner_gradient=lambda x, Y: (x - Y) @ M - (Y @ M.T + q),
-        lipschitz_L=L,
-        monotonicity_class=cls,
-        mu=mu if cls == "strongly_monotone" else 0.0,
+        lipschitz_L=float(np.linalg.norm(M, 2)),
+        mu=least if least > 1e-12 else 0.0,
         name=name,
     )
 
@@ -333,28 +335,6 @@ def product_set(blocks: list[tuple[list[int], FeasibleSet]], dimension: int) -> 
     )
 
 
-def composite_set(dimension: int, members: list[FeasibleSet],
-                  projector: Optional[Callable[[Vector], Vector]] = None) -> FeasibleSet:
-    """General intersection; requires a user-supplied projector.
-
-    No general QP projection is embedded — without `projector` this raises
-    CompositeProjectionError at construction.
-    """
-    if projector is None:
-        raise CompositeProjectionError(
-            "composite set needs a registered projector (no general QP projection built in)")
-
-    def cont(x, tol=1e-10):
-        return all(s.contains(x, tol) for s in members)
-
-    return FeasibleSet(
-        dimension=dimension,
-        project=projector,
-        contains=cont,
-        description={"kind": "composite", "members": [s.description for s in members]},
-    )
-
-
 # ---------------------------------------------------------------------------
 # regularizers
 # ---------------------------------------------------------------------------
@@ -363,10 +343,11 @@ def composite_set(dimension: int, members: list[FeasibleSet],
 class Regularizer:
     """Convex regularizer phi with value and gradient/subgradient selection.
 
-    rho is the strong-convexity modulus (0 if merely convex), lipschitz_M
-    the gradient Lipschitz constant for smooth phi (None otherwise). For
-    nonsmooth phi, `subgradient_select` must be a deterministic selection.
-    Both return float arrays: `regularized_operator` uses them unwrapped.
+    phi is smooth exactly when it has a `gradient`; rho is the
+    strong-convexity modulus (0 if merely convex), lipschitz_M the gradient
+    Lipschitz constant for smooth phi (None otherwise). For nonsmooth phi,
+    `subgradient_select` must be a deterministic selection. Both return
+    float arrays: `regularized_operator` uses them unwrapped.
     """
 
     value: Callable[[Vector], float]
@@ -374,16 +355,17 @@ class Regularizer:
     subgradient_select: Optional[Callable[[Vector], Vector]] = None
     rho: float = 0.0
     lipschitz_M: Optional[float] = None
-    smooth: bool = True
     name: str = ""
 
     def __post_init__(self):
-        if self.smooth and self.gradient is None:
-            raise ValueError("smooth regularizer needs a gradient")
-        if not self.smooth and self.subgradient_select is None:
-            raise ValueError("nonsmooth regularizer needs a subgradient selection")
+        if self.gradient is None and self.subgradient_select is None:
+            raise ValueError("regularizer needs a gradient or a subgradient selection")
         if self.rho < 0:
             raise ValueError("rho must be nonnegative")
+
+    @property
+    def smooth(self) -> bool:
+        return self.gradient is not None
 
 
 def grad_or_subgrad(reg: Regularizer, x: Vector) -> Vector:
@@ -399,7 +381,6 @@ def tikhonov() -> Regularizer:
         gradient=lambda x: np.array(x, dtype=float),
         rho=1.0,
         lipschitz_M=1.0,
-        smooth=True,
         name="l2",
     )
 
@@ -411,7 +392,6 @@ def l1_regularizer() -> Regularizer:
         subgradient_select=lambda x: np.sign(x),
         rho=0.0,
         lipschitz_M=None,
-        smooth=False,
         name="l1",
     )
 
@@ -458,8 +438,8 @@ def probe_monotonicity(op: Callable[[Vector], Vector], feasible: FeasibleSet,
                        mu: float = 0.0) -> float:
     """Worst sampled margin of <F(x)-F(y), x-y> - mu ||x-y||^2 over pairs in the set.
 
-    Nonnegative (up to tolerance) iff the declared monotonicity class holds
-    on the sample.
+    Nonnegative (up to tolerance) iff F is monotone with modulus mu on the
+    sample.
     """
     X = sample_in_set(feasible, n_pairs, seed=seed, radius=radius)
     Y = sample_in_set(feasible, n_pairs, seed=seed + 1, radius=radius)

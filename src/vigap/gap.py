@@ -25,12 +25,12 @@ from .core import (
     Regularizer,
     Vector,
     as_point,
+    psd_tolerance,
     regularized_operator,
 )
 
 __all__ = [
     "GapEvaluation",
-    "DualGapConfig",
     "y_alpha",
     "theta_alpha",
     "theta_ab",
@@ -62,24 +62,16 @@ class GapEvaluation:
     upper: Optional[float] = None
 
 
-@dataclass(frozen=True)
-class DualGapConfig:
-    """Budget and tolerances for the dual-gap inner maximization.
-
-    multistarts counts all starts including the query point itself (and a
-    warm start when one is passed). The random starts are drawn within
-    1.5 * (1 + ||x||) of x, and the (adaptive) ascent step starts at
-    1/(1 + L) using the operator's declared Lipschitz constant. An exact
-    oracle uses only tol: its result is converged when its bracket
-    [value, upper] is at most tol wide.
-    """
-
-    multistarts: int = 8
-    max_iterations: int = 300
-    tol: float = 1e-7
-    seed: int = 0
-
-
+# an evaluation is converged when an exact oracle's bracket [value, upper]
+# is at most DUAL_GAP_TOL wide, or when the ascent's projected-gradient
+# residual is at most DUAL_GAP_TOL. The ascent runs ASCENT_STARTS starts,
+# counting the query point itself and a warm start when one is passed; the
+# others are drawn within 1.5 (1 + ||x||) of x from a generator seeded with
+# 0, so G(x) does not depend on the call's history. Each start takes at most
+# ASCENT_MAX_ITER steps of an adaptive step size that begins at 1/(1 + L).
+DUAL_GAP_TOL = 1e-7
+ASCENT_STARTS = 8
+ASCENT_MAX_ITER = 300
 # central-difference step (relative to 1 + ||y||) for maps without an
 # analytic inner gradient
 FD_STEP = 1e-6
@@ -179,13 +171,12 @@ def _fd_inner_gradient(F: MonotoneMap, x: Vector, Y: np.ndarray) -> np.ndarray:
     return G
 
 
-def dual_gap(problem, x: Vector, config: Optional[DualGapConfig] = None,
-             warm: Optional[Vector] = None) -> GapEvaluation:
+def dual_gap(problem, x: Vector, warm: Optional[Vector] = None) -> GapEvaluation:
     """Evaluate G(x) = sup_{y in Omega} <F(y), x - y>.
 
     A problem with a `dual_gap_exact` oracle gets the oracle's answer, which
     brackets G between its value and its `upper` bound; it is converged when
-    the bracket is at most config.tol wide. example5_1 has a closed form, and
+    the bracket is at most DUAL_GAP_TOL wide. example5_1 has a closed form, and
     affine monotone F on a finite box a certified concave QP
     (`affine_box_dual_gap`).
 
@@ -204,19 +195,17 @@ def dual_gap(problem, x: Vector, config: Optional[DualGapConfig] = None,
     problem : object with `map` (MonotoneMap) and `set` (FeasibleSet), and
         optionally `dual_gap_exact` (x -> GapEvaluation with `upper` set)
     x : evaluation point
-    config : DualGapConfig, optional
     warm : optional warm-start inner point of the ascent (an extra start)
     """
-    cfg = config or DualGapConfig()
     exact = getattr(problem, "dual_gap_exact", None)
     if exact is not None:
         ev = exact(as_point(x, problem.map.dimension))
-        ev.converged = ev.upper - ev.value <= cfg.tol
+        ev.converged = ev.upper - ev.value <= DUAL_GAP_TOL
         return ev
     F: MonotoneMap = problem.map
     omega: FeasibleSet = problem.set
     x = as_point(x, F.dimension)
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(0)
     radius = 1.5 * (1.0 + float(np.linalg.norm(x)))
 
     F_rows = F.rows
@@ -228,7 +217,7 @@ def dual_gap(problem, x: Vector, config: Optional[DualGapConfig] = None,
     starts = [x]
     if warm is not None:
         starts.append(as_point(warm, F.dimension))
-    n_rand = max(cfg.multistarts - len(starts), 0)
+    n_rand = max(ASCENT_STARTS - len(starts), 0)
     Y = proj_rows(np.vstack([np.array(starts),
                              x + radius * rng.standard_normal((n_rand, F.dimension))]))
     steps = np.full(len(Y), 1.0 / (1.0 + F.lipschitz_L))
@@ -238,7 +227,7 @@ def dual_gap(problem, x: Vector, config: Optional[DualGapConfig] = None,
     collapse = 3e-10 * (1.0 + radius)
     stall = 0
     used = 0
-    for it in range(cfg.max_iterations):
+    for it in range(ASCENT_MAX_ITER):
         used = it + 1
         cand = proj_rows(Y + steps[:, None] * grad(x, Y))
         fc = np.einsum("ij,ij->i", F_rows(cand), x - cand)
@@ -264,7 +253,7 @@ def dual_gap(problem, x: Vector, config: Optional[DualGapConfig] = None,
     g = np.asarray(grad(x, ybar[None, :])[0], dtype=float)
     s = 0.1 / (1.0 + float(np.linalg.norm(g)))
     res = float(np.linalg.norm(ybar - omega.project(ybar + s * g))) / s
-    converged = (res <= cfg.tol) or (steps[k] <= collapse)
+    converged = (res <= DUAL_GAP_TOL) or (steps[k] <= collapse)
     return GapEvaluation(value=float(f[k]), maximizer=ybar, alpha=None, beta=None,
                          epsilon=0.0, converged=converged, inner_iterations=used)
 
@@ -304,7 +293,7 @@ def affine_box_dual_gap(M, q, lower, upper):
     H = M + M.T   # minus the Hessian of h
     if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
         return None
-    if np.linalg.eigvalsh(H).min() < -1e-12 * max(1.0, float(np.abs(H).max())):
+    if np.linalg.eigvalsh(H).min() < -psd_tolerance(H):
         return None
     reach = float(np.linalg.norm(hi - lo))
     band = QP_HOLD * (hi - lo)

@@ -13,6 +13,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import (
+    DimensionMismatchError,
     FeasibleSet,
     MonotoneMap,
     Regularizer,
@@ -55,20 +56,29 @@ class SolutionOracle:
 class ProblemInstance:
     """A variational inequality problem: operator, set, and optional oracles.
 
-    dual_gap_exact, when set, is an exact oracle x -> GapEvaluation for the
+    The dimension is the map's; the set must have the same. dual_gap_exact,
+    when set, is an exact oracle x -> GapEvaluation for the
     dual gap G(x) with a certified upper bound `upper`; `gap.dual_gap` uses
     it in place of its ascent.
     """
 
     name: str
-    dimension: int
     map: MonotoneMap
     set: FeasibleSet
     solution_oracle: Optional[SolutionOracle] = None
-    constants: dict = None
     default_x0: Optional[Vector] = None
     bounding_box: Optional[tuple] = None  # (lower, upper) arrays for grid oracles
     dual_gap_exact: Optional[Callable[[Vector], GapEvaluation]] = None
+
+    def __post_init__(self):
+        if self.set.dimension != self.map.dimension:
+            raise DimensionMismatchError(
+                f"set dimension {self.set.dimension} does not match operator "
+                f"dimension {self.map.dimension}")
+
+    @property
+    def dimension(self) -> int:
+        return self.map.dimension
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +121,6 @@ def example_5_1() -> ProblemInstance:
         evaluate_rows=F_rows,
         inner_gradient=inner_grad,
         lipschitz_L=2.0,
-        monotonicity_class="monotone",
         name="I_minus_P_C",
     )
     omega = product_set(
@@ -142,11 +151,9 @@ def example_5_1() -> ProblemInstance:
 
     return ProblemInstance(
         name="example5_1",
-        dimension=3,
         map=F_map,
         set=omega,
         solution_oracle=SolutionOracle(distance_to_S0=dist_S0, sample_S0=sample_S0),
-        constants={"L": 2.0},
         default_x0=np.array([1.0, -2.0, 1.0]),
         bounding_box=(np.array([-2.0, -3.0, -3.0]), np.array([2.0, 2.0, 2.0])),
         dual_gap_exact=dual_gap_exact,
@@ -191,15 +198,13 @@ def affine_monotone(n: int, seed: int = 0, set_kind: str = "box") -> ProblemInst
         raise ValueError(f"unknown set_kind {set_kind!r}")
     inst = ProblemInstance(
         name=f"affine_monotone(n={n}, seed={seed}, {set_kind})",
-        dimension=n,
         map=F_map,
         set=omega,
-        constants={"L": F_map.lipschitz_L, "mu": F_map.mu},
         default_x0=omega.project(np.zeros(n)),
         bounding_box=bbox,
         dual_gap_exact=exact,
     )
-    if F_map.monotonicity_class == "strongly_monotone":
+    if F_map.mu > 0:
         from .solvers import reference_solution
 
         xstar, _ = reference_solution(inst, 0.0, None, tol_residual=1e-12)
@@ -229,11 +234,9 @@ def strongly_monotone_quadratic(n: int = 3, seed: int = 0) -> ProblemInstance:
     )
     return ProblemInstance(
         name=f"strongly_monotone_quadratic(n={n}, seed={seed})",
-        dimension=n,
         map=F_map,
         set=omega,
         solution_oracle=oracle,
-        constants={"L": 1.0, "mu": 1.0, "c": c},
         default_x0=np.zeros(n),
         bounding_box=(-np.ones(n), np.ones(n)),
         dual_gap_exact=affine_box_dual_gap(np.eye(n), -c, -np.ones(n), np.ones(n)),
@@ -255,11 +258,9 @@ def sharp_quadratic_ball(n: int = 2) -> ProblemInstance:
     )
     return ProblemInstance(
         name=f"sharp_quadratic_ball(n={n})",
-        dimension=n,
         map=F_map,
         set=omega,
         solution_oracle=oracle,
-        constants={"L": 4.0, "mu": 4.0, "alpha_sharp": 1.0, "gamma": 2.0},
         default_x0=np.zeros(n),
         bounding_box=(-np.ones(n), np.ones(n)),
     )

@@ -32,7 +32,7 @@ from .core import (
     grad_or_subgrad,
     regularized_operator,
 )
-from .gap import DualGapConfig, _theta_ab_kernel, dual_gap
+from .gap import _theta_ab_kernel, dual_gap
 
 __all__ = [
     "StepFailureError",
@@ -45,7 +45,6 @@ __all__ = [
     "InnerTrace",
     "OuterRecord",
     "SolverTrace",
-    "PgeRecord",
     "PgeTrace",
     "estimate_L_theta",
     "li_ng_direction",
@@ -68,6 +67,9 @@ BETA = 2.0
 GAMMA = 0.9
 MAX_BACKTRACKS = 60
 STAGNATION_TOL = 1e-13
+# theta value below which the descent cannot tell progress from evaluation
+# noise; it also picks a level's certificate (see `solve_inner`)
+THETA_FLOOR = 1e-16
 # semismooth Newton: central-difference step of the generalized Jacobian,
 # relative to 1 + ||x||
 NEWTON_FD_STEP = 1e-7
@@ -128,15 +130,12 @@ class InnerConfig:
     <grad theta_ab, d> <= -(beta-alpha)||d||^2 + (L_theta+beta)||y_alpha-y_beta|| ||d||,
     so on the y_alpha - x branch, ||y_alpha-y_beta|| < c||d||, it is <= -(beta-alpha)/2 ||d||^2.
     L_theta_estimate=None takes the declared L + eps*M (`estimate_L_theta`).
-    floor is the theta value below which the descent cannot tell progress
-    from noise; it also picks a level's certificate (see `solve_inner`).
     """
 
     c: Optional[float] = None
     delta: Optional[float] = None
     max_iterations: int = 400_000
     L_theta_estimate: Optional[float] = None
-    floor: float = 1e-16
 
     def __post_init__(self):
         if self.max_iterations < 1:
@@ -218,18 +217,11 @@ class SolverTrace:
 
 
 @dataclass
-class PgeRecord:
-    j: int
-    objective: float
-    gap_value: float
-    best_objective: float
-    step: float
-    inner_converged: bool
-
-
-@dataclass
 class PgeTrace:
-    records: list
+    """One projected subgradient run: the iterations taken, the dual-gap
+    evaluations that did not converge, and the objective G + eps*phi at the
+    returned point."""
+
     iterations: int
     n_nonconverged: int
     best_objective: float
@@ -237,17 +229,15 @@ class PgeTrace:
 
 @dataclass(frozen=True)
 class SubgradientConfig:
-    """Budget and inner dual-gap solves of the projected subgradient solver.
+    """Budget of the projected subgradient solver.
 
     Its steps are gap-anchored: (f - f_best + delta_j)/||g_T||^2 with a
     geometrically decaying relaxation delta_j and displacement cap
     2 (1 + ||x0||), where g_T is the tangential (projected) part of the
-    subgradient. seed overrides gap_config.seed and is varied per iterate.
+    subgradient.
     """
 
     max_iterations: int = 1100
-    seed: int = 0
-    gap_config: DualGapConfig = field(default_factory=DualGapConfig)
 
     def __post_init__(self):
         if self.max_iterations < 1:
@@ -376,7 +366,7 @@ def _newton_trial(theta, x: Vector, ya: Vector, theta_x: float, cfg: InnerConfig
     """The full Newton step from x if accepted, as (x_next, theta_next,
     ya_next, yb_next, step_norm); None if rejected.
 
-    Above cfg.floor the test is the Armijo test on sqrt(theta_ab) of
+    Above THETA_FLOOR the test is the Armijo test on sqrt(theta_ab) of
     `_armijo`. At or below it theta_ab is evaluation noise and cannot judge
     a step, so there the step must halve the natural residual ||H|| instead.
     A trial that leaves F's domain counts as rejected.
@@ -387,7 +377,7 @@ def _newton_trial(theta, x: Vector, ya: Vector, theta_x: float, cfg: InnerConfig
         ns = _norm(s)
         if not (math.isfinite(ns) and ns > 0.0):
             return None
-        if theta_x > cfg.floor:
+        if theta_x > THETA_FLOOR:
             _, xn, tn, yan, ybn = _armijo(theta, x, s, theta_x, cfg, max_backtracks=0)
         else:
             xn = x + s
@@ -410,7 +400,7 @@ def solve_inner(problem, x0: Vector, epsilon: float, tau: float,
 
     Each level has one certificate, chosen once. A smooth phi with rho > 0
     and eps > 0 stops once theta_ab <= p = tau^2 / L_k^2, which certifies
-    ||x - x_eps|| <= tau ("dgap"). Where p lies below cfg.floor, the floor of
+    ||x - x_eps|| <= tau ("dgap"). Where p lies below THETA_FLOOR, the floor of
     theta evaluation, that test cannot fire: the natural-residual bound
     certifies instead ("residual"), and each uncertified iteration first tries
     one full Newton step on H(x) = x - y_alpha(x) (branch "newton"), kept if
@@ -420,9 +410,9 @@ def solve_inner(problem, x0: Vector, epsilon: float, tau: float,
 
     Status "certified" means the certificate holds with radius <= tau. A
     level without a D-gap certificate stops "floor" once theta_ab <=
-    cfg.floor (on a residual level, after a rejected Newton trial). One
+    THETA_FLOOR (on a residual level, after a rejected Newton trial). One
     stall rule covers a vanishing direction, an exhausted Armijo search and
-    three steps that barely move x: "floor" if theta_ab <= 10 cfg.floor,
+    three steps that barely move x: "floor" if theta_ab <= 10 THETA_FLOOR,
     else "stagnated" without a certificate, else StepFailureError.
 
     Returns (x, InnerTrace). Raises MaxIterationsError with the point and
@@ -437,7 +427,7 @@ def solve_inner(problem, x0: Vector, epsilon: float, tau: float,
     if reg is not None and reg.smooth and reg.rho > 0 and epsilon > 0:
         L, M = problem.map.lipschitz_L, reg.lipschitz_M
         p = bounds.stopping_threshold(tau, L, M, reg.rho, ALPHA, BETA, epsilon).radius
-        kind = "dgap" if p >= cfg.floor else "residual"
+        kind = "dgap" if p >= THETA_FLOOR else "residual"
 
     T = regularized_operator(problem.map, reg, epsilon)
     theta = _theta_ab_kernel(problem, ALPHA, BETA, epsilon, reg)
@@ -458,7 +448,7 @@ def solve_inner(problem, x0: Vector, epsilon: float, tau: float,
             # radius <= tau is the test theta_ab <= p; theta below the
             # evaluation floor is indistinguishable from the floor, so the
             # radius is floored accordingly
-            rad = bounds.dgap_error_bound(max(th, cfg.floor), L, M, reg.rho,
+            rad = bounds.dgap_error_bound(max(th, THETA_FLOOR), L, M, reg.rho,
                                           ALPHA, BETA, epsilon).radius
         elif kind == "residual":
             r = _norm(x - ya)
@@ -472,7 +462,7 @@ def solve_inner(problem, x0: Vector, epsilon: float, tau: float,
 
     def stalled(err):
         """Exit where the descent makes no progress, else raise err."""
-        if th <= 10.0 * cfg.floor:
+        if th <= 10.0 * THETA_FLOOR:
             return done("floor")
         if kind is None:
             return done("stagnated")
@@ -490,7 +480,7 @@ def solve_inner(problem, x0: Vector, epsilon: float, tau: float,
                 records.append(InnerRecord(j=j, theta=th, m=0, branch=BRANCH_NEWTON,
                                            step_norm=ns))
                 continue
-        if kind != "dgap" and th <= cfg.floor:
+        if kind != "dgap" and th <= THETA_FLOOR:
             return done("floor")
         d, branch = _direction(x, ya, yb, cfg.c)
         nd, nx = _norm(d), _norm(x)
@@ -563,7 +553,7 @@ def solve_pge(problem, regularizer: Regularizer, epsilon: float, x0: Vector,
 
     Update x+ = P_Omega(x - t_j (F(ybar(x)) + eps g_phi(x))) with ybar the
     dual-gap inner maximizer; returns the best-so-far iterate by objective
-    value together with a per-iterate trace.
+    value together with a PgeTrace.
 
     Raises DualGapUnreliableError when more than PGE_MAX_NONCONVERGED_FRACTION
     of the inner solves did not converge.
@@ -576,8 +566,7 @@ def solve_pge(problem, regularizer: Regularizer, epsilon: float, x0: Vector,
     x = omega.project(as_point(x0, F.dimension))
     phi = regularizer.value
 
-    gcfg = replace(cfg.gap_config, seed=cfg.seed)
-    ev = dual_gap(problem, x, gcfg)
+    ev = dual_gap(problem, x)
     n_bad = 0 if ev.converged else 1
     f = ev.value + epsilon * phi(x)
     ybar = ev.maximizer
@@ -588,7 +577,6 @@ def solve_pge(problem, regularizer: Regularizer, epsilon: float, x0: Vector,
     rho_decay = (PGE_DELTA_FINAL_REL * scale0 / delta) ** (1.0 / cfg.max_iterations)
     cap = 2.0 * (1.0 + float(np.linalg.norm(x)))
 
-    records: list = []
     j = 0
     for j in range(1, cfg.max_iterations + 1):
         sg = np.asarray(F(ybar), dtype=float) + epsilon * grad_or_subgrad(regularizer, x)
@@ -600,23 +588,19 @@ def solve_pge(problem, regularizer: Regularizer, epsilon: float, x0: Vector,
             break  # subgradient is normal to Omega at x: stationary
         t = min((f - f_best + delta) / n_tan ** 2, cap / n_tan)
         x = omega.project(x - t * sg)
-        ev = dual_gap(problem, x, replace(gcfg, seed=cfg.seed + 7919 * j), warm=ybar)
+        ev = dual_gap(problem, x, warm=ybar)
         ybar = ev.maximizer
         if not ev.converged:
             n_bad += 1
         f = ev.value + epsilon * phi(x)
         if f < f_best:
             f_best, x_best = f, x.copy()
-        records.append(PgeRecord(j=j, objective=f, gap_value=ev.value,
-                                 best_objective=f_best, step=t,
-                                 inner_converged=ev.converged))
         delta *= rho_decay
         if j >= 20 and n_bad > PGE_MAX_NONCONVERGED_FRACTION * (j + 1):
             raise DualGapUnreliableError(
                 f"{n_bad}/{j + 1} dual-gap inner solves failed to converge; "
-                "increase the inner budget or multistarts")
-    return x_best, PgeTrace(records=records, iterations=j, n_nonconverged=n_bad,
-                            best_objective=f_best)
+                "give the problem an exact oracle (ProblemInstance.dual_gap_exact)")
+    return x_best, PgeTrace(iterations=j, n_nonconverged=n_bad, best_objective=f_best)
 
 
 # ---------------------------------------------------------------------------
@@ -627,11 +611,11 @@ def reference_solution(problem, epsilon: float = 0.0, reg: Optional[Regularizer]
                        tol_residual: float = 1e-12):
     """Solve a strongly monotone VI(T_eps, Omega) to machine-level residual.
 
-    Runs a short `solve_inner` from P_Omega(0), which finishes below-floor
-    levels by semismooth Newton and residual-certifies them, then at most 80
-    steps of the same Newton step (`_newton_step`), damped by halving until
-    the natural residual H(x) = x - P_Omega(x - T(x)/alpha) decreases,
-    stopping at ||H|| <= tol_residual.
+    Runs at most 80 semismooth Newton steps (`_newton_step`) from
+    P_Omega(0), each damped by halving until the natural residual
+    H(x) = x - P_Omega(x - T(x)/alpha) decreases, stopping at
+    ||H|| <= tol_residual. It does not run the D-gap descent it is used to
+    check.
     A residual r certifies the true theta_ab <= (beta-alpha)/2 * r^2, far
     below anything evaluable in floating point.
 
@@ -641,17 +625,9 @@ def reference_solution(problem, epsilon: float = 0.0, reg: Optional[Regularizer]
     F = problem.map
     if epsilon > 0 and (reg is None or not reg.smooth or reg.rho <= 0):
         raise ValueError("regularized reference needs a smooth strongly convex phi")
-    if epsilon == 0.0 and F.monotonicity_class != "strongly_monotone":
+    if epsilon == 0.0 and not F.mu > 0:
         raise ValueError("unregularized reference needs a strongly monotone map")
     x = problem.set.project(np.zeros(F.dimension))
-
-    try:
-        x, _ = solve_inner(problem, x, epsilon, 1e-6,
-                           InnerConfig(max_iterations=3000, floor=1e-15), reg)
-    except (StepFailureError, MaxIterationsError) as err:
-        if getattr(err, "x", None) is not None:
-            x = err.x
-
     theta = _theta_ab_kernel(problem, ALPHA, BETA, epsilon, reg)
     h = x - theta(x)[1]
     nh = _norm(h)

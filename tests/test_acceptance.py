@@ -5,6 +5,7 @@ All benchmark runs use the best-approximation instance from the initial
 point (1, -2, 1) and finish well under a minute each on one core.
 """
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -64,7 +65,7 @@ def test_criterion_1_exact_l1_dualgap(ba, capsys):
     l1 = l1_regularizer()
     worst_d = worst_x = 0.0
     for eps in EPS_GRID:
-        x, _ = solve_pge(ba, l1, eps, X0, SubgradientConfig(seed=0))
+        x, _ = solve_pge(ba, l1, eps, X0, SubgradientConfig())
         worst_d = max(worst_d, ba.solution_oracle.distance_to_S0(x))
         worst_x = max(worst_x, float(np.linalg.norm(x - XSTAR)))
     ok = worst_d <= 1e-6 and worst_x <= 1e-5
@@ -83,7 +84,7 @@ def test_criterion_2_l2_dualgap_distances(ba, capsys):
     worst_rel = 0.0
     verdicts = []
     for eps, target in PGE_L2_DISTANCES.items():
-        x, _ = solve_pge(ba, l2, eps, X0, SubgradientConfig(seed=0))
+        x, _ = solve_pge(ba, l2, eps, X0, SubgradientConfig())
         d = ba.solution_oracle.distance_to_S0(x)
         worst_rel = max(worst_rel, abs(d - target) / target)
         verdicts.append(exactness_check(ba, ba.set.project(x), tol=1e-7))
@@ -285,13 +286,22 @@ def test_criterion_9_sharpness_fit(capsys):
 def table_rows():
     from vigap.cli import table1
 
-    return table1(None, seed=0, timing=False)
+    return table1(None, timing=False)
 
 
 def test_table_has_twenty_rows(table_rows, capsys):
     ok = len(table_rows) == 20
     with capsys.disabled():
         _report("comparison table shape", ok, f"{len(table_rows)} rows (=20)")
+
+
+def test_table_matches_committed_golden(table_rows):
+    # the bytes `vigap table1 --no-timing` writes; a change that moves any
+    # cell of the table must say so by updating tests/data/golden_table1.csv
+    from vigap.cli import rows_to_csv
+
+    golden = Path(__file__).parent / "data" / "golden_table1.csv"
+    assert rows_to_csv(table_rows) == golden.read_text()
 
 
 def test_cli_cold_direct_run_small_eps(capsys):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import vigap
-from vigap import checks
+from vigap import checks, cli
 from vigap.cli import (
     CSV_COLUMNS,
     CheckReport,
@@ -23,12 +23,12 @@ from vigap.cli import (
     rows_to_json,
     run_experiment,
 )
-from vigap.solvers import solve_inner
+from vigap.solvers import DualGapUnreliableError, solve_inner
 
 
 def small_cfg(**kw):
     base = dict(problem="example5_1", model="dualgap", regularizer="l1",
-                epsilons=(0.5,), seed=0, max_iter=400, timing=False)
+                epsilons=(0.5,), max_iter=400, timing=False)
     base.update(kw)
     return ExperimentConfig(**base)
 
@@ -125,6 +125,23 @@ def test_output_matches_committed_golden(argv, golden, capsys):
     assert capsys.readouterr().out == (GOLDEN / golden).read_text()
 
 
+def test_dualgap_cell_reports_solver_failures_and_propagates_bugs(monkeypatch):
+    # an unreliable dual gap is a per-cell result; a programming error is not
+    def unreliable(*args, **kwargs):
+        raise DualGapUnreliableError("too many non-converged inner solves")
+
+    monkeypatch.setattr(cli, "solve_pge", unreliable)
+    rows = run_experiment(small_cfg(epsilons=(0.5, 0.1)))
+    assert [r.exactness for r in rows] == ["error:DualGapUnreliableError"] * 2
+
+    def broken(*args, **kwargs):
+        raise TypeError("a bug")
+
+    monkeypatch.setattr(cli, "solve_pge", broken)
+    with pytest.raises(TypeError, match="a bug"):
+        run_experiment(small_cfg())
+
+
 def test_csv_json_round_trip_no_drift():
     rows = run_experiment(small_cfg(model="direct", regularizer="l2",
                                     epsilons=(0.5,)))
@@ -194,6 +211,16 @@ def test_problem_file_errors(tmp_path):
     path.write_text(AFFINE_INI.replace("lower = -1 -1", "lower = -1"))
     with pytest.raises(ConfigError):
         load_problem_file(str(path))
+
+
+def test_problem_file_with_a_non_monotone_matrix_exits_2(tmp_path, capsys):
+    path = tmp_path / "indefinite.ini"
+    path.write_text(AFFINE_INI.replace("2 0; 0 3", "1 0; 0 -1"))
+    with pytest.raises(ConfigError, match="indefinite"):
+        load_problem_file(str(path))
+    argv = f"run --problem {path} --model direct --reg l2 --eps 0.5".split()
+    assert main(argv) == 2
+    assert "indefinite" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

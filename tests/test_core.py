@@ -4,15 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dataclasses import replace
+
 from vigap.core import (
-    CompositeProjectionError,
     DimensionMismatchError,
     EvaluationError,
     MonotoneMap,
     affine_map,
     ball,
     box,
-    composite_set,
     halfspace,
     hyperplane,
     l1_regularizer,
@@ -156,8 +156,7 @@ def _blockwise_row_projection(blocks, Z):
     [([2, 1], ball([0.5, -0.5], 1.0)), ([0], box([0.0], [np.inf]))],
     # a set without project_rows: its rows go through the row-by-row fallback
     [([0], box([-1.0], [1.0])),
-     ([2, 1], composite_set(2, [ball([0.0, 0.0], 1.0), box([-2.0, -2.0], [2.0, 2.0])],
-                            projector=ball([0.0, 0.0], 1.0).project))],
+     ([2, 1], replace(ball([0.0, 0.0], 1.0), project_rows=None))],
 ], ids=["non-contiguous", "contiguous", "reversed", "fallback"])
 def test_product_projection_matches_blockwise_loop(blocks):
     s = product_set(blocks, dimension=3)
@@ -203,14 +202,6 @@ def test_product_set_requires_partition():
         product_set([([0], box([0.0], [1.0]))], dimension=2)
 
 
-def test_composite_requires_projector():
-    members = [box([0.0, 0.0], [1.0, 1.0]), ball([0.0, 0.0], 1.0)]
-    with pytest.raises(CompositeProjectionError):
-        composite_set(2, members)
-    s = composite_set(2, members, projector=lambda z: np.clip(z, 0.0, 0.5))
-    assert s.contains(s.project(np.array([3.0, 3.0])), 1e-9)
-
-
 # ---------------------------------------------------------------------------
 # operators and the regularized map
 # ---------------------------------------------------------------------------
@@ -254,6 +245,16 @@ def test_regularized_operator_accepts_list_valued_map(l2):
     x = np.array([1.0, -1.0])
     np.testing.assert_array_equal(regularized_operator(fmap, None, 0.0)(x), [1.0, -2.0])
     np.testing.assert_array_equal(regularized_operator(fmap, l2, 0.5)(x), [1.5, -2.5])
+
+
+def test_affine_map_rejects_an_indefinite_symmetric_part():
+    with pytest.raises(ValueError, match="indefinite"):
+        affine_map(np.diag([1.0, -1.0]), np.zeros(2))
+    # singular PSD symmetric part plus a skew part: monotone, not strongly
+    M = np.array([[1.0, 2.0, 0.0], [-2.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    fmap = affine_map(M, np.ones(3))
+    assert fmap.mu == 0.0
+    assert affine_map(np.diag([2.0, 0.5]), np.zeros(2)).mu == 0.5
 
 
 def test_operator_errors():

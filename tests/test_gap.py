@@ -4,11 +4,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from vigap import gap
 from vigap.cli import load_problem_file
 from vigap.core import affine_map, box, l1_regularizer, tikhonov
 from vigap.gap import (
+    DUAL_GAP_TOL,
     FD_STEP,
-    DualGapConfig,
     affine_box_dual_gap,
     dual_gap,
     theta_ab,
@@ -32,7 +33,7 @@ XSTAR = np.array([0.0, -0.75, -0.25])
 def line_problem():
     """1-D instance F(x) = x on [-1, 1]; solutions at the origin."""
     return ProblemInstance(
-        name="line", dimension=1,
+        name="line",
         map=affine_map(np.eye(1), np.zeros(1)),
         set=box([-1.0], [1.0]),
         bounding_box=(np.array([-1.0]), np.array([1.0])),
@@ -41,7 +42,7 @@ def line_problem():
 
 def zero_map_problem(n=3):
     return ProblemInstance(
-        name="zero", dimension=n,
+        name="zero",
         map=affine_map(np.zeros((n, n)), np.zeros(n)),
         set=box(-np.ones(n), np.ones(n)),
         bounding_box=(-np.ones(n), np.ones(n)),
@@ -315,10 +316,11 @@ def test_subgradient_inequality_on_S0(ba_problem):
         assert g @ (z - x) <= gz + 1e-6
 
 
-def test_subgradient_propagates_nonconvergence(ba_problem):
+def test_subgradient_propagates_nonconvergence(ba_problem, monkeypatch):
     # a one-iteration budget cannot reach stationarity away from solutions
-    cfg = DualGapConfig(max_iterations=1, tol=1e-14)
-    assert not dual_gap(ascent_only(ba_problem), X0, cfg).converged
+    monkeypatch.setattr(gap, "ASCENT_MAX_ITER", 1)
+    monkeypatch.setattr(gap, "DUAL_GAP_TOL", 1e-14)
+    assert not dual_gap(ascent_only(ba_problem), X0).converged
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +368,7 @@ def _affine_box_cases():
         q = rng.standard_normal(2)
         lo, hi = np.array([-1.0, -0.5]), np.array([0.5, 1.0])
         cases.append(ProblemInstance(
-            name=f"rank{rank}", dimension=2, map=affine_map(M, q), set=box(lo, hi),
+            name=f"rank{rank}", map=affine_map(M, q), set=box(lo, hi),
             bounding_box=(lo, hi), dual_gap_exact=affine_box_dual_gap(M, q, lo, hi)))
     return cases
 
@@ -384,21 +386,23 @@ def test_affine_box_oracle_matches_grid_and_brackets_G(problem):
         ev = dual_gap(problem, x)
         grid = brute_force_dual_gap(problem, x, grid_resolution=h)
         assert ev.converged
-        assert ev.value <= ev.upper <= ev.value + DualGapConfig().tol
+        assert ev.value <= ev.upper <= ev.value + DUAL_GAP_TOL
         assert grid <= ev.upper + 1e-12
         assert ev.value >= grid - 1e-12
         assert ev.value - grid <= problem.map.lipschitz_L * problem.dimension * h * h / 4 + 1e-12
         assert problem.set.contains(ev.maximizer, 0.0)
 
 
-def test_affine_box_oracle_converged_is_the_bracket_width():
+def test_affine_box_oracle_converged_is_the_bracket_width(monkeypatch):
     p = affine_monotone(5, 0)
     x = p.default_x0 + 0.3
     ev = dual_gap(p, x)
     width = ev.upper - ev.value
     assert 0.0 <= width <= 1e-12
-    assert dual_gap(p, x, DualGapConfig(tol=width)).converged
-    assert not dual_gap(p, x, DualGapConfig(tol=-1.0)).converged
+    monkeypatch.setattr(gap, "DUAL_GAP_TOL", width)
+    assert dual_gap(p, x).converged
+    monkeypatch.setattr(gap, "DUAL_GAP_TOL", -1.0)
+    assert not dual_gap(p, x).converged
 
 
 def test_affine_box_oracle_needs_a_concave_inner_problem():
@@ -422,7 +426,7 @@ def _ill_conditioned_box_vi(seed):
 
 
 def test_ill_conditioned_affine_box_pge_has_no_failed_inner_solve(tmp_path):
-    # without the oracle, the ascent under the default DualGapConfig fails 12
+    # without the oracle, the ascent with its default budget fails 12
     # of the first 21 solves here (seed 0) and solve_pge raises
     # DualGapUnreliableError
     def row(v):
@@ -436,6 +440,6 @@ def test_ill_conditioned_affine_box_pge_has_no_failed_inner_solve(tmp_path):
                         f"lower = {row(-np.ones(10))}\nupper = {row(np.ones(10))}\n")
         problem = load_problem_file(str(path))
         assert problem.dual_gap_exact is not None
-        _, trace = solve_pge(problem, tikhonov(), 0.01, np.zeros(10), SubgradientConfig(seed=0))
+        _, trace = solve_pge(problem, tikhonov(), 0.01, np.zeros(10), SubgradientConfig())
         assert trace.n_nonconverged == 0
         assert trace.iterations == SubgradientConfig().max_iterations

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from vigap.core import affine_map, box, l1_regularizer, tikhonov
+from vigap.core import DimensionMismatchError, affine_map, box, l1_regularizer, tikhonov
 from vigap.gap import dual_gap, theta_ab
 from vigap.problems import (
     ProblemInstance,
@@ -50,9 +50,16 @@ def test_S0_samples_are_solutions(ba_problem):
 
 
 def test_declared_constants(ba_problem):
-    assert ba_problem.constants["L"] == 2.0
-    assert ba_problem.map.monotonicity_class == "monotone"
+    assert ba_problem.map.lipschitz_L == 2.0
+    assert ba_problem.map.mu == 0.0   # monotone, not strongly
+    assert ba_problem.dimension == 3
     np.testing.assert_allclose(ba_problem.default_x0, [1.0, -2.0, 1.0])
+
+
+def test_instance_rejects_a_set_of_another_dimension():
+    with pytest.raises(DimensionMismatchError):
+        ProblemInstance(name="mismatch", map=affine_map(np.eye(2), np.zeros(2)),
+                        set=box(-np.ones(3), np.ones(3)))
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +81,7 @@ def test_affine_identity_interior_solution():
     # M = I, q = -c with c interior to the box: the solution set is {c}
     c = np.array([0.2, -0.4])
     p = ProblemInstance(
-        name="identity", dimension=2,
+        name="identity",
         map=affine_map(np.eye(2), -c),
         set=box(-np.ones(2), np.ones(2)),
     )
@@ -85,7 +92,7 @@ def test_affine_identity_interior_solution():
 def test_zero_map_every_point_solves():
     # M = 0, q = 0: the solution set is the whole feasible set
     p = ProblemInstance(
-        name="null", dimension=2,
+        name="null",
         map=affine_map(np.zeros((2, 2)), np.zeros(2)),
         set=box(-np.ones(2), np.ones(2)),
     )
@@ -118,7 +125,7 @@ def test_caching_by_seed():
 
 def test_strongly_monotone_quadratic_solution():
     p = strongly_monotone_quadratic(4, seed=6)
-    c = p.constants["c"]
+    c = -p.map(np.zeros(4))   # F(x) = x - c
     np.testing.assert_allclose(p.solution_oracle.sample_S0(1, 0)[0],
                                np.clip(c, -1, 1))
     assert theta_ab(p, np.clip(c, -1, 1), 1.0, 2.0).value <= 1e-12
@@ -139,7 +146,7 @@ def test_sharp_ball_gap_is_squared_distance():
 
 def test_brute_force_gap_line_value():
     p = ProblemInstance(
-        name="line", dimension=1,
+        name="line",
         map=affine_map(np.eye(1), np.zeros(1)),
         set=box([-1.0], [1.0]),
         bounding_box=(np.array([-1.0]), np.array([1.0])),

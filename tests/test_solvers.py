@@ -5,8 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from vigap import gap, solvers
+from vigap.cli import TABLE1_EPSILONS
 from vigap.core import EvaluationError, MonotoneMap, affine_map, box
-from vigap.gap import DualGapConfig, _theta_ab_kernel, theta_ab, theta_alpha, y_alpha
+from vigap.gap import _theta_ab_kernel, dual_gap, theta_ab, theta_alpha, y_alpha
 from vigap.problems import (
     ProblemInstance,
     affine_monotone,
@@ -20,6 +22,7 @@ from vigap.solvers import (
     BRANCH_NEWTON,
     BRANCH_RESIDUAL,
     GAMMA,
+    THETA_FLOOR,
     DualGapUnreliableError,
     InnerConfig,
     MaxIterationsError,
@@ -43,7 +46,7 @@ XSTAR = np.array([0.0, -0.75, -0.25])
 
 def line_problem():
     return ProblemInstance(
-        name="line", dimension=1,
+        name="line",
         map=affine_map(np.eye(1), np.zeros(1)),
         set=box([-1.0], [1.0]),
         bounding_box=(np.array([-1.0]), np.array([1.0])),
@@ -78,7 +81,7 @@ def test_nan_off_region_raises_evaluation_error(l2):
     def F(x):
         return x - 5.0 if x[0] <= 1.0 else np.full(1, np.nan)
 
-    p = ProblemInstance(name="partial", dimension=1,
+    p = ProblemInstance(name="partial",
                         map=MonotoneMap(dimension=1, evaluate=F, lipschitz_L=1.0),
                         set=box([-10.0], [10.0]))
     outside = np.array([2.0])
@@ -190,7 +193,8 @@ def test_solve_inner_closed_form_quadratic(l2):
     eps = 0.5
     tau = 1e-7
     x, tr = solve_inner(p, np.zeros(3), eps, tau, InnerConfig(), l2)
-    x_ref = np.clip(p.constants["c"] / (1.0 + eps), -1.0, 1.0)
+    c = -p.map(np.zeros(3))   # F(x) = x - c
+    x_ref = np.clip(c / (1.0 + eps), -1.0, 1.0)
     assert tr.status == "certified"
     assert np.linalg.norm(x - x_ref) <= tau
 
@@ -211,7 +215,7 @@ def test_solve_inner_cold_small_eps_finishes_by_newton(ba_problem, l2):
     # floor, so the level finishes by Newton and the residual bound certifies it
     eps, tau = 1e-4, 1e-6
     x, tr = solve_inner(ba_problem, X0, eps, tau, InnerConfig(), l2)
-    assert tr.p < InnerConfig().floor
+    assert tr.p < THETA_FLOOR
     assert tr.status == "certified" and tr.certificate == "residual"
     assert tr.iterations <= 20
     assert np.linalg.norm(x - x_eps_l2(eps)) <= tr.radius <= tau
@@ -230,7 +234,7 @@ def test_solve_inner_newton_from_the_noise_band(ba_problem, l2):
     # Newton step is accepted by halving ||H|| and then certified
     eps, tau = 1e-4, 1e-6
     x0 = x_eps_l2(eps) + 1e-10 * np.array([0.0, 1.0, -1.0])
-    assert theta_ab(ba_problem, x0, 1.0, 2.0, eps, l2).value <= InnerConfig().floor
+    assert theta_ab(ba_problem, x0, 1.0, 2.0, eps, l2).value <= THETA_FLOOR
     x, tr = solve_inner(ba_problem, x0, eps, tau, InnerConfig(), l2)
     assert tr.status == "certified" and tr.certificate == "residual"
     assert [rec.branch for rec in tr.records] == [BRANCH_NEWTON]
@@ -258,7 +262,7 @@ def test_solve_inner_armijo_exhaustion_without_certificate_stagnates(ba_problem,
     x, tr = solve_inner(ba_problem, np.array([0.3, -0.75, -0.25]), 0.5, 1e-6,
                         InnerConfig(), l1)
     assert tr.status == "stagnated"
-    assert tr.theta_final > 10.0 * InnerConfig().floor
+    assert tr.theta_final > 10.0 * THETA_FLOOR
     assert tr.certificate is None and tr.radius is None
 
 
@@ -270,7 +274,7 @@ def test_solve_inner_stall_on_certified_level_raises(l2):
     q = rng.standard_normal(2)
     x0 = rng.uniform(-1.0, 1.0, 2)
     p = ProblemInstance(
-        name="nonmonotone", dimension=2,
+        name="nonmonotone",
         map=MonotoneMap(dimension=2, evaluate=lambda x: A @ x + q,
                         lipschitz_L=float(np.linalg.norm(A, 2))),
         set=box([-1.0, -1.0], [1.0, 1.0]),
@@ -287,7 +291,7 @@ def test_solve_inner_kink_straddle_stops_at_floor(ba_problem, l2):
     # Jacobian handles the kink this level should read "certified".
     x0 = np.random.default_rng(0).uniform(-2.0, 2.0, 3)
     x, tr = solve_inner(ba_problem, x0, 0.01, 1e-8, InnerConfig(), l2)
-    assert tr.p < InnerConfig().floor
+    assert tr.p < THETA_FLOOR
     assert tr.status == "floor"
     assert tr.certificate is None and tr.radius is None
 
@@ -398,7 +402,7 @@ def test_sequential_pure_regularizer_limit(l2):
     # phi-minimizer over the set
     n = 2
     p = ProblemInstance(
-        name="zero2", dimension=n,
+        name="zero2",
         map=affine_map(np.zeros((n, n)), np.zeros(n)),
         set=box([0.5, 0.5], [2.0, 2.0]),
     )
@@ -412,32 +416,35 @@ def test_sequential_pure_regularizer_limit(l2):
 # ---------------------------------------------------------------------------
 
 def test_pge_best_so_far_monotone(ba_problem, l1):
-    x, tr = solve_pge(ba_problem, l1, 0.1, X0,
-                      SubgradientConfig(max_iterations=60, seed=6))
-    best = [r.best_objective for r in tr.records]
-    assert all(b <= a + 1e-18 for a, b in zip(best, best[1:]))
+    # the returned point is the best iterate, and best_objective is its G + eps*phi
+    eps = 0.1
+    x, tr = solve_pge(ba_problem, l1, eps, X0, SubgradientConfig(max_iterations=60))
+    assert tr.best_objective == dual_gap(ba_problem, x).value + eps * l1.value(x)
+    x0 = ba_problem.set.project(X0)
+    assert tr.best_objective <= dual_gap(ba_problem, x0).value + eps * l1.value(x0)
 
 
 def test_pge_unregularized_strongly_monotone(l2):
     p = strongly_monotone_quadratic(2, seed=8)
     x, tr = solve_pge(p, l2, 0.0, np.zeros(2),
-                      SubgradientConfig(max_iterations=400, seed=7))
+                      SubgradientConfig(max_iterations=400))
     assert p.solution_oracle.distance_to_S0(x) <= 1e-5
 
 
 def test_pge_l1_exact_recovery(ba_problem, l1):
-    x, tr = solve_pge(ba_problem, l1, 0.1, X0, SubgradientConfig(seed=0))
+    x, tr = solve_pge(ba_problem, l1, 0.1, X0, SubgradientConfig())
     assert np.linalg.norm(x - XSTAR) <= 1e-6
     assert ba_problem.solution_oracle.distance_to_S0(x) <= 1e-6
 
 
-def test_pge_raises_when_dual_gap_unreliable(ba_problem, l1):
+def test_pge_raises_when_dual_gap_unreliable(ba_problem, l1, monkeypatch):
     # a one-iteration inner budget cannot reach stationarity, so every dual-gap
     # solve fails and the solver gives up instead of trusting its subgradients
     # (the ascent, not example5_1's exact oracle, which needs no budget)
-    cfg = SubgradientConfig(gap_config=DualGapConfig(max_iterations=1, tol=1e-14))
-    with pytest.raises(DualGapUnreliableError, match="multistarts"):
-        solve_pge(replace(ba_problem, dual_gap_exact=None), l1, 0.1, X0, cfg)
+    monkeypatch.setattr(gap, "ASCENT_MAX_ITER", 1)
+    monkeypatch.setattr(gap, "DUAL_GAP_TOL", 1e-14)
+    with pytest.raises(DualGapUnreliableError, match="dual_gap_exact"):
+        solve_pge(replace(ba_problem, dual_gap_exact=None), l1, 0.1, X0, SubgradientConfig())
 
 
 # ---------------------------------------------------------------------------
@@ -449,6 +456,18 @@ def test_reference_matches_closed_form(ba_problem, l2):
         x, res = reference_solution(ba_problem, eps, l2)
         assert res <= 1e-12
         assert np.linalg.norm(x - x_eps_l2(eps)) <= 1e-9
+
+
+def test_reference_does_not_run_the_descent(ba_problem, l2, monkeypatch):
+    # the reference checks the D-gap descent, so it must not depend on it
+    def no_descent(*args, **kwargs):
+        raise AssertionError("reference_solution ran solve_inner")
+
+    monkeypatch.setattr(solvers, "solve_inner", no_descent)
+    for eps in TABLE1_EPSILONS:
+        x, res = reference_solution(ba_problem, eps, l2)
+        assert res <= 1e-12
+        assert np.linalg.norm(x - x_eps_l2(eps)) <= 1e-15
 
 
 def test_reference_matches_projected_fixed_point(l2):
@@ -481,4 +500,4 @@ def test_reference_affine_pd():
     p = strongly_monotone_quadratic(4, seed=10)
     x, res = reference_solution(p, 0.0, None)
     assert res <= 1e-12
-    np.testing.assert_allclose(x, np.clip(p.constants["c"], -1, 1), atol=1e-10)
+    np.testing.assert_allclose(x, np.clip(-p.map(np.zeros(4)), -1, 1), atol=1e-10)
