@@ -8,7 +8,8 @@ Two regularization routes for VI(F, Omega):
 * dual-gap — minimize G + eps*phi over Omega by a projected subgradient
   method, where G is the dual gap function of the unregularized problem.
 
-Plus error bounds (D-gap distance certificates, weak-sharpness bounds),
+Plus error bounds returned as floats (D-gap and natural-residual distance
+certificates, the weak-sharpness bound `eps_to_S0_bound`),
 exact-regularization diagnostics, built-in problem instances and a CLI
 (`python -m vigap` or the `vigap` script).
 """
@@ -29,11 +30,9 @@ from .core import (
 )
 from .gap import GapEvaluation, dual_gap, theta_ab, theta_alpha, y_alpha
 from .bounds import (
-    BoundReport,
     SharpnessModel,
     dgap_error_bound,
-    eps_error_bound_direct,
-    eps_error_bound_dualgap,
+    eps_to_S0_bound,
     exactness_check,
     fit_sharpness,
     residual_error_bound,
@@ -54,7 +53,6 @@ from .solvers import (
     InnerConfig,
     OuterConfig,
     SolverTrace,
-    SubgradientConfig,
     armijo_step,
     li_ng_direction,
     reference_solution,

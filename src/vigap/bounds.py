@@ -1,10 +1,10 @@
 """Computable error bounds and regularization diagnostics.
 
-The D-gap distance bound with its stopping threshold, and the
-natural-residual bound, certify inner-solve accuracy for VI(T_eps, Omega);
-the weak-sharpness bounds relate regularized solutions to the unregularized
-solution set; exactness_check classifies a candidate point through the
-dual gap.
+Every bound returns its value as a float. The D-gap distance bound with its
+stopping threshold, and the natural-residual bound, certify inner-solve
+accuracy for VI(T_eps, Omega); the weak-sharpness bound `eps_to_S0_bound`
+relates regularized solutions to the unregularized solution set;
+exactness_check classifies a candidate point through the dual gap.
 """
 from __future__ import annotations
 
@@ -23,13 +23,11 @@ __all__ = [
     "INCONCLUSIVE",
     "DegenerateSamplesError",
     "SharpnessModel",
-    "BoundReport",
     "dgap_error_bound",
     "stopping_threshold",
     "residual_rounding",
     "residual_error_bound",
-    "eps_error_bound_dualgap",
-    "eps_error_bound_direct",
+    "eps_to_S0_bound",
     "order1_inequality",
     "exactness_check",
     "fit_sharpness",
@@ -64,19 +62,6 @@ class SharpnessModel:
             raise ValueError("alpha_sharp must be positive")
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """A computed bound radius together with the inputs that produced it."""
-
-    bound_kind: str
-    radius: float
-    inputs: dict
-
-    def __post_init__(self):
-        if not np.isfinite(self.radius) or self.radius < 0:
-            raise ValueError("bound radius must be finite and nonnegative")
-
-
 def _check_dgap_inputs(L, M, rho, alpha, beta, epsilon):
     if not rho > 0:
         raise ValueError("rho must be positive")
@@ -84,12 +69,12 @@ def _check_dgap_inputs(L, M, rho, alpha, beta, epsilon):
         raise ValueError("epsilon must be positive")
     if not (0 < alpha < beta):
         raise ValueError("need 0 < alpha < beta")
-    if L < 0 or M < 0:
-        raise ValueError("Lipschitz constants must be nonnegative")
+    if not (0 <= L < math.inf and 0 <= M < math.inf):
+        raise ValueError("Lipschitz constants must be finite and nonnegative")
 
 
 def dgap_error_bound(theta_ab_value: float, L: float, M: float, rho: float,
-                     alpha: float, beta: float, epsilon: float) -> BoundReport:
+                     alpha: float, beta: float, epsilon: float) -> float:
     """Distance bound ||x - x_eps|| <= ((beta+L+eps*M)/(eps*rho)) * sqrt(2 theta/(beta-alpha)).
 
     theta_ab_value is the D-gap of VI(T_eps, Omega) at x; the bound holds
@@ -97,20 +82,14 @@ def dgap_error_bound(theta_ab_value: float, L: float, M: float, rho: float,
     and phi strongly convex with modulus rho.
     """
     _check_dgap_inputs(L, M, rho, alpha, beta, epsilon)
-    if theta_ab_value < 0:
-        raise ValueError("theta_ab_value must be nonnegative")
+    if not 0 <= theta_ab_value < math.inf:
+        raise ValueError("theta_ab_value must be finite and nonnegative")
     factor = (beta + L + epsilon * M) / (epsilon * rho)
-    radius = factor * math.sqrt(2.0 * theta_ab_value / (beta - alpha))
-    return BoundReport(
-        bound_kind="dgap_to_regularized",
-        radius=radius,
-        inputs={"theta_ab": theta_ab_value, "L": L, "M": M, "rho": rho,
-                "alpha": alpha, "beta": beta, "epsilon": epsilon},
-    )
+    return factor * math.sqrt(2.0 * theta_ab_value / (beta - alpha))
 
 
 def stopping_threshold(tau: float, L: float, M: float, rho: float,
-                       alpha: float, beta: float, epsilon: float) -> BoundReport:
+                       alpha: float, beta: float, epsilon: float) -> float:
     """Implementable inner stopping level p = tau^2 / L_k^2.
 
     With L_k = ((beta+L+eps*M)/(eps*rho)) * sqrt(2/(beta-alpha)),
@@ -120,13 +99,7 @@ def stopping_threshold(tau: float, L: float, M: float, rho: float,
     if not tau > 0:
         raise ValueError("tau must be positive")
     L_k = (beta + L + epsilon * M) / (epsilon * rho) * math.sqrt(2.0 / (beta - alpha))
-    p = tau ** 2 / L_k ** 2
-    return BoundReport(
-        bound_kind="stopping_threshold",
-        radius=p,
-        inputs={"tau": tau, "L": L, "M": M, "rho": rho, "alpha": alpha,
-                "beta": beta, "epsilon": epsilon, "L_k": L_k},
-    )
+    return tau ** 2 / L_k ** 2
 
 
 def residual_rounding(x: Vector, Tx: Vector, alpha: float) -> float:
@@ -141,7 +114,7 @@ def residual_rounding(x: Vector, Tx: Vector, alpha: float) -> float:
 
 
 def residual_error_bound(r: float, L: float, M: float, rho: float, alpha: float,
-                         epsilon: float, rounding: float = 0.0) -> BoundReport:
+                         epsilon: float, rounding: float = 0.0) -> float:
     """Distance bound ||x - x_eps|| <= ((L + eps*M + alpha)/(eps*rho)) * ||H(x)||
     from the natural residual H(x) = x - y_alpha(x), y_alpha(x) = P_Omega(x - T(x)/alpha).
 
@@ -160,53 +133,33 @@ def residual_error_bound(r: float, L: float, M: float, rho: float, alpha: float,
     sound where H evaluates to 0.
     """
     _check_dgap_inputs(L, M, rho, alpha, math.inf, epsilon)
-    if r < 0 or rounding < 0:
-        raise ValueError("residual and rounding must be nonnegative")
+    if not (0 <= r < math.inf and 0 <= rounding < math.inf):
+        raise ValueError("residual and rounding must be finite and nonnegative")
     factor = (L + epsilon * M + alpha) / (epsilon * rho)
-    return BoundReport(
-        bound_kind="residual_to_regularized",
-        radius=factor * max(r, rounding),
-        inputs={"r": r, "rounding": rounding, "L": L, "M": M, "rho": rho,
-                "alpha": alpha, "epsilon": epsilon, "factor": factor},
-    )
+    return factor * max(r, rounding)
 
 
-def _eps_to_S0(sharp: SharpnessModel, M: float, epsilon: float, bound_kind: str) -> BoundReport:
-    """d(x_eps, S0) <= (eps * M / alpha_sharp)^(1/(gamma-1)), shared by both models."""
+def eps_to_S0_bound(sharp: SharpnessModel, M: float, epsilon: float) -> float:
+    """Bound d(x_eps, S0) <= (eps * M / alpha_sharp)^(1/(gamma-1)) on either route.
+
+    The hypothesis differs by route, the formula does not:
+
+    * dual-gap route (x_eps minimizes G + eps*phi): the growth
+      G(x) >= alpha_sharp * d(x, S0)^gamma on Omega, with M bounding ||v||
+      over v in the phi-subdifferential on S0;
+    * direct route (x_eps solves VI(F + eps*grad(phi), Omega)): the pointwise
+      growth <F(P_S0(x)), x - P_S0(x)> >= alpha_sharp * d(x, S0)^gamma on
+      Omega, a stronger requirement, with M bounding ||grad(phi)|| on S0.
+
+    The bound is usually stated with an unnamed constant tau; the computable
+    choice tau = M / alpha_sharp is used here. The order-1 case has no radius
+    formula; see `order1_inequality`.
+    """
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
     if not M >= 0:
         raise ValueError("the (sub)gradient bound M must be nonnegative")
-    radius = (epsilon * M / sharp.alpha_sharp) ** (1.0 / (sharp.gamma - 1.0))
-    return BoundReport(
-        bound_kind=bound_kind,
-        radius=radius,
-        inputs={"gamma": sharp.gamma, "alpha_sharp": sharp.alpha_sharp,
-                "M": M, "epsilon": epsilon},
-    )
-
-
-def eps_error_bound_dualgap(sharp: SharpnessModel, subgrad_bound_M: float,
-                            epsilon: float) -> BoundReport:
-    """Bound d(x_eps, S0) <= (eps * M / alpha_sharp)^(1/(gamma-1)) for the dual-gap model.
-
-    M bounds ||v|| over v in the phi-subdifferential on S0. The distance bound
-    is usually stated with an unnamed constant tau; the computable choice
-    tau = M / alpha_sharp is used here.
-    """
-    return _eps_to_S0(sharp, subgrad_bound_M, epsilon, "eps_to_S0_dualgap")
-
-
-def eps_error_bound_direct(sharp: SharpnessModel, grad_bound_M: float,
-                           epsilon: float) -> BoundReport:
-    """Bound d(x_eps, S0) <= (eps * M / alpha_sharp)^(1/(gamma-1)) for the direct model.
-
-    Valid when the pointwise growth condition
-    <F(P_S0(x)), x - P_S0(x)> >= alpha_sharp * d(x, S0)^gamma holds on Omega
-    (a stronger requirement than the dual-gap form). The order-1 case has no
-    radius formula; see `order1_inequality`.
-    """
-    return _eps_to_S0(sharp, grad_bound_M, epsilon, "eps_to_S0_direct")
+    return (epsilon * M / sharp.alpha_sharp) ** (1.0 / (sharp.gamma - 1.0))
 
 
 def order1_inequality(alpha_sharp: float, epsilon: float, dist_S0: float,

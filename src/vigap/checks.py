@@ -23,7 +23,6 @@ from .solvers import (
     ALPHA,
     BETA,
     InnerConfig,
-    SubgradientConfig,
     reference_solution,
     solve_inner,
     solve_pge,
@@ -135,10 +134,10 @@ def _check_bounds_soundness(seed: int) -> CheckReport:
             x0 = problem.set.project(rng.uniform(-1.5, 1.5, size=3))
             x, tr = solve_inner(problem, x0, e, tau, InnerConfig(), reg)
             levels.append((tr, tau))
-            p = bounds.stopping_threshold(tau, 2.0, 1.0, 1.0, ALPHA, BETA, e).radius
+            p = bounds.stopping_threshold(tau, 2.0, 1.0, 1.0, ALPHA, BETA, e)
             ok_p = ok_p and tr.p == p and tr.theta_final <= p
             radius = bounds.dgap_error_bound(max(tr.theta_final, 0.0),
-                                             2.0, 1.0, 1.0, ALPHA, BETA, e).radius
+                                             2.0, 1.0, 1.0, ALPHA, BETA, e)
             dist = float(np.linalg.norm(x - refs[e]))
             ok_rad = ok_rad and dist <= radius and dist <= tau
             if radius > 0:
@@ -185,11 +184,11 @@ def _check_exactness(seed: int) -> CheckReport:
     x0 = problem.default_x0
     tol = 1e-7
     for e in (0.5, 0.01):
-        x, _ = solve_pge(problem, l1_regularizer(), e, x0, SubgradientConfig())
+        x, _ = solve_pge(problem, l1_regularizer(), e, x0)
         verdict = bounds.exactness_check(problem, problem.set.project(x), tol=tol)
         report.record(f"l1 eps={e}: exact", verdict == bounds.EXACT, verdict)
     for e in (0.5, 0.005):
-        x, _ = solve_pge(problem, tikhonov(), e, x0, SubgradientConfig())
+        x, _ = solve_pge(problem, tikhonov(), e, x0)
         verdict = bounds.exactness_check(problem, problem.set.project(x), tol=tol)
         report.record(f"l2 eps={e}: not_exact", verdict == bounds.NOT_EXACT, verdict)
     xs = problem.solution_oracle.sample_S0(3, seed)

@@ -37,7 +37,6 @@ from .solvers import (
     MaxIterationsError,
     OuterConfig,
     StepFailureError,
-    SubgradientConfig,
     reference_solution,
     sequential_inexact_descent,
     solve_pge,
@@ -179,9 +178,10 @@ def load_problem_file(path: str) -> ProblemInstance:
     """Build a ProblemInstance from an INI problem file.
 
     Either `[problem] name = <builtin>` or an explicit `[operator]`
-    (affine: matrix/offset, optionally a declared `lipschitz` constant) plus
-    `[set]` section; `[constants]` may carry x0 and a bounding box for grid
-    oracles. A matrix whose symmetric part is indefinite is rejected.
+    (affine: matrix/offset) plus `[set]` section; `[constants]` may carry x0
+    and a bounding box for grid oracles. F's Lipschitz constant is ||M||_2,
+    computed from the matrix, so a `lipschitz` key is rejected, as is a
+    matrix whose symmetric part is indefinite.
     """
     parser = configparser.ConfigParser()
     read = parser.read(path)
@@ -196,6 +196,9 @@ def load_problem_file(path: str) -> ProblemInstance:
         if not parser.has_section("operator") or not parser.has_section("set"):
             raise ConfigError("problem file needs [problem] name or [operator] + [set]")
         op = parser["operator"]
+        if "lipschitz" in op:
+            raise ConfigError("operator.lipschitz: not accepted; the Lipschitz constant "
+                              "is ||M||_2, computed from the matrix")
         if op.get("kind", "affine") != "affine":
             raise ConfigError(f"operator.kind: only 'affine' or builtins supported, "
                               f"got {op.get('kind')!r}")
@@ -205,8 +208,6 @@ def load_problem_file(path: str) -> ProblemInstance:
             fmap = affine_map(M, q)
         except ValueError as err:
             raise ConfigError(f"operator: {err}") from None
-        if op.get("lipschitz"):
-            fmap = replace(fmap, lipschitz_L=float(op["lipschitz"]))
         feasible = _build_set(parser["set"], fmap.dimension)
         if feasible.dimension != fmap.dimension:
             raise ConfigError(
@@ -318,9 +319,9 @@ def _run_direct(config, problem, reg, x0) -> list:
     ref_cache: dict = {}
     for rec in records:
         row = _row_shell(config, problem, rec.epsilon)
-        row.iterations = rec.inner_iterations
+        row.iterations = rec.iterations
         row.wall_time_s = rec.wall_time_s
-        row.final_gap = rec.theta
+        row.final_gap = rec.theta_final
         row.dist_to_S0 = rec.dist_S0
         if config.regularizer == "l2":
             row.dist_to_reg_solution = _dist_to_reference(
@@ -351,13 +352,11 @@ def _dist_to_reference(problem, reg, eps, x, cache) -> Optional[float]:
 
 def _run_dualgap(config, problem, reg, x0) -> list:
     rows = []
-    sg = SubgradientConfig(max_iterations=config.max_iter) if config.max_iter else \
-        SubgradientConfig()
     for e in sorted(set(float(v) for v in config.epsilons), reverse=True):
         row = _row_shell(config, problem, e)
         tick = time.perf_counter()
         try:
-            x, trace = solve_pge(problem, reg, e, x0, sg)
+            x, trace = solve_pge(problem, reg, e, x0, config.max_iter)
         except (DualGapUnreliableError, EvaluationError) as err:  # per-cell isolation
             row.wall_time_s = time.perf_counter() - tick
             row.exactness = f"error:{type(err).__name__}"

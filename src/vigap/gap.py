@@ -53,9 +53,6 @@ class GapEvaluation:
 
     value: float
     maximizer: Vector
-    alpha: Optional[float]
-    beta: Optional[float]
-    epsilon: float
     converged: bool = True
     inner_iterations: int = 0
     maximizer_beta: Optional[Vector] = None
@@ -106,7 +103,7 @@ def theta_alpha(problem, x: Vector, alpha: float, epsilon: float = 0.0,
     val = float(Tx @ r) - 0.5 * alpha * float(r @ r)
     if not math.isfinite(val):
         raise _non_finite(problem, "theta_alpha", x)
-    return GapEvaluation(value=val, maximizer=y, alpha=alpha, beta=None, epsilon=epsilon)
+    return GapEvaluation(value=val, maximizer=y)
 
 
 def _theta_ab_kernel(problem, alpha: float, beta: float, epsilon: float,
@@ -148,8 +145,7 @@ def theta_ab(problem, x: Vector, alpha: float, beta: float, epsilon: float = 0.0
         raise ValueError(f"need 0 < alpha < beta, got alpha={alpha}, beta={beta}")
     x = as_point(x, problem.map.dimension)
     val, ya, yb = _theta_ab_kernel(problem, alpha, beta, epsilon, reg)(x)
-    return GapEvaluation(value=val, maximizer=ya, alpha=alpha, beta=beta, epsilon=epsilon,
-                         maximizer_beta=yb)
+    return GapEvaluation(value=val, maximizer=ya, maximizer_beta=yb)
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +250,8 @@ def dual_gap(problem, x: Vector, warm: Optional[Vector] = None) -> GapEvaluation
     s = 0.1 / (1.0 + float(np.linalg.norm(g)))
     res = float(np.linalg.norm(ybar - omega.project(ybar + s * g))) / s
     converged = (res <= DUAL_GAP_TOL) or (steps[k] <= collapse)
-    return GapEvaluation(value=float(f[k]), maximizer=ybar, alpha=None, beta=None,
-                         epsilon=0.0, converged=converged, inner_iterations=used)
+    return GapEvaluation(value=float(f[k]), maximizer=ybar, converged=converged,
+                         inner_iterations=used)
 
 
 # Newton iterations and Armijo halvings of the affine box oracle, the Armijo
@@ -344,7 +340,6 @@ def affine_box_dual_gap(M, q, lower, upper):
             steps += 1
         g = b - H @ y
         width = float(np.maximum(g * (hi - y), g * (lo - y)).sum())
-        return GapEvaluation(value=hy, maximizer=y, alpha=None, beta=None, epsilon=0.0,
-                             inner_iterations=steps, upper=hy + width)
+        return GapEvaluation(value=hy, maximizer=y, inner_iterations=steps, upper=hy + width)
 
     return oracle

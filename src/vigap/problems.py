@@ -25,7 +25,6 @@ from .core import (
     hyperplane,
     product_set,
     project_rows,
-    shifted_orthant,
 )
 from .core import grad_or_subgrad
 from .gap import GapEvaluation, affine_box_dual_gap
@@ -135,8 +134,7 @@ def example_5_1() -> ProblemInstance:
         Y = np.column_stack([np.full(3, min(x[0] / 2.0, 0.0)), u, -1.0 - u])
         vals = np.einsum("ij,ij->i", F_map.rows(Y), x - Y)
         k = int(np.argmax(vals))
-        return GapEvaluation(value=float(vals[k]), maximizer=Y[k], alpha=None, beta=None,
-                             epsilon=0.0, upper=float(vals[k]))
+        return GapEvaluation(value=float(vals[k]), maximizer=Y[k], upper=float(vals[k]))
 
     def dist_S0(x):
         t = min(max(float(x[0]), 0.0), 1.0)
@@ -167,44 +165,32 @@ def example_5_1() -> ProblemInstance:
 _AFFINE_CACHE: dict = {}
 
 
-def affine_monotone(n: int, seed: int = 0, set_kind: str = "box") -> ProblemInstance:
-    """Seeded affine monotone VI: F(x) = Mx + q with M = A^T A.
+def affine_monotone(n: int, seed: int = 0) -> ProblemInstance:
+    """Seeded affine monotone VI: F(x) = Mx + q with M = A^T A on the box
+    Omega = [-1, 1]^n, with the box's exact dual-gap oracle.
 
-    set_kind "box" gives Omega = [-1, 1]^n, "orthant" a seeded shifted
-    orthant. For M positive definite the instance carries a solution oracle
-    obtained from a residual-certified high-accuracy solve (cached by
-    (n, seed, set_kind)).
+    For M positive definite the instance carries a solution oracle obtained
+    from a residual-certified high-accuracy solve (cached by (n, seed)).
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")
-    key = (n, seed, set_kind)
+    key = (n, seed)
     if key in _AFFINE_CACHE:
         return _AFFINE_CACHE[key]
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((n, n))
     M = A.T @ A
     q = rng.standard_normal(n)
-    F_map = affine_map(M, q, name=f"affine[{n},{seed}]")
-    exact = None
-    if set_kind == "box":
-        omega = box(-np.ones(n), np.ones(n))
-        bbox = (-np.ones(n), np.ones(n))
-        exact = affine_box_dual_gap(M, q, *bbox)
-    elif set_kind == "orthant":
-        shift = rng.uniform(-1.0, 0.0, size=n)
-        omega = shifted_orthant(shift)
-        bbox = (shift, shift + 2.0)
-    else:
-        raise ValueError(f"unknown set_kind {set_kind!r}")
+    lower, upper = -np.ones(n), np.ones(n)
     inst = ProblemInstance(
-        name=f"affine_monotone(n={n}, seed={seed}, {set_kind})",
-        map=F_map,
-        set=omega,
-        default_x0=omega.project(np.zeros(n)),
-        bounding_box=bbox,
-        dual_gap_exact=exact,
+        name=f"affine_monotone(n={n}, seed={seed}, box)",
+        map=affine_map(M, q, name=f"affine[{n},{seed}]"),
+        set=box(lower, upper),
+        default_x0=np.zeros(n),
+        bounding_box=(lower, upper),
+        dual_gap_exact=affine_box_dual_gap(M, q, lower, upper),
     )
-    if F_map.mu > 0:
+    if inst.map.mu > 0:
         from .solvers import reference_solution
 
         xstar, _ = reference_solution(inst, 0.0, None, tol_residual=1e-12)

@@ -13,6 +13,9 @@ Three layers:
   bound (D-gap or natural residual) at one tolerance tau;
 * a projected subgradient method with gap-anchored Polyak steps for the
   regularized dual-gap model min_{Omega} G + eps * phi.
+
+Results are plain records: one InnerTrace per eps-level (the outer loop's
+SolverTrace.outer is a list of them) and one PgeTrace per subgradient run.
 """
 from __future__ import annotations
 
@@ -40,10 +43,8 @@ __all__ = [
     "DualGapUnreliableError",
     "InnerConfig",
     "OuterConfig",
-    "SubgradientConfig",
     "InnerRecord",
     "InnerTrace",
-    "OuterRecord",
     "SolverTrace",
     "PgeTrace",
     "estimate_L_theta",
@@ -74,10 +75,11 @@ THETA_FLOOR = 1e-16
 # relative to 1 + ||x||
 NEWTON_FD_STEP = 1e-7
 
-# projected subgradient: initial Polyak relaxation as a fraction of |f(x0)|,
-# its final value relative to 1 + |f(x0)|, the relative probe step for the
-# tangential subgradient, and the largest tolerated share of non-converged
-# dual-gap solves
+# projected subgradient: default iteration budget, initial Polyak relaxation
+# as a fraction of |f(x0)|, its final value relative to 1 + |f(x0)|, the
+# relative probe step for the tangential subgradient, and the largest
+# tolerated share of non-converged dual-gap solves
+PGE_MAX_ITERATIONS = 1100
 PGE_DELTA0_FRACTION = 0.25
 PGE_DELTA_FINAL_REL = 1e-14
 PGE_TANGENT_PROBE = 1e-7
@@ -176,11 +178,12 @@ class InnerRecord:
 
 @dataclass
 class InnerTrace:
-    """One inner solve: status "certified", "floor" or "stagnated" (see
-    `solve_inner`), or "max_iterations" on a MaxIterationsError's trace.
-    certificate ("dgap" or "residual") and radius (the distance to x_eps it
-    certifies, <= tau) are set exactly when the status is "certified".
-    iterations is the number of steps taken, len(records)."""
+    """One inner solve, ending at the point x: status "certified", "floor" or
+    "stagnated" (see `solve_inner`), or "max_iterations" on a
+    MaxIterationsError's trace. certificate ("dgap" or "residual") and radius
+    (the distance to x_eps it certifies, <= tau) are set exactly when the
+    status is "certified". Within `sequential_inexact_descent`, dist_S0 (from
+    the problem's solution oracle, if any) and wall_time_s are filled in."""
 
     epsilon: float
     tau: float
@@ -190,30 +193,24 @@ class InnerTrace:
     L_theta: float
     records: list
     status: str
-    iterations: int
     theta_final: float
+    x: Vector
     certificate: Optional[str] = None
     radius: Optional[float] = None
-
-
-@dataclass
-class OuterRecord:
-    k: int
-    epsilon: float
-    x: Vector
-    theta: float
-    p: float
-    radius: Optional[float]
-    dist_S0: Optional[float]
-    inner_iterations: int
-    status: str
+    dist_S0: Optional[float] = None
     wall_time_s: float = 0.0
+
+    @property
+    def iterations(self) -> int:
+        """The number of steps taken."""
+        return len(self.records)
 
 
 @dataclass
 class SolverTrace:
+    """The sequential descent's levels in schedule order, one InnerTrace each."""
+
     outer: list
-    inner: list
 
 
 @dataclass
@@ -225,23 +222,6 @@ class PgeTrace:
     iterations: int
     n_nonconverged: int
     best_objective: float
-
-
-@dataclass(frozen=True)
-class SubgradientConfig:
-    """Budget of the projected subgradient solver.
-
-    Its steps are gap-anchored: (f - f_best + delta_j)/||g_T||^2 with a
-    geometrically decaying relaxation delta_j and displacement cap
-    2 (1 + ||x0||), where g_T is the tangential (projected) part of the
-    subgradient.
-    """
-
-    max_iterations: int = 1100
-
-    def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +406,7 @@ def solve_inner(problem, x0: Vector, epsilon: float, tau: float,
     kind, p = None, 0.0
     if reg is not None and reg.smooth and reg.rho > 0 and epsilon > 0:
         L, M = problem.map.lipschitz_L, reg.lipschitz_M
-        p = bounds.stopping_threshold(tau, L, M, reg.rho, ALPHA, BETA, epsilon).radius
+        p = bounds.stopping_threshold(tau, L, M, reg.rho, ALPHA, BETA, epsilon)
         kind = "dgap" if p >= THETA_FLOOR else "residual"
 
     T = regularized_operator(problem.map, reg, epsilon)
@@ -438,8 +418,8 @@ def solve_inner(problem, x0: Vector, epsilon: float, tau: float,
     def done(status, rad=None):
         return x, InnerTrace(epsilon=epsilon, tau=tau, p=p, c=cfg.c, delta=cfg.delta,
                              L_theta=cfg.L_theta_estimate, records=records, status=status,
-                             iterations=len(records), theta_final=th,
-                             certificate=None if rad is None else kind, radius=rad)
+                             theta_final=th, x=x, certificate=None if rad is None else kind,
+                             radius=rad)
 
     def radius():
         """The distance to x_eps that the level's certificate gives at x, or
@@ -449,13 +429,13 @@ def solve_inner(problem, x0: Vector, epsilon: float, tau: float,
             # evaluation floor is indistinguishable from the floor, so the
             # radius is floored accordingly
             rad = bounds.dgap_error_bound(max(th, THETA_FLOOR), L, M, reg.rho,
-                                          ALPHA, BETA, epsilon).radius
+                                          ALPHA, BETA, epsilon)
         elif kind == "residual":
             r = _norm(x - ya)
-            rad = bounds.residual_error_bound(r, L, M, reg.rho, ALPHA, epsilon).radius
+            rad = bounds.residual_error_bound(r, L, M, reg.rho, ALPHA, epsilon)
             if rad <= tau:  # only now pay one T(x) for the rounding floor
                 rad = bounds.residual_error_bound(r, L, M, reg.rho, ALPHA, epsilon,
-                                                  bounds.residual_rounding(x, T(x), ALPHA)).radius
+                                                  bounds.residual_rounding(x, T(x), ALPHA))
         else:
             return None
         return rad if rad <= tau else None
@@ -512,35 +492,29 @@ def sequential_inexact_descent(problem, x0: Vector, outer_cfg: OuterConfig,
     """Sequential inexact descent over a decreasing epsilon schedule.
 
     Each level solves VI(T_eps_k, Omega) by solve_inner warm-started from
-    the previous level's point; OuterRecord.radius is the distance to x_eps
-    that the level's certificate (D-gap or residual) gives. Returns
-    (SolverTrace, x_final); inner failures propagate with the partial trace
-    attached to the exception.
+    the previous level's point, and its InnerTrace, with dist_S0 and
+    wall_time_s filled in, is the level's record in SolverTrace.outer; its
+    radius is the distance to x_eps that the level's certificate (D-gap or
+    residual) gives. Returns (SolverTrace, x_final); inner failures propagate
+    with the partial trace attached to the exception.
     """
     if reg is None:
         raise ValueError("sequential descent needs a regularizer")
     x = as_point(x0, problem.map.dimension)
     outer: list = []
-    inner: list = []
     oracle = getattr(problem, "solution_oracle", None)
-    icfg = outer_cfg.inner
-    for k, e in enumerate(outer_cfg.epsilons):
+    for e in outer_cfg.epsilons:
         tick = time.perf_counter()
         try:
-            x, itrace = solve_inner(problem, x, e, outer_cfg.tau, icfg, reg)
+            x, itrace = solve_inner(problem, x, e, outer_cfg.tau, outer_cfg.inner, reg)
         except (StepFailureError, MaxIterationsError) as err:
-            err.partial_trace = SolverTrace(outer=outer, inner=inner)
+            err.partial_trace = SolverTrace(outer=outer)
             raise
-        elapsed = time.perf_counter() - tick
-        inner.append(itrace)
-        dist = None
+        itrace.wall_time_s = time.perf_counter() - tick
         if oracle is not None:
-            dist = float(oracle.distance_to_S0(x))
-        outer.append(OuterRecord(k=k, epsilon=e, x=x, theta=itrace.theta_final, p=itrace.p,
-                                 radius=itrace.radius, dist_S0=dist,
-                                 inner_iterations=itrace.iterations, status=itrace.status,
-                                 wall_time_s=elapsed))
-    return SolverTrace(outer=outer, inner=inner), x
+            itrace.dist_S0 = float(oracle.distance_to_S0(x))
+        outer.append(itrace)
+    return SolverTrace(outer=outer), x
 
 
 # ---------------------------------------------------------------------------
@@ -548,17 +522,25 @@ def sequential_inexact_descent(problem, x0: Vector, outer_cfg: OuterConfig,
 # ---------------------------------------------------------------------------
 
 def solve_pge(problem, regularizer: Regularizer, epsilon: float, x0: Vector,
-              sg_config: Optional[SubgradientConfig] = None):
+              max_iterations: Optional[int] = None):
     """Projected subgradient method for min_{Omega} G(x) + eps * phi(x).
 
-    Update x+ = P_Omega(x - t_j (F(ybar(x)) + eps g_phi(x))) with ybar the
-    dual-gap inner maximizer; returns the best-so-far iterate by objective
-    value together with a PgeTrace.
+    Update x+ = P_Omega(x - t_j g) with g = F(ybar(x)) + eps g_phi(x), ybar
+    the dual-gap inner maximizer, for at most max_iterations steps (None:
+    PGE_MAX_ITERATIONS). The steps are gap-anchored:
+    t_j = min((f - f_best + delta_j)/||g_T||^2, cap/||g_T||) with a
+    geometrically decaying relaxation delta_j and displacement cap
+    2 (1 + ||x0||), where g_T is the tangential (projected) part of g.
+    Returns the best-so-far iterate by objective value together with a
+    PgeTrace.
 
     Raises DualGapUnreliableError when more than PGE_MAX_NONCONVERGED_FRACTION
     of the inner solves did not converge.
     """
-    cfg = sg_config or SubgradientConfig()
+    if max_iterations is None:
+        max_iterations = PGE_MAX_ITERATIONS
+    if max_iterations < 1:
+        raise ValueError("max_iterations must be positive")
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
     omega = problem.set
@@ -574,11 +556,11 @@ def solve_pge(problem, regularizer: Regularizer, epsilon: float, x0: Vector,
 
     scale0 = 1.0 + abs(f)
     delta = max(PGE_DELTA0_FRACTION * abs(f), 1e-12 * scale0)
-    rho_decay = (PGE_DELTA_FINAL_REL * scale0 / delta) ** (1.0 / cfg.max_iterations)
+    rho_decay = (PGE_DELTA_FINAL_REL * scale0 / delta) ** (1.0 / max_iterations)
     cap = 2.0 * (1.0 + float(np.linalg.norm(x)))
 
     j = 0
-    for j in range(1, cfg.max_iterations + 1):
+    for j in range(1, max_iterations + 1):
         sg = np.asarray(F(ybar), dtype=float) + epsilon * grad_or_subgrad(regularizer, x)
         s = PGE_TANGENT_PROBE * (1.0 + float(np.linalg.norm(x))) \
             / (1.0 + float(np.linalg.norm(sg)))

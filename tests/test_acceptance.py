@@ -29,7 +29,6 @@ from vigap.problems import (
 from vigap.solvers import (
     InnerConfig,
     OuterConfig,
-    SubgradientConfig,
     reference_solution,
     sequential_inexact_descent,
     solve_inner,
@@ -65,7 +64,7 @@ def test_criterion_1_exact_l1_dualgap(ba, capsys):
     l1 = l1_regularizer()
     worst_d = worst_x = 0.0
     for eps in EPS_GRID:
-        x, _ = solve_pge(ba, l1, eps, X0, SubgradientConfig())
+        x, _ = solve_pge(ba, l1, eps, X0)
         worst_d = max(worst_d, ba.solution_oracle.distance_to_S0(x))
         worst_x = max(worst_x, float(np.linalg.norm(x - XSTAR)))
     ok = worst_d <= 1e-6 and worst_x <= 1e-5
@@ -84,7 +83,7 @@ def test_criterion_2_l2_dualgap_distances(ba, capsys):
     worst_rel = 0.0
     verdicts = []
     for eps, target in PGE_L2_DISTANCES.items():
-        x, _ = solve_pge(ba, l2, eps, X0, SubgradientConfig())
+        x, _ = solve_pge(ba, l2, eps, X0)
         d = ba.solution_oracle.distance_to_S0(x)
         worst_rel = max(worst_rel, abs(d - target) / target)
         verdicts.append(exactness_check(ba, ba.set.project(x), tol=1e-7))
@@ -138,9 +137,9 @@ def test_criterion_4_error_bound_soundness(ba, capsys):
             theta = theta_ab(ba, x, 1.0, 2.0, eps, l2).value
             ok = ok and tr.status == "certified" and theta <= p_expected
             ok = ok and tr.p == stopping_threshold(tau, 2.0, 1.0, 1.0,
-                                                   1.0, 2.0, eps).radius
+                                                   1.0, 2.0, eps)
             radius = dgap_error_bound(max(theta, 0.0), 2.0, 1.0, 1.0,
-                                      1.0, 2.0, eps).radius
+                                      1.0, 2.0, eps)
             dist = float(np.linalg.norm(x - refs[eps]))
             ok = ok and dist <= radius and dist <= tau
             if dist > 0:

@@ -13,8 +13,7 @@ from vigap.bounds import (
     DegenerateSamplesError,
     SharpnessModel,
     dgap_error_bound,
-    eps_error_bound_direct,
-    eps_error_bound_dualgap,
+    eps_to_S0_bound,
     exactness_check,
     fit_sharpness,
     order1_inequality,
@@ -44,22 +43,23 @@ def x_G_l2(eps):
 # ---------------------------------------------------------------------------
 
 def test_dgap_bound_zero_at_solution():
-    assert dgap_error_bound(0.0, 2.0, 1.0, 1.0, 1.0, 2.0, 0.5).radius == 0.0
+    assert dgap_error_bound(0.0, 2.0, 1.0, 1.0, 1.0, 2.0, 0.5) == 0.0
 
 
 def test_dgap_bound_arithmetic():
-    rep = dgap_error_bound(1e-8, L=2.0, M=1.0, rho=1.0, alpha=1.0, beta=2.0,
-                           epsilon=0.5)
+    radius = dgap_error_bound(1e-8, L=2.0, M=1.0, rho=1.0, alpha=1.0, beta=2.0,
+                              epsilon=0.5)
     # (2 + 2 + 0.5)/0.5 * sqrt(2e-8 / 1) = 9 * 1.41421e-4
-    assert rep.radius == pytest.approx(9.0 * math.sqrt(2e-8), rel=0, abs=1e-18)
-    assert rep.radius == pytest.approx(1.2728e-3, rel=1e-4)
+    assert radius == (2.0 + 2.0 + 0.5 * 1.0) / (0.5 * 1.0) * math.sqrt(2.0 * 1e-8 / 1.0)
+    assert radius == pytest.approx(9.0 * math.sqrt(2e-8), rel=0, abs=1e-18)
+    assert radius == pytest.approx(1.2728e-3, rel=1e-4)
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.floats(1e-14, 1e-2), st.floats(0.01, 10.0))
 def test_dgap_bound_sqrt_homogeneity(theta, eps):
-    r1 = dgap_error_bound(theta, 2.0, 1.0, 1.0, 1.0, 2.0, eps).radius
-    r2 = dgap_error_bound(2.0 * theta, 2.0, 1.0, 1.0, 1.0, 2.0, eps).radius
+    r1 = dgap_error_bound(theta, 2.0, 1.0, 1.0, 1.0, 2.0, eps)
+    r2 = dgap_error_bound(2.0 * theta, 2.0, 1.0, 1.0, 1.0, 2.0, eps)
     assert r2 == pytest.approx(math.sqrt(2.0) * r1, rel=1e-12)
 
 
@@ -72,22 +72,25 @@ def test_dgap_bound_rejects_bad_inputs():
         dgap_error_bound(-1e-8, 2.0, 1.0, 1.0, 1.0, 2.0, 0.5)  # theta
     with pytest.raises(ValueError):
         dgap_error_bound(1e-8, 2.0, 1.0, 1.0, 2.0, 1.0, 0.5)   # alpha >= beta
+    with pytest.raises(ValueError):
+        dgap_error_bound(math.nan, 2.0, 1.0, 1.0, 1.0, 2.0, 0.5)  # theta not a number
 
 
 def test_stopping_threshold_benchmark_constants():
     # with L=2, M=1, rho=1, alpha=1, beta=2 the constant is (4+eps)/eps*sqrt(2)
+    # and p = tau^2 / L_k^2
     for eps in (0.5, 0.1, 0.01, 0.005, 1e-4):
-        rep = stopping_threshold(1e-6, 2.0, 1.0, 1.0, 1.0, 2.0, eps)
-        assert rep.inputs["L_k"] == pytest.approx((4.0 + eps) / eps * math.sqrt(2.0),
-                                                  rel=1e-14)
-    rep = stopping_threshold(1e-6, 2.0, 1.0, 1.0, 1.0, 2.0, 0.5)
-    assert rep.inputs["L_k"] == pytest.approx(9.0 * math.sqrt(2.0), rel=1e-14)
-    assert rep.radius == pytest.approx(1e-12 / 162.0, rel=1e-12)
-    assert rep.radius == pytest.approx(6.17e-15, rel=1e-2)
+        p = stopping_threshold(1e-6, 2.0, 1.0, 1.0, 1.0, 2.0, eps)
+        L_k = (4.0 + eps) / eps * math.sqrt(2.0)
+        assert p == pytest.approx(1e-12 / L_k ** 2, rel=1e-14)
+    p = stopping_threshold(1e-6, 2.0, 1.0, 1.0, 1.0, 2.0, 0.5)
+    assert p == pytest.approx(1e-12 / (9.0 * math.sqrt(2.0)) ** 2, rel=1e-14)
+    assert p == pytest.approx(1e-12 / 162.0, rel=1e-12)
+    assert p == pytest.approx(6.17e-15, rel=1e-2)
 
 
 def test_stopping_threshold_monotone_in_tau():
-    ps = [stopping_threshold(t, 2.0, 1.0, 1.0, 1.0, 2.0, 0.1).radius
+    ps = [stopping_threshold(t, 2.0, 1.0, 1.0, 1.0, 2.0, 0.1)
           for t in (1e-4, 1e-5, 1e-6, 1e-8)]
     assert all(a > b for a, b in zip(ps, ps[1:]))
     assert ps[-1] > 0
@@ -98,16 +101,14 @@ def test_stopping_threshold_monotone_in_tau():
 # ---------------------------------------------------------------------------
 
 def test_residual_bound_arithmetic():
-    rep = residual_error_bound(1e-3, L=2.0, M=1.0, rho=1.0, alpha=1.0, epsilon=0.5)
-    # (2 + 0.5 + 1)/0.5 = 7
-    assert rep.bound_kind == "residual_to_regularized"
-    assert rep.inputs["factor"] == 7.0
-    assert rep.radius == pytest.approx(7e-3, rel=1e-15)
+    radius = residual_error_bound(1e-3, L=2.0, M=1.0, rho=1.0, alpha=1.0, epsilon=0.5)
+    # factor (2 + 0.5 + 1)/0.5 = 7, times the residual
+    assert radius == 7.0 * 1e-3
+    assert radius == pytest.approx(7e-3, rel=1e-15)
     # the rounding floor takes over where the residual is below it
-    assert residual_error_bound(0.0, 2.0, 1.0, 1.0, 1.0, 0.5, rounding=1e-16).radius \
+    assert residual_error_bound(0.0, 2.0, 1.0, 1.0, 1.0, 0.5, rounding=1e-16) \
         == pytest.approx(7e-16, rel=1e-15)
-    assert residual_error_bound(1e-3, 2.0, 1.0, 1.0, 1.0, 0.5, rounding=1e-16).radius \
-        == rep.radius
+    assert residual_error_bound(1e-3, 2.0, 1.0, 1.0, 1.0, 0.5, rounding=1e-16) == radius
 
 
 def test_residual_rounding_scale():
@@ -121,7 +122,8 @@ def test_residual_bound_rejects_bad_inputs():
                  (1e-3, 2.0, 1.0, 1.0, 1.0, 0.0),     # epsilon
                  (1e-3, 2.0, 1.0, 1.0, 0.0, 0.5),     # alpha
                  (1e-3, -2.0, 1.0, 1.0, 1.0, 0.5),    # L
-                 (-1e-3, 2.0, 1.0, 1.0, 1.0, 0.5)]:   # residual
+                 (-1e-3, 2.0, 1.0, 1.0, 1.0, 0.5),    # residual
+                 (math.inf, 2.0, 1.0, 1.0, 1.0, 0.5)]:  # residual not finite
         with pytest.raises(ValueError):
             residual_error_bound(*args)
     with pytest.raises(ValueError):
@@ -143,7 +145,7 @@ def test_residual_bound_sound_against_closed_form(ba_problem, l2):
         for x in points:
             r = float(np.linalg.norm(x - y_alpha(ba_problem, x, 1.0, eps, l2)))
             radius = residual_error_bound(r, 2.0, 1.0, 1.0, 1.0, eps,
-                                          residual_rounding(x, T(x), 1.0)).radius
+                                          residual_rounding(x, T(x), 1.0))
             assert float(np.linalg.norm(x - x_e)) + u * np.linalg.norm(x_e) <= radius
 
 
@@ -153,18 +155,20 @@ def test_residual_bound_sound_against_closed_form(ba_problem, l2):
 
 def test_eps_bound_zero_at_zero():
     m = SharpnessModel(gamma=2.0, alpha_sharp=1.0)
-    assert eps_error_bound_dualgap(m, 1.0, 0.0).radius == 0.0
-    assert eps_error_bound_direct(m, 1.0, 0.0).radius == 0.0
+    assert eps_to_S0_bound(m, 1.0, 0.0) == 0.0
 
 
 def test_eps_bound_linear_case():
     m = SharpnessModel(gamma=2.0, alpha_sharp=1.0)
-    assert eps_error_bound_dualgap(m, 1.0, 0.01).radius == pytest.approx(0.01)
+    assert eps_to_S0_bound(m, 1.0, 0.01) == pytest.approx(0.01)
+    # (eps * M / alpha_sharp)^(1/(gamma-1)) as written
+    m = SharpnessModel(gamma=2.5, alpha_sharp=0.7)
+    assert eps_to_S0_bound(m, 2.0, 0.1) == (0.1 * 2.0 / 0.7) ** (1.0 / 1.5)
 
 
 def test_eps_bound_monotone_in_eps():
     m = SharpnessModel(gamma=2.5, alpha_sharp=0.7)
-    rads = [eps_error_bound_dualgap(m, 2.0, e).radius for e in (0.01, 0.1, 0.5, 1.0)]
+    rads = [eps_to_S0_bound(m, 2.0, e) for e in (0.01, 0.1, 0.5, 1.0)]
     assert all(a < b for a, b in zip(rads, rads[1:]))
 
 
@@ -183,8 +187,7 @@ def test_eps_bound_dominates_benchmark_distances():
     for eps in (0.5, 0.1, 0.01, 0.005):
         d_dual = eps / (math.sqrt(2.0) * (1.0 + 2.0 * eps))
         d_direct = eps / (2.0 * math.sqrt(2.0) * (1.0 + eps))
-        assert eps_error_bound_dualgap(m, M, eps).radius >= d_dual
-        assert eps_error_bound_direct(m, M, eps).radius >= d_direct
+        assert eps_to_S0_bound(m, M, eps) >= max(d_dual, d_direct)
 
 
 def test_eps_bounds_two_sided_on_synthetic():
@@ -198,12 +201,11 @@ def test_eps_bounds_two_sided_on_synthetic():
     eps = 1e-4
     d_dual = eps / (1.0 + eps)
     d_direct = eps / (2.0 + eps)
-    r_dual = eps_error_bound_dualgap(m, 1.0, eps).radius
-    r_direct = eps_error_bound_direct(m, 1.0, eps).radius
-    assert d_dual <= r_dual <= 2.001 * d_dual
-    assert d_direct <= r_direct
-    assert r_dual / d_dual == pytest.approx(2.0 * (1.0 + eps), rel=1e-10)
-    assert r_direct / d_direct == pytest.approx(2.0 * (2.0 + eps), rel=1e-10)
+    r = eps_to_S0_bound(m, 1.0, eps)
+    assert d_dual <= r <= 2.001 * d_dual
+    assert d_direct <= r
+    assert r / d_dual == pytest.approx(2.0 * (1.0 + eps), rel=1e-10)
+    assert r / d_direct == pytest.approx(2.0 * (2.0 + eps), rel=1e-10)
 
 
 def test_order1_inequality():

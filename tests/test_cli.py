@@ -223,6 +223,19 @@ def test_problem_file_with_a_non_monotone_matrix_exits_2(tmp_path, capsys):
     assert "indefinite" in capsys.readouterr().err
 
 
+def test_problem_file_lipschitz_key_exits_2(tmp_path, capsys):
+    # L is ||M||_2, computed from the matrix; a declared value is refused
+    text = AFFINE_INI.replace("2 0; 0 3", "8 3; -3 8")
+    path = tmp_path / "declared.ini"
+    path.write_text(text.replace("[operator]\n", "[operator]\nlipschitz = 0.05\n"))
+    argv = f"run --problem {path} --model direct --reg l2 --eps 0.1".split()
+    assert main(argv) == 2
+    assert "computed from the matrix" in capsys.readouterr().err
+    path.write_text(text)
+    assert load_problem_file(str(path)).map.lipschitz_L == \
+        np.linalg.norm(np.array([[8.0, 3.0], [-3.0, 8.0]]), 2)
+
+
 # ---------------------------------------------------------------------------
 # main entry point
 # ---------------------------------------------------------------------------

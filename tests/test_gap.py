@@ -24,7 +24,7 @@ from vigap.problems import (
     get_problem,
     strongly_monotone_quadratic,
 )
-from vigap.solvers import SubgradientConfig, solve_pge
+from vigap.solvers import PGE_MAX_ITERATIONS, solve_pge
 
 X0 = np.array([1.0, -2.0, 1.0])
 XSTAR = np.array([0.0, -0.75, -0.25])
@@ -411,7 +411,6 @@ def test_affine_box_oracle_needs_a_concave_inner_problem():
     assert affine_box_dual_gap(M, q, [-1.0, -np.inf], [1.0, 1.0]) is None
     assert affine_box_dual_gap(np.diag([1.0, -1.0]), q, -np.ones(2), np.ones(2)) is None
     assert get_problem("sharp_ball2d").dual_gap_exact is None   # a ball
-    assert affine_monotone(3, 0, set_kind="orthant").dual_gap_exact is None
 
 
 def _ill_conditioned_box_vi(seed):
@@ -440,6 +439,6 @@ def test_ill_conditioned_affine_box_pge_has_no_failed_inner_solve(tmp_path):
                         f"lower = {row(-np.ones(10))}\nupper = {row(np.ones(10))}\n")
         problem = load_problem_file(str(path))
         assert problem.dual_gap_exact is not None
-        _, trace = solve_pge(problem, tikhonov(), 0.01, np.zeros(10), SubgradientConfig())
+        _, trace = solve_pge(problem, tikhonov(), 0.01, np.zeros(10))
         assert trace.n_nonconverged == 0
-        assert trace.iterations == SubgradientConfig().max_iterations
+        assert trace.iterations == PGE_MAX_ITERATIONS

@@ -27,8 +27,8 @@ from vigap.solvers import (
     InnerConfig,
     MaxIterationsError,
     OuterConfig,
+    PGE_MAX_ITERATIONS,
     StepFailureError,
-    SubgradientConfig,
     _direction,
     _norm,
     _resolve_constants,
@@ -383,12 +383,25 @@ def test_sequential_radius_from_the_certificate_that_fired(ba_problem, l2):
     # residual bound; each level's radius is that certificate's
     cfg = OuterConfig(epsilons=(0.5, 0.1, 0.01, 0.005, 1e-4), tau=1e-6)
     trace, _ = sequential_inexact_descent(ba_problem, X0, cfg, l2)
-    assert [t.certificate for t in trace.inner] == \
+    assert [rec.certificate for rec in trace.outer] == \
         ["dgap", "dgap", "residual", "residual", "residual"]
-    for rec, itrace in zip(trace.outer, trace.inner):
+    for rec in trace.outer:
         assert rec.status == "certified"
-        assert rec.radius == itrace.radius <= cfg.tau
+        assert rec.radius <= cfg.tau
         assert np.linalg.norm(rec.x - x_eps_l2(rec.epsilon)) <= rec.radius
+
+
+def test_sequential_records_one_trace_per_level(ba_problem, l2):
+    # each level's record is its inner trace: the point it ended at, its step
+    # count, and the distance and time the outer loop fills in
+    cfg = OuterConfig(epsilons=(0.5, 0.1, 0.01), tau=1e-6)
+    trace, x = sequential_inexact_descent(ba_problem, X0, cfg, l2)
+    assert [rec.epsilon for rec in trace.outer] == [0.5, 0.1, 0.01]
+    assert trace.outer[-1].x is x
+    for rec in trace.outer:
+        assert rec.iterations == len(rec.records)
+        assert rec.dist_S0 == ba_problem.solution_oracle.distance_to_S0(rec.x)
+        assert rec.wall_time_s > 0.0
 
 
 def test_sequential_rejects_nondecreasing_schedule(ba_problem, l2):
@@ -418,7 +431,7 @@ def test_sequential_pure_regularizer_limit(l2):
 def test_pge_best_so_far_monotone(ba_problem, l1):
     # the returned point is the best iterate, and best_objective is its G + eps*phi
     eps = 0.1
-    x, tr = solve_pge(ba_problem, l1, eps, X0, SubgradientConfig(max_iterations=60))
+    x, tr = solve_pge(ba_problem, l1, eps, X0, 60)
     assert tr.best_objective == dual_gap(ba_problem, x).value + eps * l1.value(x)
     x0 = ba_problem.set.project(X0)
     assert tr.best_objective <= dual_gap(ba_problem, x0).value + eps * l1.value(x0)
@@ -426,13 +439,12 @@ def test_pge_best_so_far_monotone(ba_problem, l1):
 
 def test_pge_unregularized_strongly_monotone(l2):
     p = strongly_monotone_quadratic(2, seed=8)
-    x, tr = solve_pge(p, l2, 0.0, np.zeros(2),
-                      SubgradientConfig(max_iterations=400))
+    x, tr = solve_pge(p, l2, 0.0, np.zeros(2), 400)
     assert p.solution_oracle.distance_to_S0(x) <= 1e-5
 
 
 def test_pge_l1_exact_recovery(ba_problem, l1):
-    x, tr = solve_pge(ba_problem, l1, 0.1, X0, SubgradientConfig())
+    x, tr = solve_pge(ba_problem, l1, 0.1, X0)
     assert np.linalg.norm(x - XSTAR) <= 1e-6
     assert ba_problem.solution_oracle.distance_to_S0(x) <= 1e-6
 
@@ -444,7 +456,12 @@ def test_pge_raises_when_dual_gap_unreliable(ba_problem, l1, monkeypatch):
     monkeypatch.setattr(gap, "ASCENT_MAX_ITER", 1)
     monkeypatch.setattr(gap, "DUAL_GAP_TOL", 1e-14)
     with pytest.raises(DualGapUnreliableError, match="dual_gap_exact"):
-        solve_pge(replace(ba_problem, dual_gap_exact=None), l1, 0.1, X0, SubgradientConfig())
+        solve_pge(replace(ba_problem, dual_gap_exact=None), l1, 0.1, X0)
+
+
+def test_pge_rejects_an_empty_budget(ba_problem, l1):
+    with pytest.raises(ValueError, match="max_iterations"):
+        solve_pge(ba_problem, l1, 0.1, X0, max_iterations=0)
 
 
 # ---------------------------------------------------------------------------
