@@ -87,7 +87,8 @@ class MonotoneMap:
     Calling the map validates: the point must be a finite vector of the
     right dimension, and a non-finite value raises EvaluationError. The
     D-gap descent instead calls `evaluate` raw through
-    `regularized_operator` and checks finiteness once per theta_ab value.
+    `regularized_operator` and checks finiteness once per theta_ab value;
+    `solve_pge` calls it raw and checks the norm of its subgradient.
 
     Fields
     ------

@@ -167,6 +167,83 @@ def _fd_inner_gradient(F: MonotoneMap, x: Vector, Y: np.ndarray) -> np.ndarray:
     return G
 
 
+def _dual_gap_kernel(problem):
+    """Raw (x, warm) -> GapEvaluation of G at the problem's F and Omega: the
+    dual gap as the subgradient loop evaluates it.
+
+    x and warm (None, or an extra start of the ascent) are not validated.
+    With a `dual_gap_exact` oracle the kernel calls it and marks the result
+    converged when its bracket [value, upper] is at most DUAL_GAP_TOL wide.
+    Otherwise it runs the multistart ascent on F's rows, the inner gradient
+    and the set's row projection, resolved here once, and updates its points
+    in place, so the set's `project_rows` must return a new float array. The
+    random starts come from a generator seeded with 0 on every call.
+    """
+    exact = getattr(problem, "dual_gap_exact", None)
+    if exact is not None:
+        def exact_gap(x: Vector, warm: Optional[Vector]) -> GapEvaluation:
+            ev = exact(x)
+            ev.converged = ev.upper - ev.value <= DUAL_GAP_TOL
+            return ev
+
+        return exact_gap
+
+    F: MonotoneMap = problem.map
+    omega: FeasibleSet = problem.set
+    F_rows = F.rows
+    grad = (F.inner_gradient if F.inner_gradient is not None
+            else partial(_fd_inner_gradient, F))
+    proj_rows = omega.project_rows
+    step0 = 1.0 / (1.0 + F.lipschitz_L)
+
+    def ascent(x: Vector, warm: Optional[Vector]) -> GapEvaluation:
+        rng = np.random.default_rng(0)
+        radius = 1.5 * (1.0 + float(np.linalg.norm(x)))
+        cap = 4.0 * max(radius, 1.0)
+        starts = [x] if warm is None else [x, warm]
+        n_rand = max(ASCENT_STARTS - len(starts), 0)
+        Y = proj_rows(np.vstack([np.array(starts),
+                                 x + radius * rng.standard_normal((n_rand, F.dimension))]))
+        steps = np.full(len(Y), step0)
+
+        f = np.einsum("ij,ij->i", F_rows(Y), x - Y)
+        f_prev_best = float(f.max())
+        collapse = 3e-10 * (1.0 + radius)
+        stall = 0
+        used = 0
+        for it in range(ASCENT_MAX_ITER):
+            used = it + 1
+            cand = proj_rows(Y + steps[:, None] * grad(x, Y))
+            fc = np.einsum("ij,ij->i", F_rows(cand), x - cand)
+            better = fc > f
+            np.copyto(Y, cand, where=better[:, None])
+            np.copyto(f, fc, where=better)
+            steps *= np.where(better, 1.2, 0.5)
+            np.minimum(steps, cap, out=steps)
+            if used % 12 == 0:
+                fb = float(f.max())
+                if fb - f_prev_best <= 1e-17 * (1.0 + abs(fb)):
+                    stall += 1
+                    # leave only once the incumbent's step has collapsed, so a
+                    # kink maximizer can still be flagged as stationary below
+                    if stall >= 2 and steps[int(np.argmax(f))] <= collapse:
+                        break
+                else:
+                    stall = 0
+                f_prev_best = fb
+
+        k = int(np.argmax(f))
+        ybar = Y[k]
+        g = np.asarray(grad(x, ybar[None, :])[0], dtype=float)
+        s = 0.1 / (1.0 + float(np.linalg.norm(g)))
+        res = float(np.linalg.norm(ybar - omega.project(ybar + s * g))) / s
+        converged = (res <= DUAL_GAP_TOL) or (steps[k] <= collapse)
+        return GapEvaluation(value=float(f[k]), maximizer=ybar, converged=converged,
+                             inner_iterations=used)
+
+    return ascent
+
+
 def dual_gap(problem, x: Vector, warm: Optional[Vector] = None) -> GapEvaluation:
     """Evaluate G(x) = sup_{y in Omega} <F(y), x - y>.
 
@@ -182,9 +259,8 @@ def dual_gap(problem, x: Vector, warm: Optional[Vector] = None) -> GapEvaluation
     failure is flagged through the converged flag, never silently, and
     solve_pge raises DualGapUnreliableError when too many solves fail.
 
-    x and warm are validated once here. The ascent then calls F's rows, the
-    inner gradient and the set's row projection raw, and updates its points
-    in place, so the set's `project_rows` must return a new float array.
+    x and warm are validated here; the evaluation itself is the raw kernel
+    `_dual_gap_kernel` that solve_pge calls.
 
     Parameters
     ----------
@@ -193,65 +269,11 @@ def dual_gap(problem, x: Vector, warm: Optional[Vector] = None) -> GapEvaluation
     x : evaluation point
     warm : optional warm-start inner point of the ascent (an extra start)
     """
-    exact = getattr(problem, "dual_gap_exact", None)
-    if exact is not None:
-        ev = exact(as_point(x, problem.map.dimension))
-        ev.converged = ev.upper - ev.value <= DUAL_GAP_TOL
-        return ev
-    F: MonotoneMap = problem.map
-    omega: FeasibleSet = problem.set
-    x = as_point(x, F.dimension)
-    rng = np.random.default_rng(0)
-    radius = 1.5 * (1.0 + float(np.linalg.norm(x)))
-
-    F_rows = F.rows
-    grad = (F.inner_gradient if F.inner_gradient is not None
-            else partial(_fd_inner_gradient, F))
-    proj_rows = omega.project_rows
-    cap = 4.0 * max(radius, 1.0)
-
-    starts = [x]
+    dim = problem.map.dimension
+    x = as_point(x, dim)
     if warm is not None:
-        starts.append(as_point(warm, F.dimension))
-    n_rand = max(ASCENT_STARTS - len(starts), 0)
-    Y = proj_rows(np.vstack([np.array(starts),
-                             x + radius * rng.standard_normal((n_rand, F.dimension))]))
-    steps = np.full(len(Y), 1.0 / (1.0 + F.lipschitz_L))
-
-    f = np.einsum("ij,ij->i", F_rows(Y), x - Y)
-    f_prev_best = float(f.max())
-    collapse = 3e-10 * (1.0 + radius)
-    stall = 0
-    used = 0
-    for it in range(ASCENT_MAX_ITER):
-        used = it + 1
-        cand = proj_rows(Y + steps[:, None] * grad(x, Y))
-        fc = np.einsum("ij,ij->i", F_rows(cand), x - cand)
-        better = fc > f
-        np.copyto(Y, cand, where=better[:, None])
-        np.copyto(f, fc, where=better)
-        steps *= np.where(better, 1.2, 0.5)
-        np.minimum(steps, cap, out=steps)
-        if used % 12 == 0:
-            fb = float(f.max())
-            if fb - f_prev_best <= 1e-17 * (1.0 + abs(fb)):
-                stall += 1
-                # leave only once the incumbent's step has collapsed, so a
-                # kink maximizer can still be flagged as stationary below
-                if stall >= 2 and steps[int(np.argmax(f))] <= collapse:
-                    break
-            else:
-                stall = 0
-            f_prev_best = fb
-
-    k = int(np.argmax(f))
-    ybar = Y[k]
-    g = np.asarray(grad(x, ybar[None, :])[0], dtype=float)
-    s = 0.1 / (1.0 + float(np.linalg.norm(g)))
-    res = float(np.linalg.norm(ybar - omega.project(ybar + s * g))) / s
-    converged = (res <= DUAL_GAP_TOL) or (steps[k] <= collapse)
-    return GapEvaluation(value=float(f[k]), maximizer=ybar, converged=converged,
-                         inner_iterations=used)
+        warm = as_point(warm, dim)
+    return _dual_gap_kernel(problem)(x, warm)
 
 
 # Newton iterations and Armijo halvings of the affine box oracle, the Armijo

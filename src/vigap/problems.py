@@ -128,12 +128,20 @@ def example_5_1() -> ProblemInstance:
     )
 
     def dual_gap_exact(x):
-        _, x2, x3 = x
-        u = np.clip([(x2 - 0.25) / 2.0, (x2 - x3 - 2.5) / 4.0, -(x3 + 2.25) / 2.0],
-                    [-np.inf, -1.25, -0.25], [-1.25, -0.25, np.inf])
-        Y = np.column_stack([np.full(3, min(x[0] / 2.0, 0.0)), u, -1.0 - u])
-        vals = np.einsum("ij,ij->i", F_map.rows(Y), x - Y)
-        k = int(np.argmax(vals))
+        x1, x2, x3 = x.tolist()
+        y1 = min(x1 / 2.0, 0.0)
+        # each vertex clamped into its interval in np.clip's order, lower
+        # bound first; on a tie max(lo, v) and min(hi, v) return the bound,
+        # as np.clip does
+        u0 = min(-1.25, (x2 - 0.25) / 2.0)
+        u1 = min(-0.25, max(-1.25, (x2 - x3 - 2.5) / 4.0))
+        u2 = max(-0.25, -(x3 + 2.25) / 2.0)
+        Y = np.empty((3, 3))
+        Y[0] = y1, u0, -1.0 - u0
+        Y[1] = y1, u1, -1.0 - u1
+        Y[2] = y1, u2, -1.0 - u2
+        vals = np.einsum("ij,ij->i", F_rows(Y), x - Y)
+        k = int(vals.argmax())
         return GapEvaluation(value=float(vals[k]), maximizer=Y[k], upper=float(vals[k]))
 
     def dist_S0(x):

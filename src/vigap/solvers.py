@@ -32,10 +32,9 @@ from .core import (
     Regularizer,
     Vector,
     as_point,
-    grad_or_subgrad,
     regularized_operator,
 )
-from .gap import _theta_ab_kernel, dual_gap
+from .gap import _dual_gap_kernel, _non_finite, _theta_ab_kernel
 
 __all__ = [
     "StepFailureError",
@@ -534,6 +533,11 @@ def solve_pge(problem, regularizer: Regularizer, epsilon: float, x0: Vector,
     Returns the best-so-far iterate by objective value together with a
     PgeTrace.
 
+    x0 is validated once. The loop calls F's `evaluate`, phi's gradient or
+    subgradient selection and the dual-gap kernel raw, and one scalar check
+    per iteration replaces a check of F(ybar): a non-finite ||g|| raises
+    EvaluationError.
+
     Raises DualGapUnreliableError when more than PGE_MAX_NONCONVERGED_FRACTION
     of the inner solves did not converge.
     """
@@ -543,12 +547,15 @@ def solve_pge(problem, regularizer: Regularizer, epsilon: float, x0: Vector,
         raise ValueError("max_iterations must be positive")
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
-    omega = problem.set
     F = problem.map
-    x = omega.project(as_point(x0, F.dimension))
+    proj = problem.set.project
+    F_raw = F.evaluate
+    g_phi = regularizer.gradient if regularizer.smooth else regularizer.subgradient_select
     phi = regularizer.value
+    G = _dual_gap_kernel(problem)
+    x = proj(as_point(x0, F.dimension))
 
-    ev = dual_gap(problem, x)
+    ev = G(x, None)
     n_bad = 0 if ev.converged else 1
     f = ev.value + epsilon * phi(x)
     ybar = ev.maximizer
@@ -557,20 +564,22 @@ def solve_pge(problem, regularizer: Regularizer, epsilon: float, x0: Vector,
     scale0 = 1.0 + abs(f)
     delta = max(PGE_DELTA0_FRACTION * abs(f), 1e-12 * scale0)
     rho_decay = (PGE_DELTA_FINAL_REL * scale0 / delta) ** (1.0 / max_iterations)
-    cap = 2.0 * (1.0 + float(np.linalg.norm(x)))
+    cap = 2.0 * (1.0 + _norm(x))
 
     j = 0
     for j in range(1, max_iterations + 1):
-        sg = np.asarray(F(ybar), dtype=float) + epsilon * grad_or_subgrad(regularizer, x)
-        s = PGE_TANGENT_PROBE * (1.0 + float(np.linalg.norm(x))) \
-            / (1.0 + float(np.linalg.norm(sg)))
-        g_tan = (x - omega.project(x - s * sg)) / s
-        n_tan = float(np.linalg.norm(g_tan))
+        sg = np.asarray(F_raw(ybar), dtype=float) + epsilon * g_phi(x)
+        n_sg = _norm(sg)
+        if not math.isfinite(n_sg):
+            raise _non_finite(problem, "the subgradient F(ybar) + eps g_phi(x)", x)
+        s = PGE_TANGENT_PROBE * (1.0 + _norm(x)) / (1.0 + n_sg)
+        g_tan = (x - proj(x - s * sg)) / s
+        n_tan = _norm(g_tan)
         if n_tan <= 1e-14:
             break  # subgradient is normal to Omega at x: stationary
         t = min((f - f_best + delta) / n_tan ** 2, cap / n_tan)
-        x = omega.project(x - t * sg)
-        ev = dual_gap(problem, x, warm=ybar)
+        x = proj(x - t * sg)
+        ev = G(x, ybar)
         ybar = ev.maximizer
         if not ev.converged:
             n_bad += 1

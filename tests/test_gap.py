@@ -345,6 +345,36 @@ def test_example5_1_oracle_is_d_squared_over_four_near_S0(ba_problem):
     assert n_checked >= 300
 
 
+def _example5_1_oracle_reference(F, x):
+    """example5_1's closed-form G in its array form: the three clamped vertices
+    by np.clip, stacked by np.column_stack."""
+    _, x2, x3 = x
+    u = np.clip([(x2 - 0.25) / 2.0, (x2 - x3 - 2.5) / 4.0, -(x3 + 2.25) / 2.0],
+                [-np.inf, -1.25, -0.25], [-1.25, -0.25, np.inf])
+    Y = np.column_stack([np.full(3, min(x[0] / 2.0, 0.0)), u, -1.0 - u])
+    vals = np.einsum("ij,ij->i", F.rows(Y), x - Y)
+    k = int(np.argmax(vals))
+    return float(vals[k]), Y[k]
+
+
+def test_example5_1_oracle_is_bit_identical_to_its_array_form(ba_problem):
+    # the scalar clamps reproduce np.clip bit for bit, signed zeros included:
+    # seeded points of Omega, plus points whose vertices land on the kinks
+    # u = -1.25 and u = -0.25 (x2 = -2.25, -1.75, 0.25, 0.75), each with
+    # x1 in {0.0, -0.0}, in the l1 peak's range and at its bound 1
+    rng = np.random.default_rng(47)
+    x1 = np.concatenate([rng.uniform(-3.0, 1.0, 1000), [0.0, -0.0, -1e-300, 0.3, 1.0]])
+    x2 = np.concatenate([rng.uniform(-4.0, 3.0, 1000), [-2.25, -1.75, 0.25, 0.75, -0.75]])
+    points = [np.array([a, b, -1.0 - b]) for a, b in zip(x1[:1000], x2[:1000])]
+    points += [np.array([a, b, -1.0 - b]) for a in x1[1000:] for b in x2[1000:]]
+    assert any(np.signbit(p[0]) and p[0] == 0.0 for p in points)
+    for x in points:
+        ev = ba_problem.dual_gap_exact(x)
+        value, maximizer = _example5_1_oracle_reference(ba_problem.map, x)
+        assert ev.value == value and np.signbit(ev.value) == np.signbit(value)
+        assert ev.maximizer.tobytes() == maximizer.tobytes(), x
+
+
 def test_example5_1_ascent_never_above_oracle(ba_problem):
     # the ascent evaluates <F(y), x - y> at feasible points, so it bounds G from
     # below: it may fall short of the closed form but never exceed it

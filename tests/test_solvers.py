@@ -5,8 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from vigap import gap, solvers
-from vigap.cli import TABLE1_EPSILONS
+from vigap import gap, problems, solvers
+from vigap.cli import TABLE1_EPSILONS, ExperimentConfig, run_experiment
 from vigap.core import EvaluationError, MonotoneMap, affine_map, box
 from vigap.gap import _theta_ab_kernel, dual_gap, theta_ab, theta_alpha, y_alpha
 from vigap.problems import (
@@ -457,6 +457,44 @@ def test_pge_raises_when_dual_gap_unreliable(ba_problem, l1, monkeypatch):
     monkeypatch.setattr(gap, "DUAL_GAP_TOL", 1e-14)
     with pytest.raises(DualGapUnreliableError, match="dual_gap_exact"):
         solve_pge(replace(ba_problem, dual_gap_exact=None), l1, 0.1, X0)
+
+
+def test_pge_non_finite_map_raises_and_marks_the_cell(ba_problem, l2, monkeypatch):
+    # G comes from example5_1's exact oracle, which never calls this map, so
+    # only the loop's one finiteness check on the subgradient sees the NaN
+    nan_map = MonotoneMap(dimension=3, evaluate=lambda x: np.full(3, np.nan),
+                          lipschitz_L=2.0, name="nan")
+    p = ProblemInstance(name="nan_map", map=nan_map, set=ba_problem.set,
+                        dual_gap_exact=ba_problem.dual_gap_exact)
+    with pytest.raises(EvaluationError, match="nan"):
+        solve_pge(p, l2, 0.5, X0)
+    monkeypatch.setitem(problems.BUILTIN_PROBLEMS, "nan_map", lambda seed=0: p)
+    rows = run_experiment(ExperimentConfig(problem="nan_map", model="dualgap",
+                                           regularizer="l2", epsilons=(0.5, 1e-4)))
+    assert [r.exactness for r in rows] == ["error:EvaluationError"] * 2
+
+
+def test_pge_loop_calls_raw_callables(ba_problem, l2, monkeypatch):
+    # x0 is validated once; the loop calls F, phi and the dual-gap kernel raw,
+    # so neither the map's validating entry points nor the validation of the
+    # public dual_gap is reached
+    x_ref, tr_ref = solve_pge(ba_problem, l2, 0.5, X0, 200)
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return ba_problem.dual_gap_exact(x)
+
+    def validated(*args, **kwargs):
+        raise AssertionError("solve_pge called a validating entry point")
+
+    monkeypatch.setattr(MonotoneMap, "__call__", validated)
+    monkeypatch.setattr(MonotoneMap, "rows", validated)
+    monkeypatch.setattr(gap, "as_point", validated)
+    x, tr = solve_pge(replace(ba_problem, dual_gap_exact=counted), l2, 0.5, X0, 200)
+    assert tr.iterations == 200
+    assert len(calls) == tr.iterations + 1
+    assert x.tobytes() == x_ref.tobytes() and tr == tr_ref
 
 
 def test_pge_rejects_an_empty_budget(ba_problem, l1):
