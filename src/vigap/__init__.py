@@ -23,7 +23,6 @@ from .core import (
     halfspace,
     hyperplane,
     l1_regularizer,
-    product_set,
     regularized_operator,
     shifted_orthant,
     tikhonov,

@@ -34,7 +34,6 @@ __all__ = [
     "hyperplane",
     "halfspace",
     "ball",
-    "product_set",
     "psd_tolerance",
     "affine_map",
     "tikhonov",
@@ -101,6 +100,8 @@ class MonotoneMap:
         points to an (m, n) array of values
     inner_gradient : optional y-gradient of y -> <F(y), x - y>, used by the
         dual-gap inner maximization; signature (x, Y_rows) -> rows
+    jacobian : optional x -> an (n, n) element of the generalized Jacobian
+        of F at x, used by the semismooth Newton step
     """
 
     dimension: int
@@ -109,6 +110,7 @@ class MonotoneMap:
     mu: float = 0.0
     evaluate_rows: Optional[Callable[[np.ndarray], np.ndarray]] = None
     inner_gradient: Optional[Callable[[Vector, np.ndarray], np.ndarray]] = None
+    jacobian: Optional[Callable[[Vector], np.ndarray]] = None
     name: str = ""
 
     def __post_init__(self):
@@ -158,6 +160,7 @@ def affine_map(M: np.ndarray, q, name: str = "affine") -> MonotoneMap:
         evaluate=lambda x: M @ x + q,
         evaluate_rows=lambda Y: Y @ M.T + q,
         inner_gradient=lambda x, Y: (x - Y) @ M - (Y @ M.T + q),
+        jacobian=lambda x: M,
         lipschitz_L=float(np.linalg.norm(M, 2)),
         mu=least if least > 1e-12 else 0.0,
         name=name,
@@ -177,6 +180,9 @@ class FeasibleSet:
     without one gets a loop over its `project` row by row, bound at
     construction: `replace(s, project_rows=None)` gives the same set with
     that loop, and a `replace` of `project` alone keeps the old rows.
+    `project_jacobian`, optional, maps z to an (n, n) element of the
+    generalized Jacobian of the projection at z (symmetric, eigenvalues in
+    [0, 1]), used by the semismooth Newton step; callers do not modify it.
     `description` is structured metadata (kind + parameters) so problem
     files and reports can name the set.
     """
@@ -186,6 +192,7 @@ class FeasibleSet:
     contains: Callable[[Vector, float], bool]
     description: dict = field(default_factory=dict)
     project_rows: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    project_jacobian: Optional[Callable[[Vector], np.ndarray]] = None
 
     def __post_init__(self):
         if self.project_rows is None:
@@ -216,6 +223,7 @@ def box(lower, upper) -> FeasibleSet:
         # unlike np.clip
         project=lambda z: _clip(z, lo, hi),
         project_rows=lambda Z: _clip(Z, lo, hi),
+        project_jacobian=lambda z: np.diag(((lo < z) & (z < hi)).astype(float)),
         contains=lambda x, tol=1e-10: bool(np.all(x >= lo - tol) and np.all(x <= hi + tol)),
         description={"kind": "box", "lower": lo.tolist(), "upper": hi.tolist()},
     )
@@ -235,10 +243,12 @@ def hyperplane(normal, offset: float) -> FeasibleSet:
     nn = float(a @ a)
     if nn <= 0:
         raise ValueError("hyperplane normal must be nonzero")
+    J = np.eye(a.shape[0]) - np.outer(a, a) / nn
     return FeasibleSet(
         dimension=a.shape[0],
         project=lambda z: z - ((a @ z - b) / nn) * a,
         project_rows=lambda Z: Z - ((Z @ a - b) / nn)[:, None] * a,
+        project_jacobian=lambda z: J,
         contains=lambda x, tol=1e-10: bool(abs(a @ x - b) <= tol * (1.0 + abs(b))),
         description={"kind": "hyperplane", "normal": a.tolist(), "offset": b},
     )
@@ -251,10 +261,13 @@ def halfspace(normal, offset: float) -> FeasibleSet:
     nn = float(a @ a)
     if nn <= 0:
         raise ValueError("halfspace normal must be nonzero")
+    inside = np.eye(a.shape[0])
+    outside = inside - np.outer(a, a) / nn
     return FeasibleSet(
         dimension=a.shape[0],
         project=lambda z: z - (max(a @ z - b, 0.0) / nn) * a,
         project_rows=lambda Z: Z - (np.maximum(Z @ a - b, 0.0) / nn)[:, None] * a,
+        project_jacobian=lambda z: outside if a @ z > b else inside,
         contains=lambda x, tol=1e-10: bool(a @ x - b <= tol * (1.0 + abs(b))),
         description={"kind": "halfspace", "normal": a.tolist(), "offset": b},
     )
@@ -278,61 +291,20 @@ def ball(center, radius: float) -> FeasibleSet:
         scale = np.where(nd <= r, 1.0, r / np.maximum(nd, 1e-300))
         return c + scale[:, None] * D
 
+    def proj_jac(z):
+        d = z - c
+        nd = np.linalg.norm(d)
+        if nd <= r:
+            return np.eye(c.shape[0])
+        return (r / nd) * (np.eye(c.shape[0]) - np.outer(d, d) / (nd * nd))
+
     return FeasibleSet(
         dimension=c.shape[0],
         project=proj,
         project_rows=proj_rows,
+        project_jacobian=proj_jac,
         contains=lambda x, tol=1e-10: bool(np.linalg.norm(x - c) <= r + tol),
         description={"kind": "ball", "center": c.tolist(), "radius": r},
-    )
-
-
-def product_set(blocks: list[tuple[list[int], FeasibleSet]], dimension: int) -> FeasibleSet:
-    """Product of sets acting on disjoint coordinate blocks.
-
-    Exact closed-form projection: each block projects its own coordinates.
-    Blocks must partition range(dimension).
-    """
-    idx = [np.asarray(i, dtype=int) for i, _ in blocks]
-    sets = [s for _, s in blocks]
-    all_idx = np.concatenate(idx) if idx else np.array([], dtype=int)
-    if sorted(all_idx.tolist()) != list(range(dimension)):
-        raise ValueError("product blocks must partition the coordinates")
-    for i, s in zip(idx, sets):
-        if s.dimension != len(i):
-            raise DimensionMismatchError("block set dimension does not match its index count")
-
-    # a block of consecutive increasing coordinates is addressed by a slice
-    # (a view), any other block by its index array (a copy)
-    keys = [slice(int(i[0]), int(i[0]) + len(i))
-            if len(i) and np.array_equal(i, np.arange(i[0], i[0] + len(i))) else i
-            for i in idx]
-    block_projs = [(k, s.project) for k, s in zip(keys, sets)]
-    block_rows = [(k, s.project_rows) for k, s in zip(keys, sets)]
-
-    def proj(z):
-        y = np.empty(z.shape)
-        for k, p in block_projs:
-            y[k] = p(z[k])
-        return y
-
-    def proj_rows(Z):
-        Y = np.empty(Z.shape)
-        for k, p in block_rows:
-            Y[:, k] = p(Z[:, k])
-        return Y
-
-    def cont(x, tol=1e-10):
-        return all(s.contains(x[i], tol) for i, s in zip(idx, sets))
-
-    return FeasibleSet(
-        dimension=dimension,
-        project=proj,
-        project_rows=proj_rows,
-        contains=cont,
-        description={"kind": "product",
-                     "blocks": [{"indices": i.tolist(), "set": s.description}
-                                for i, s in zip(idx, sets)]},
     )
 
 
@@ -348,12 +320,15 @@ class Regularizer:
     strong-convexity modulus (0 if merely convex), lipschitz_M the gradient
     Lipschitz constant for smooth phi (None otherwise). For nonsmooth phi,
     `subgradient_select` must be a deterministic selection. Both return
-    float arrays: `regularized_operator` uses them unwrapped.
+    float arrays: `regularized_operator` uses them unwrapped. `hessian`,
+    optional for smooth phi, maps x to the (n, n) Hessian of phi, used by
+    the semismooth Newton step.
     """
 
     value: Callable[[Vector], float]
     gradient: Optional[Callable[[Vector], Vector]] = None
     subgradient_select: Optional[Callable[[Vector], Vector]] = None
+    hessian: Optional[Callable[[Vector], np.ndarray]] = None
     rho: float = 0.0
     lipschitz_M: Optional[float] = None
     name: str = ""
@@ -380,6 +355,7 @@ def tikhonov() -> Regularizer:
     return Regularizer(
         value=lambda x: 0.5 * float(x @ x),
         gradient=lambda x: np.array(x, dtype=float),
+        hessian=lambda x: np.eye(x.shape[0]),
         rho=1.0,
         lipschitz_M=1.0,
         name="l2",

@@ -134,6 +134,33 @@ def _theta_ab_kernel(problem, alpha: float, beta: float, epsilon: float,
     return theta
 
 
+def _residual_jacobian_kernel(problem, alpha: float, epsilon: float,
+                              reg: Optional[Regularizer]):
+    """Closure x -> J_H(x), an element of the generalized Jacobian of the
+    natural residual H(x) = x - P_Omega(z), z = x - T(x)/alpha, at fixed
+    (alpha, eps, phi):
+
+        J_H(x) = I - dP(z) (I - (J_F(x) + eps Hess phi(x)) / alpha),
+
+    from the map's `jacobian`, the set's `project_jacobian` and, for eps > 0,
+    phi's `hessian`. None when one of those hooks is missing. x is not
+    validated, and z is computed as `_theta_ab_kernel` computes it, so dP is
+    taken at the point whose projection is y_alpha(x).
+    """
+    T = regularized_operator(problem.map, reg, epsilon)
+    JF, JP = problem.map.jacobian, problem.set.project_jacobian
+    hess = reg.hessian if epsilon != 0.0 else None
+    if JF is None or JP is None or (epsilon != 0.0 and hess is None):
+        return None
+    eye = np.eye(problem.map.dimension)
+
+    def jac(x: Vector) -> np.ndarray:
+        JT = JF(x) if hess is None else JF(x) + epsilon * hess(x)
+        return eye - JP(x - T(x) / alpha) @ (eye - JT / alpha)
+
+    return jac
+
+
 def theta_ab(problem, x: Vector, alpha: float, beta: float, epsilon: float = 0.0,
              reg: Optional[Regularizer] = None) -> GapEvaluation:
     """D-gap value theta_alpha - theta_beta (requires 0 < alpha < beta).

@@ -22,8 +22,6 @@ from .core import (
     as_point,
     ball,
     box,
-    hyperplane,
-    product_set,
     project_rows,
 )
 from .core import grad_or_subgrad
@@ -93,7 +91,13 @@ def example_5_1() -> ProblemInstance:
     C is the shifted orthant {x >= (0, -1/4, 1/4)} and Omega the set
     {x : x2 + x3 = -1, x1 <= 1}. F is monotone (not strongly) with declared
     Lipschitz constant 2, and the solution set is the segment
-    {(t, -3/4, -1/4) : t in [0, 1]}.
+    {(t, -3/4, -1/4) : t in [0, 1]}. Its generalized Jacobian element is
+    diag(x < s).
+
+    Omega projects in closed form, bit for bit as the product of the box
+    x1 <= 1 and the hyperplane x2 + x3 = -1 would: (min(z1, 1), z2 - c,
+    z3 - c) with c = (z2 + z3 + 1)/2, whose Jacobian element is
+    blockdiag([z1 < 1], I - 11^T/2).
 
     G has a closed form: F(y) = min(y - s, 0) is separable, so the inner
     objective <F(y), x - y> splits into a concave quadratic in y1 <= 1,
@@ -119,12 +123,37 @@ def example_5_1() -> ProblemInstance:
         evaluate=F,
         evaluate_rows=F_rows,
         inner_gradient=inner_grad,
+        jacobian=lambda x: np.diag((x < _BA_SHIFT).astype(float)),
         lipschitz_L=2.0,
         name="I_minus_P_C",
     )
-    omega = product_set(
-        [([0], box([-np.inf], [1.0])), ([1, 2], hyperplane([1.0, 1.0], -1.0))],
+
+    def proj(z):
+        z1, z2, z3 = np.asarray(z, dtype=float).tolist()
+        c = (z2 + z3 + 1.0) / 2.0
+        return np.array((min(z1, 1.0), z2 - c, z3 - c))
+
+    def proj_rows(Z):
+        Z = np.asarray(Z, dtype=float)
+        c = (Z[:, 1] + Z[:, 2] + 1.0) / 2.0
+        return np.column_stack((np.minimum(Z[:, 0], 1.0), Z[:, 1] - c, Z[:, 2] - c))
+
+    def proj_jac(z):
+        return np.array(((1.0 if z[0] < 1.0 else 0.0, 0.0, 0.0),
+                         (0.0, 0.5, -0.5),
+                         (0.0, -0.5, 0.5)))
+
+    omega = FeasibleSet(
         dimension=3,
+        project=proj,
+        project_rows=proj_rows,
+        project_jacobian=proj_jac,
+        contains=lambda x, tol=1e-10: bool(x[0] <= 1.0 + tol
+                                           and abs(x[1] + x[2] + 1.0) <= 2.0 * tol),
+        description={"kind": "product", "blocks": [
+            {"indices": [0], "set": {"kind": "box", "lower": [-np.inf], "upper": [1.0]}},
+            {"indices": [1, 2], "set": {"kind": "hyperplane", "normal": [1.0, 1.0],
+                                        "offset": -1.0}}]},
     )
 
     def dual_gap_exact(x):

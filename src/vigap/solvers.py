@@ -34,7 +34,7 @@ from .core import (
     as_point,
     regularized_operator,
 )
-from .gap import _dual_gap_kernel, _non_finite, _theta_ab_kernel
+from .gap import _dual_gap_kernel, _non_finite, _residual_jacobian_kernel, _theta_ab_kernel
 
 __all__ = [
     "StepFailureError",
@@ -70,8 +70,8 @@ STAGNATION_TOL = 1e-13
 # theta value below which the descent cannot tell progress from evaluation
 # noise; it also picks a level's certificate (see `solve_inner`)
 THETA_FLOOR = 1e-16
-# semismooth Newton: central-difference step of the generalized Jacobian,
-# relative to 1 + ||x||
+# semismooth Newton: central-difference step of the generalized Jacobian
+# where a problem lacks a Jacobian hook, relative to 1 + ||x||
 NEWTON_FD_STEP = 1e-7
 
 # projected subgradient: default iteration budget, initial Polyak relaxation
@@ -322,26 +322,31 @@ def _armijo(theta, x: Vector, d: Vector, theta_x: float, cfg: InnerConfig,
         x=x, d=d, theta=theta_x, backtracks=max_backtracks)
 
 
-def _newton_step(theta, x: Vector, h: Vector) -> Vector:
+def _newton_step(theta, jac, x: Vector, h: Vector) -> Vector:
     """Semismooth Newton step s solving J s = -h for the natural residual
-    h = H(x) = x - y_alpha(x), J a generalized Jacobian of H by central
-    differences of y_alpha from the raw D-gap kernel `theta` (2n
-    evaluations). A singular J gives its least-squares step."""
-    n = x.shape[0]
-    fd = NEWTON_FD_STEP * (1.0 + _norm(x))
-    J = np.eye(n)
-    e = np.zeros(n)
-    for k in range(n):
-        e[k] = fd
-        J[:, k] -= (theta(x + e)[1] - theta(x - e)[1]) / (2.0 * fd)
-        e[k] = 0.0
+    h = H(x) = x - y_alpha(x), J an element of the generalized Jacobian of H:
+    jac(x) from `gap._residual_jacobian_kernel`, or, where jac is None (a
+    map, set or regularizer without a Jacobian hook), central differences of
+    y_alpha from the raw D-gap kernel `theta` (2n evaluations). A singular J
+    gives its least-squares step."""
+    if jac is not None:
+        J = jac(x)
+    else:
+        n = x.shape[0]
+        fd = NEWTON_FD_STEP * (1.0 + _norm(x))
+        J = np.eye(n)
+        e = np.zeros(n)
+        for k in range(n):
+            e[k] = fd
+            J[:, k] -= (theta(x + e)[1] - theta(x - e)[1]) / (2.0 * fd)
+            e[k] = 0.0
     try:
         return np.linalg.solve(J, -h)
     except np.linalg.LinAlgError:
         return np.linalg.lstsq(J, -h, rcond=None)[0]
 
 
-def _newton_trial(theta, x: Vector, ya: Vector, theta_x: float, cfg: InnerConfig):
+def _newton_trial(theta, jac, x: Vector, ya: Vector, theta_x: float, cfg: InnerConfig):
     """The full Newton step from x if accepted, as (x_next, theta_next,
     ya_next, yb_next, step_norm); None if rejected.
 
@@ -352,7 +357,7 @@ def _newton_trial(theta, x: Vector, ya: Vector, theta_x: float, cfg: InnerConfig
     """
     h = x - ya
     try:
-        s = _newton_step(theta, x, h)
+        s = _newton_step(theta, jac, x, h)
         ns = _norm(s)
         if not (math.isfinite(ns) and ns > 0.0):
             return None
@@ -410,6 +415,7 @@ def solve_inner(problem, x0: Vector, epsilon: float, tau: float,
 
     T = regularized_operator(problem.map, reg, epsilon)
     theta = _theta_ab_kernel(problem, ALPHA, BETA, epsilon, reg)
+    jac = _residual_jacobian_kernel(problem, ALPHA, epsilon, reg)
     th, ya, yb = theta(x)
     records: list = []
     stagnant = 0
@@ -453,7 +459,7 @@ def solve_inner(problem, x0: Vector, epsilon: float, tau: float,
         if (rad := radius()) is not None:
             return done("certified", rad)
         if kind == "residual":
-            trial = _newton_trial(theta, x, ya, th, cfg)
+            trial = _newton_trial(theta, jac, x, ya, th, cfg)
             if trial is not None:
                 x, th, ya, yb, ns = trial
                 records.append(InnerRecord(j=j, theta=th, m=0, branch=BRANCH_NEWTON,
@@ -620,12 +626,13 @@ def reference_solution(problem, epsilon: float = 0.0, reg: Optional[Regularizer]
         raise ValueError("unregularized reference needs a strongly monotone map")
     x = problem.set.project(np.zeros(F.dimension))
     theta = _theta_ab_kernel(problem, ALPHA, BETA, epsilon, reg)
+    jac = _residual_jacobian_kernel(problem, ALPHA, epsilon, reg)
     h = x - theta(x)[1]
     nh = _norm(h)
     for _ in range(80):
         if nh <= tol_residual:
             break
-        step = _newton_step(theta, x, h)
+        step = _newton_step(theta, jac, x, h)
         t = 1.0
         for _ in range(40):
             cand = x + t * step

@@ -104,7 +104,7 @@ GOLDEN = Path(__file__).parent / "data"
     # finite bounds on both sides of a 5-D box: D-gap steps at eps = 0.5, Newton below
     ("run --problem affine5d --model direct --reg l2 --eps 0.5,0.1,0.01 --no-timing",
      "golden_affine5d_direct_l2.csv"),
-    # the cold solve at eps = 1e-4: three Newton steps, then the residual certificate
+    # the cold solve at eps = 1e-4: two Newton steps, then the residual certificate
     ("run --problem example5_1 --model direct --reg l2 --eps 0.0001 --x0 1,-2,1 "
      "--no-timing", "golden_cold_direct_l2.csv"),
     # the dual-gap ascent on box rows with the analytic affine inner gradient

@@ -19,7 +19,6 @@ from vigap.core import (
     probe_convexity,
     probe_lipschitz,
     probe_monotonicity,
-    product_set,
     project_rows,
     regularized_operator,
     sample_in_set,
@@ -134,42 +133,110 @@ def test_affine_row_projection_matches_outer_form(feasible, shift):
         _same_floats(feasible.project_rows(Z), Z - np.outer(shift(Z, a, b, float(a @ a)), a))
 
 
-def _blockwise_projection(blocks, z):
-    """The per-block loop the product projection is checked against."""
-    y = np.array(z, dtype=float)
-    for i, s in blocks:
-        y[i] = s.project(z[i])
-    return y
+def _composed_ba_set():
+    """example5_1's Omega as the product of the box x1 <= 1 and the hyperplane
+    x2 + x3 = -1, each block projected by its own set: the reference form of
+    the closed-form projection."""
+    b, h = box([-np.inf], [1.0]), hyperplane([1.0, 1.0], -1.0)
+
+    def project(z):
+        y = np.empty(np.shape(z))
+        y[0:1] = b.project(z[0:1])
+        y[1:3] = h.project(z[1:3])
+        return y
+
+    def project_rows(Z):
+        Y = np.empty(Z.shape)
+        Y[:, 0:1] = b.project_rows(Z[:, 0:1])
+        Y[:, 1:3] = h.project_rows(Z[:, 1:3])
+        return Y
+
+    description = {"kind": "product", "blocks": [{"indices": [0], "set": b.description},
+                                                 {"indices": [1, 2], "set": h.description}]}
+    return project, project_rows, description
 
 
-def _blockwise_row_projection(blocks, Z):
-    """The per-block loop the product row projection is checked against."""
-    Y = np.array(Z, dtype=float)
-    for i, s in blocks:
-        Y[:, i] = project_rows(s, Z[:, i])
-    return Y
+def test_ba_projection_is_bit_identical_to_box_and_hyperplane(ba_problem):
+    project, project_rows_ref, description = _composed_ba_set()
+    omega = ba_problem.set
+    assert omega.description == description
+    rng = np.random.default_rng(29)
+    Z = 3.0 * rng.standard_normal((10_000, 3))
+    Z[:2000, 0] = rng.choice([1.0, 0.0, -0.0, np.nextafter(1.0, 2.0),
+                              np.nextafter(1.0, 0.0)], 2000)
+    Z[2000:2500, 1] = -1.0 - Z[2000:2500, 2]            # on the hyperplane
+    Z[2500:2600] *= 10.0 ** rng.integers(-300, 300, (100, 3))
+    Z[2600:2700] = rng.choice([0.0, -0.0, 1e308, -1e308, 5e-324], (100, 3))
+    Z_int = rng.integers(-2 ** 62, 2 ** 62, (200, 3))
+    Z_int[:100] = rng.integers(-5, 6, (100, 3))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for Zs in (Z, Z_int):
+            for z in Zs:
+                _same_floats(omega.project(z), project(z))
+            _same_floats(omega.project_rows(Zs), project_rows_ref(Zs))
 
 
-@pytest.mark.parametrize("blocks", [
-    [([0, 2], box([-1.0, 0.0], [1.0, 2.0])), ([1], hyperplane([2.0], 1.0))],
-    [([0], box([-np.inf], [1.0])), ([1, 2], hyperplane([1.0, 1.0], -1.0))],
-    [([2, 1], ball([0.5, -0.5], 1.0)), ([0], box([0.0], [np.inf]))],
-    # a set without project_rows: its rows go through the row-by-row fallback
-    [([0], box([-1.0], [1.0])),
-     ([2, 1], replace(ball([0.0, 0.0], 1.0), project_rows=None))],
-], ids=["non-contiguous", "contiguous", "reversed", "fallback"])
-def test_product_projection_matches_blockwise_loop(blocks):
-    s = product_set(blocks, dimension=3)
-    rng = np.random.default_rng(17)
-    Z = 3.0 * rng.standard_normal((200, 3))
+def _central_jacobian(f, x, h=1e-6):
+    """Central differences of f at x, or None when a kink lies within h of x
+    (a forward and a backward difference then disagree)."""
+    fx = np.asarray(f(x), dtype=float)
+    J = np.empty((fx.shape[0], x.shape[0]))
+    for k in range(x.shape[0]):
+        e = np.zeros_like(x)
+        e[k] = h
+        fp, fm = np.asarray(f(x + e), dtype=float), np.asarray(f(x - e), dtype=float)
+        if np.abs((fp - fx) - (fx - fm)).max() > 1e-6 * h:
+            return None
+        J[:, k] = (fp - fm) / (2.0 * h)
+    return J
+
+
+def _check_jacobian_hook(f, jac, points):
+    """jac matches central differences of f at every point away from a kink;
+    returns the number of points checked."""
+    checked = 0
+    for x in points:
+        J_fd = _central_jacobian(f, x)
+        if J_fd is not None:
+            np.testing.assert_allclose(jac(x), J_fd, rtol=0.0, atol=1e-6)
+            checked += 1
+    return checked
+
+
+@pytest.mark.parametrize("feasible", [
+    box([-1.0, 0.0], [1.0, 2.0]),
+    shifted_orthant([0.0, -0.25, 0.25]),
+    ball([0.5, -0.5, 0.0], 1.5),
+    hyperplane([1.0, 1.0], -1.0),
+    halfspace([1.0, -2.0, 0.5], 0.25),
+    "example5_1",
+], ids=lambda s: s if isinstance(s, str) else s.description["kind"])
+def test_projection_jacobian_hook(feasible, ba_problem):
+    # an element of the generalized Jacobian of P_Omega: the derivative of
+    # the projection away from its kinks, symmetric, eigenvalues in [0, 1]
+    if feasible == "example5_1":
+        feasible = ba_problem.set
+    Z = 3.0 * np.random.default_rng(31).standard_normal((300, feasible.dimension))
+    assert _check_jacobian_hook(feasible.project, feasible.project_jacobian, Z) >= 290
     for z in Z:
-        _same_floats(s.project(z), _blockwise_projection(blocks, z))
-    _same_floats(s.project_rows(Z), _blockwise_row_projection(blocks, Z))
-    Z_int = np.array([[3, -2, 5], [0, 1, -4]])
-    for got, ref in ((s.project(Z_int[0]), _blockwise_projection(blocks, Z_int[0])),
-                     (s.project_rows(Z_int), _blockwise_row_projection(blocks, Z_int))):
-        assert got.dtype == np.float64
-        _same_floats(got, ref)
+        J = feasible.project_jacobian(z)
+        assert J.shape == (feasible.dimension, feasible.dimension)
+        np.testing.assert_array_equal(J, J.T)
+        ev = np.linalg.eigvalsh(J)
+        assert ev.min() >= -1e-12 and ev.max() <= 1.0 + 1e-12
+
+
+def test_map_and_regularizer_jacobian_hooks(ba_problem, l2):
+    # example5_1's diag(x < s), affine M and the Tikhonov identity are the
+    # derivatives of F and of grad(phi) away from kinks
+    rng = np.random.default_rng(37)
+    X = 2.0 * rng.standard_normal((300, 3))
+    assert _check_jacobian_hook(ba_problem.map.evaluate, ba_problem.map.jacobian, X) >= 290
+    A = rng.standard_normal((3, 3))
+    fmap = affine_map(A.T @ A + (A - A.T), rng.standard_normal(3))
+    assert _check_jacobian_hook(fmap.evaluate, fmap.jacobian, X) == len(X)
+    assert _check_jacobian_hook(l2.gradient, l2.hessian, X) == len(X)
+    assert l1_regularizer().hessian is None
 
 
 def test_ba_set_projection_invariants(ba_problem):
@@ -195,11 +262,6 @@ def test_box_projection_idempotent_hypothesis(raw, seed):
     pz = s.project(z)
     np.testing.assert_allclose(s.project(pz), pz, atol=1e-12)
     assert s.contains(pz, 1e-12)
-
-
-def test_product_set_requires_partition():
-    with pytest.raises(ValueError):
-        product_set([([0], box([0.0], [1.0]))], dimension=2)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 
 from vigap import gap, problems, solvers
 from vigap.cli import TABLE1_EPSILONS, ExperimentConfig, run_experiment
-from vigap.core import EvaluationError, MonotoneMap, affine_map, box
+from vigap.core import EvaluationError, MonotoneMap, affine_map, box, l1_regularizer
 from vigap.gap import _theta_ab_kernel, dual_gap, theta_ab, theta_alpha, y_alpha
 from vigap.problems import (
     ProblemInstance,
@@ -30,6 +30,7 @@ from vigap.solvers import (
     PGE_MAX_ITERATIONS,
     StepFailureError,
     _direction,
+    _newton_step,
     _norm,
     _resolve_constants,
     armijo_step,
@@ -284,16 +285,78 @@ def test_solve_inner_stall_on_certified_level_raises(l2):
         solve_inner(p, x0, 0.1, 1e-6, InnerConfig(), l2)
 
 
-def test_solve_inner_kink_straddle_stops_at_floor(ba_problem, l2):
-    # Records a known fault, not a wanted outcome: the central differences of
-    # the Newton step straddle the kink of F at x1 = 0, the Newton trial is
-    # rejected at the floor and the level ends uncertified. Once the Newton
-    # Jacobian handles the kink this level should read "certified".
+def test_solve_inner_kink_starts_are_certified(ba_problem, l2):
+    # x_eps lies on the kink of F at x1 = 0; the exact Jacobian element
+    # diag(x < s) takes one piece of it, so every start certifies at the
+    # smallest tau within two Newton steps of the noise band
+    for seed in range(60):
+        x0 = np.random.default_rng(seed).uniform(-2.0, 2.0, 3)
+        x, tr = solve_inner(ba_problem, x0, 0.01, 1e-8, InnerConfig(), l2)
+        assert tr.p < THETA_FLOOR
+        assert tr.status == "certified" and tr.certificate == "residual", seed
+        assert np.linalg.norm(x - x_eps_l2(0.01)) <= tr.radius <= 1e-8
+
+
+def test_solve_inner_finite_difference_fallback_certifies(ba_problem, l2):
+    # without F's Jacobian hook the Newton step falls back to central
+    # differences, which still certify at the default tau
+    stripped = replace(ba_problem, map=replace(ba_problem.map, jacobian=None))
+    assert gap._residual_jacobian_kernel(stripped, ALPHA, 0.01, l2) is None
     x0 = np.random.default_rng(0).uniform(-2.0, 2.0, 3)
-    x, tr = solve_inner(ba_problem, x0, 0.01, 1e-8, InnerConfig(), l2)
-    assert tr.p < THETA_FLOOR
-    assert tr.status == "floor"
-    assert tr.certificate is None and tr.radius is None
+    x, tr = solve_inner(stripped, x0, 0.01, 1e-6, InnerConfig(), l2)
+    assert tr.status == "certified" and tr.certificate == "residual"
+    assert any(rec.branch == BRANCH_NEWTON for rec in tr.records)
+    assert np.linalg.norm(x - x_eps_l2(0.01)) <= tr.radius <= 1e-6
+
+
+def test_newton_step_evaluates_theta_only_without_hooks(ba_problem, l2):
+    # the exact Jacobian costs no theta_ab evaluation; the fallback costs 2n
+    eps = 0.01
+    theta = _theta_ab_kernel(ba_problem, ALPHA, BETA, eps, l2)
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return theta(x)
+
+    x = np.array([0.4, -1.3, 0.2])
+    h = x - theta(x)[1]
+    jac = gap._residual_jacobian_kernel(ba_problem, ALPHA, eps, l2)
+    s_exact = _newton_step(counted, jac, x, h)
+    assert calls == []
+    s_fd = _newton_step(counted, None, x, h)
+    assert len(calls) == 2 * ba_problem.dimension
+    np.testing.assert_allclose(s_exact, s_fd, rtol=0.0, atol=1e-6)
+
+
+@pytest.mark.parametrize("alpha", [ALPHA, 0.5])
+@pytest.mark.parametrize("name", ["example5_1", "affine5d", "sharp_ball2d",
+                                  "box_quadratic3d"])
+def test_residual_jacobian_matches_central_differences(name, alpha, l2):
+    # J_H = I - dP(z)(I - J_T/alpha) is the derivative of the natural
+    # residual H away from its kinks (where J_H jumps between x - h e_k and
+    # x + h e_k), and a missing hook gives None
+    problem = get_problem(name)
+    eps = 0.1
+    theta = _theta_ab_kernel(problem, alpha, BETA, eps, l2)
+    jac = gap._residual_jacobian_kernel(problem, alpha, eps, l2)
+    rng = np.random.default_rng(41)
+    n, h, checked = problem.dimension, 1e-6, 0
+    for _ in range(100):
+        x = 1.5 * rng.standard_normal(n)
+        cols, kink = [], False
+        for k in range(n):
+            e = np.zeros(n)
+            e[k] = h
+            kink |= np.abs(jac(x + e) - jac(x - e)).max() > 1e-3
+            cols.append(((x + e) - theta(x + e)[1] - (x - e) + theta(x - e)[1]) / (2.0 * h))
+        if not kink:
+            np.testing.assert_allclose(jac(x), np.column_stack(cols), rtol=0.0, atol=1e-6)
+            checked += 1
+    assert checked >= 90
+    assert gap._residual_jacobian_kernel(problem, alpha, eps, l1_regularizer()) is None
+    no_set = replace(problem, set=replace(problem.set, project_jacobian=None))
+    assert gap._residual_jacobian_kernel(no_set, alpha, eps, l2) is None
 
 
 def test_solve_inner_status_and_certificate_invariant(ba_problem, l1, l2):
