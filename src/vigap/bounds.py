@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -53,7 +52,6 @@ class SharpnessModel:
     gamma: float
     alpha_sharp: float
     source: str = "user_declared"
-    residual: Optional[float] = None
 
     def __post_init__(self):
         if not self.gamma > 1.0:
@@ -230,8 +228,5 @@ def fit_sharpness(problem, samples, window=(1e-4, 1.0)) -> SharpnessModel:
         raise DegenerateSamplesError("samples are (numerically) equidistant from S0")
     A = np.column_stack([ld, np.ones_like(ld)])
     sol, *_ = np.linalg.lstsq(A, lg, rcond=None)
-    gamma = float(sol[0])
-    alpha_sharp = float(math.exp(sol[1]))
-    resid = float(np.sqrt(np.mean((A @ sol - lg) ** 2)))
-    return SharpnessModel(gamma=gamma, alpha_sharp=alpha_sharp, source="fitted",
-                          residual=resid)
+    return SharpnessModel(gamma=float(sol[0]), alpha_sharp=float(math.exp(sol[1])),
+                          source="fitted")

@@ -58,7 +58,7 @@ def _check_core_geometry(seed: int) -> CheckReport:
         "box": box([-1.0, 0.0], [1.0, 2.0]),
         "orthant": shifted_orthant([0.0, -0.25, 0.25]),
         "ball": ball([0.5, -0.5, 0.0], 1.5),
-        "plane_box_product": example_5_1().set,
+        "example5_1 Omega": example_5_1().set,
     }
     for name, s in sets.items():
         Z = rng.standard_normal((1000, s.dimension)) * 3.0

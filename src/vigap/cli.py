@@ -147,41 +147,44 @@ def _parse_matrix(text: str, where: str) -> np.ndarray:
     return np.array([_parse_vector(r, where) for r in rows])
 
 
-def _build_set(sec, dim_hint, where="set"):
+def _build_set(sec):
+    """The [set] section's set, and its (lower, upper) bounds when it is a box."""
     kind = sec.get("kind", None)
     if kind is None:
-        raise ConfigError(f"{where}.kind: missing")
+        raise ConfigError("set.kind: missing")
     try:
         if kind == "box":
-            lo = _parse_vector(sec.get("lower", ""), f"{where}.lower")
-            hi = _parse_vector(sec.get("upper", ""), f"{where}.upper")
-            return box(lo, hi)
+            lo = _parse_vector(sec.get("lower", ""), "set.lower")
+            hi = _parse_vector(sec.get("upper", ""), "set.upper")
+            return box(lo, hi), (lo, hi)
         if kind == "orthant":
-            return shifted_orthant(_parse_vector(sec.get("lower", ""), f"{where}.lower"))
+            return shifted_orthant(_parse_vector(sec.get("lower", ""), "set.lower")), None
         if kind == "ball":
-            return ball(_parse_vector(sec.get("center", ""), f"{where}.center"),
-                        float(sec.get("radius", "nan")))
+            return ball(_parse_vector(sec.get("center", ""), "set.center"),
+                        float(sec.get("radius", "nan"))), None
         if kind == "halfspace":
-            return halfspace(_parse_vector(sec.get("normal", ""), f"{where}.normal"),
-                             float(sec.get("offset", "nan")))
+            return halfspace(_parse_vector(sec.get("normal", ""), "set.normal"),
+                             float(sec.get("offset", "nan"))), None
         if kind == "hyperplane":
-            return hyperplane(_parse_vector(sec.get("normal", ""), f"{where}.normal"),
-                              float(sec.get("offset", "nan")))
+            return hyperplane(_parse_vector(sec.get("normal", ""), "set.normal"),
+                              float(sec.get("offset", "nan"))), None
     except ConfigError:
         raise
     except ValueError as err:
-        raise ConfigError(f"{where} ({kind}): {err}") from None
-    raise ConfigError(f"{where}.kind: unknown set kind {kind!r}")
+        raise ConfigError(f"set ({kind}): {err}") from None
+    raise ConfigError(f"set.kind: unknown set kind {kind!r}")
 
 
 def load_problem_file(path: str) -> ProblemInstance:
     """Build a ProblemInstance from an INI problem file.
 
     Either `[problem] name = <builtin>` or an explicit `[operator]`
-    (affine: matrix/offset) plus `[set]` section; `[constants]` may carry x0
-    and a bounding box for grid oracles. F's Lipschitz constant is ||M||_2,
-    computed from the matrix, so a `lipschitz` key is rejected, as is a
-    matrix whose symmetric part is indefinite.
+    (affine: matrix/offset) plus `[set]` section; `[constants]` may carry x0.
+    F's Lipschitz constant is ||M||_2, computed from the matrix, so a
+    `lipschitz` key is rejected, as is a matrix whose symmetric part is
+    indefinite. A finite box set gets the exact dual gap
+    `affine_box_dual_gap`; an orthant, ball, halfspace or hyperplane set
+    gets none, so G there comes from the ascent of `gap.dual_gap`.
     """
     parser = configparser.ConfigParser()
     read = parser.read(path)
@@ -208,25 +211,18 @@ def load_problem_file(path: str) -> ProblemInstance:
             fmap = affine_map(M, q)
         except ValueError as err:
             raise ConfigError(f"operator: {err}") from None
-        feasible = _build_set(parser["set"], fmap.dimension)
+        feasible, box_bounds = _build_set(parser["set"])
         if feasible.dimension != fmap.dimension:
             raise ConfigError(
                 f"set: dimension {feasible.dimension} does not match operator "
                 f"dimension {fmap.dimension}")
-        desc = feasible.description
-        exact = (affine_box_dual_gap(M, q, desc["lower"], desc["upper"])
-                 if desc["kind"] == "box" else None)
+        exact = None if box_bounds is None else affine_box_dual_gap(M, q, *box_bounds)
         inst = ProblemInstance(
             name=str(path), map=fmap, set=feasible,
             default_x0=feasible.project(np.zeros(fmap.dimension)), dual_gap_exact=exact)
-    if parser.has_section("constants"):
-        sec = parser["constants"]
-        if sec.get("x0"):
-            inst = replace(inst, default_x0=_parse_vector(sec["x0"], "constants.x0"))
-        if sec.get("bounding_lower") and sec.get("bounding_upper"):
-            inst = replace(inst, bounding_box=(
-                _parse_vector(sec["bounding_lower"], "constants.bounding_lower"),
-                _parse_vector(sec["bounding_upper"], "constants.bounding_upper")))
+    if parser.has_section("constants") and parser["constants"].get("x0"):
+        x0 = _parse_vector(parser["constants"]["x0"], "constants.x0")
+        inst = replace(inst, default_x0=x0)
     return inst
 
 
@@ -247,20 +243,6 @@ def _regularizer(kind: str) -> Regularizer:
 # ---------------------------------------------------------------------------
 # experiment runner
 # ---------------------------------------------------------------------------
-
-def _feasible_point(problem, x) -> np.ndarray:
-    return problem.set.project(np.asarray(x, dtype=float))
-
-
-def _exactness_at(problem, x, tol) -> str:
-    return bounds.exactness_check(problem, _feasible_point(problem, x), tol=tol)
-
-
-def _dist_S0(problem, x) -> Optional[float]:
-    if problem.solution_oracle is None:
-        return None
-    return float(problem.solution_oracle.distance_to_S0(np.asarray(x, dtype=float)))
-
 
 def run_experiment(config: ExperimentConfig) -> list:
     """Run one sweep; one ResultRow per epsilon, deterministic for a fixed seed.
@@ -316,7 +298,6 @@ def _run_direct(config, problem, reg, x0) -> list:
     except (StepFailureError, MaxIterationsError) as err:
         failure = err
         records = err.partial_trace.outer if hasattr(err, "partial_trace") else []
-    ref_cache: dict = {}
     for rec in records:
         row = _row_shell(config, problem, rec.epsilon)
         row.iterations = rec.iterations
@@ -324,9 +305,13 @@ def _run_direct(config, problem, reg, x0) -> list:
         row.final_gap = rec.theta_final
         row.dist_to_S0 = rec.dist_S0
         if config.regularizer == "l2":
-            row.dist_to_reg_solution = _dist_to_reference(
-                problem, reg, rec.epsilon, rec.x, ref_cache)
-        row.exactness = _exactness_at(problem, rec.x, config.tol)
+            try:
+                ref = reference_solution(problem, rec.epsilon, reg)[0]
+            except (ValueError, RuntimeError):
+                pass   # no certified reference: the cell stays empty
+            else:
+                row.dist_to_reg_solution = float(np.linalg.norm(rec.x - ref))
+        row.exactness = bounds.exactness_check(problem, problem.set.project(rec.x), tol=config.tol)
         rows.append(row)
     done = {r.epsilon for r in rows}
     for e in eps_desc:
@@ -335,19 +320,6 @@ def _run_direct(config, problem, reg, x0) -> list:
             row.exactness = f"error:{type(failure).__name__}" if failure else "error"
             rows.append(row)
     return rows
-
-
-def _dist_to_reference(problem, reg, eps, x, cache) -> Optional[float]:
-    key = (problem.name, eps)
-    if key not in cache:
-        try:
-            cache[key] = reference_solution(problem, eps, reg)[0]
-        except (ValueError, RuntimeError):
-            cache[key] = None
-    ref = cache[key]
-    if ref is None:
-        return None
-    return float(np.linalg.norm(np.asarray(x, dtype=float) - ref))
 
 
 def _run_dualgap(config, problem, reg, x0) -> list:
@@ -364,9 +336,10 @@ def _run_dualgap(config, problem, reg, x0) -> list:
             continue
         row.wall_time_s = time.perf_counter() - tick
         row.iterations = trace.iterations
-        row.dist_to_S0 = _dist_S0(problem, x)
+        if problem.solution_oracle is not None:
+            row.dist_to_S0 = float(problem.solution_oracle.distance_to_S0(x))
         row.final_gap = dual_gap(problem, x).value
-        row.exactness = _exactness_at(problem, x, config.tol)
+        row.exactness = bounds.exactness_check(problem, problem.set.project(x), tol=config.tol)
         rows.append(row)
     return rows
 
@@ -387,7 +360,6 @@ def table1(out_path: Optional[str] = None, fmt: str = "csv",
                                    x0=(1.0, -2.0, 1.0), timing=timing,
                                    experimental_nonsmooth=True)
             rows.extend(run_experiment(cfg))
-    rows.sort(key=lambda r: (r.model, r.regularizer, r.epsilon))
     if out_path is not None:
         _write_rows(rows, out_path, fmt)
     return rows

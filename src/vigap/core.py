@@ -6,7 +6,7 @@ immutable after construction; evaluation and projection are pure functions.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -183,14 +183,11 @@ class FeasibleSet:
     `project_jacobian`, optional, maps z to an (n, n) element of the
     generalized Jacobian of the projection at z (symmetric, eigenvalues in
     [0, 1]), used by the semismooth Newton step; callers do not modify it.
-    `description` is structured metadata (kind + parameters) so problem
-    files and reports can name the set.
     """
 
     dimension: int
     project: Callable[[Vector], Vector]
     contains: Callable[[Vector, float], bool]
-    description: dict = field(default_factory=dict)
     project_rows: Optional[Callable[[np.ndarray], np.ndarray]] = None
     project_jacobian: Optional[Callable[[Vector], np.ndarray]] = None
 
@@ -225,15 +222,13 @@ def box(lower, upper) -> FeasibleSet:
         project_rows=lambda Z: _clip(Z, lo, hi),
         project_jacobian=lambda z: np.diag(((lo < z) & (z < hi)).astype(float)),
         contains=lambda x, tol=1e-10: bool(np.all(x >= lo - tol) and np.all(x <= hi + tol)),
-        description={"kind": "box", "lower": lo.tolist(), "upper": hi.tolist()},
     )
 
 
 def shifted_orthant(lower) -> FeasibleSet:
     """Shifted nonnegative orthant {x >= l} (componentwise)."""
     lo = np.asarray(lower, dtype=float)
-    s = box(lo, np.full_like(lo, np.inf))
-    return replace(s, description={"kind": "shifted_orthant", "lower": lo.tolist()})
+    return box(lo, np.full_like(lo, np.inf))
 
 
 def hyperplane(normal, offset: float) -> FeasibleSet:
@@ -250,7 +245,6 @@ def hyperplane(normal, offset: float) -> FeasibleSet:
         project_rows=lambda Z: Z - ((Z @ a - b) / nn)[:, None] * a,
         project_jacobian=lambda z: J,
         contains=lambda x, tol=1e-10: bool(abs(a @ x - b) <= tol * (1.0 + abs(b))),
-        description={"kind": "hyperplane", "normal": a.tolist(), "offset": b},
     )
 
 
@@ -269,7 +263,6 @@ def halfspace(normal, offset: float) -> FeasibleSet:
         project_rows=lambda Z: Z - (np.maximum(Z @ a - b, 0.0) / nn)[:, None] * a,
         project_jacobian=lambda z: outside if a @ z > b else inside,
         contains=lambda x, tol=1e-10: bool(a @ x - b <= tol * (1.0 + abs(b))),
-        description={"kind": "halfspace", "normal": a.tolist(), "offset": b},
     )
 
 
@@ -304,7 +297,6 @@ def ball(center, radius: float) -> FeasibleSet:
         project_rows=proj_rows,
         project_jacobian=proj_jac,
         contains=lambda x, tol=1e-10: bool(np.linalg.norm(x - c) <= r + tol),
-        description={"kind": "ball", "center": c.tolist(), "radius": r},
     )
 
 
@@ -331,7 +323,6 @@ class Regularizer:
     hessian: Optional[Callable[[Vector], np.ndarray]] = None
     rho: float = 0.0
     lipschitz_M: Optional[float] = None
-    name: str = ""
 
     def __post_init__(self):
         if self.gradient is None and self.subgradient_select is None:
@@ -358,7 +349,6 @@ def tikhonov() -> Regularizer:
         hessian=lambda x: np.eye(x.shape[0]),
         rho=1.0,
         lipschitz_M=1.0,
-        name="l2",
     )
 
 
@@ -369,7 +359,6 @@ def l1_regularizer() -> Regularizer:
         subgradient_select=lambda x: np.sign(x),
         rho=0.0,
         lipschitz_M=None,
-        name="l1",
     )
 
 
@@ -401,13 +390,11 @@ def regularized_operator(fmap: MonotoneMap, reg: Optional[Regularizer],
 # sampling probes for declared constants
 # ---------------------------------------------------------------------------
 
-def sample_in_set(feasible: FeasibleSet, n: int, seed: int = 0, radius: float = 2.0,
-                  center=None) -> np.ndarray:
-    """n seeded sample points in the set: projected Gaussian perturbations."""
+def sample_in_set(feasible: FeasibleSet, n: int, seed: int = 0,
+                  radius: float = 2.0) -> np.ndarray:
+    """n seeded sample points in the set: projected Gaussian points about 0."""
     rng = np.random.default_rng(seed)
-    c = np.zeros(feasible.dimension) if center is None else np.asarray(center, dtype=float)
-    Z = c + radius * rng.standard_normal((n, feasible.dimension))
-    return project_rows(feasible, Z)
+    return project_rows(feasible, radius * rng.standard_normal((n, feasible.dimension)))
 
 
 def probe_monotonicity(op: Callable[[Vector], Vector], feasible: FeasibleSet,

@@ -271,7 +271,7 @@ def _dual_gap_kernel(problem):
     return ascent
 
 
-def dual_gap(problem, x: Vector, warm: Optional[Vector] = None) -> GapEvaluation:
+def dual_gap(problem, x: Vector) -> GapEvaluation:
     """Evaluate G(x) = sup_{y in Omega} <F(y), x - y>.
 
     A problem with a `dual_gap_exact` oracle gets the oracle's answer, which
@@ -286,21 +286,16 @@ def dual_gap(problem, x: Vector, warm: Optional[Vector] = None) -> GapEvaluation
     failure is flagged through the converged flag, never silently, and
     solve_pge raises DualGapUnreliableError when too many solves fail.
 
-    x and warm are validated here; the evaluation itself is the raw kernel
-    `_dual_gap_kernel` that solve_pge calls.
+    x is validated here; the evaluation itself is the raw kernel
+    `_dual_gap_kernel` that solve_pge calls, without its warm start.
 
     Parameters
     ----------
     problem : object with `map` (MonotoneMap) and `set` (FeasibleSet), and
         optionally `dual_gap_exact` (x -> GapEvaluation with `upper` set)
     x : evaluation point
-    warm : optional warm-start inner point of the ascent (an extra start)
     """
-    dim = problem.map.dimension
-    x = as_point(x, dim)
-    if warm is not None:
-        warm = as_point(warm, dim)
-    return _dual_gap_kernel(problem)(x, warm)
+    return _dual_gap_kernel(problem)(as_point(x, problem.map.dimension), None)
 
 
 # Newton iterations and Armijo halvings of the affine box oracle, the Armijo

@@ -150,10 +150,6 @@ def example_5_1() -> ProblemInstance:
         project_jacobian=proj_jac,
         contains=lambda x, tol=1e-10: bool(x[0] <= 1.0 + tol
                                            and abs(x[1] + x[2] + 1.0) <= 2.0 * tol),
-        description={"kind": "product", "blocks": [
-            {"indices": [0], "set": {"kind": "box", "lower": [-np.inf], "upper": [1.0]}},
-            {"indices": [1, 2], "set": {"kind": "hyperplane", "normal": [1.0, 1.0],
-                                        "offset": -1.0}}]},
     )
 
     def dual_gap_exact(x):
@@ -190,7 +186,6 @@ def example_5_1() -> ProblemInstance:
         set=omega,
         solution_oracle=SolutionOracle(distance_to_S0=dist_S0, sample_S0=sample_S0),
         default_x0=np.array([1.0, -2.0, 1.0]),
-        bounding_box=(np.array([-2.0, -3.0, -3.0]), np.array([2.0, 2.0, 2.0])),
         dual_gap_exact=dual_gap_exact,
     )
 
@@ -230,7 +225,7 @@ def affine_monotone(n: int, seed: int = 0) -> ProblemInstance:
     if inst.map.mu > 0:
         from .solvers import reference_solution
 
-        xstar, _ = reference_solution(inst, 0.0, None, tol_residual=1e-12)
+        xstar, _ = reference_solution(inst, 0.0, None)
         oracle = SolutionOracle(
             distance_to_S0=lambda x: float(np.linalg.norm(np.asarray(x) - xstar)),
             sample_S0=lambda count, seed=0: np.tile(xstar, (count, 1)),
@@ -293,11 +288,11 @@ def sharp_quadratic_ball(n: int = 2) -> ProblemInstance:
 # grid oracles (dimensions 1 and 2)
 # ---------------------------------------------------------------------------
 
-def _grid_points(problem, grid_resolution, bounding_box):
+def _grid_points(problem, grid_resolution):
     n = problem.dimension
     if n > 2:
         raise ValueError("grid oracles support dimensions 1 and 2 only")
-    bbox = bounding_box if bounding_box is not None else problem.bounding_box
+    bbox = problem.bounding_box
     if bbox is None:
         raise ValueError("grid oracle needs a bounding box")
     lo = np.asarray(bbox[0], dtype=float)
@@ -315,13 +310,12 @@ def _grid_points(problem, grid_resolution, bounding_box):
     keep = np.linalg.norm(P - Y, axis=1) <= 1e-9 * (1.0 + np.linalg.norm(hi - lo))
     if not np.any(keep):
         raise ValueError("bounding box does not intersect the feasible set")
-    return Y[keep], h
+    return Y[keep]
 
 
 def brute_force_gap(problem, x: Vector, alpha: float, epsilon: float = 0.0,
                     grid_resolution: Optional[float] = None,
-                    reg: Optional[Regularizer] = None,
-                    bounding_box=None) -> float:
+                    reg: Optional[Regularizer] = None) -> float:
     """Grid maximization of <T(x), x-y> - (alpha/2)||y-x||^2 over an Omega grid.
 
     Independent oracle for the explicit regularized-gap formula; agrees with
@@ -330,7 +324,7 @@ def brute_force_gap(problem, x: Vector, alpha: float, epsilon: float = 0.0,
     if not alpha > 0:
         raise ValueError("alpha must be positive")
     x = as_point(x, problem.dimension)
-    Y, _ = _grid_points(problem, grid_resolution, bounding_box)
+    Y = _grid_points(problem, grid_resolution)
     Tx = problem.map(x)
     if epsilon > 0.0:
         if reg is None:
@@ -341,11 +335,10 @@ def brute_force_gap(problem, x: Vector, alpha: float, epsilon: float = 0.0,
     return float(vals.max())
 
 
-def brute_force_dual_gap(problem, x: Vector, grid_resolution: Optional[float] = None,
-                         bounding_box=None) -> float:
+def brute_force_dual_gap(problem, x: Vector, grid_resolution: Optional[float] = None) -> float:
     """Grid maximization of <F(y), x-y> over an Omega grid (dims 1 and 2)."""
     x = as_point(x, problem.dimension)
-    Y, _ = _grid_points(problem, grid_resolution, bounding_box)
+    Y = _grid_points(problem, grid_resolution)
     FY = problem.map.rows(Y)
     vals = np.einsum("ij,ij->i", FY, x - Y)
     return float(vals.max())

@@ -83,29 +83,23 @@ PGE_DELTA0_FRACTION = 0.25
 PGE_DELTA_FINAL_REL = 1e-14
 PGE_TANGENT_PROBE = 1e-7
 PGE_MAX_NONCONVERGED_FRACTION = 0.5
+# natural-residual norm at which `reference_solution` stops
+REFERENCE_RESIDUAL = 1e-12
 
 
 class StepFailureError(RuntimeError):
     """The D-gap descent cannot progress: Armijo backtracking exhausted, or
     (in `solve_inner`, on a level with a certificate, above the floor) a
-    vanishing direction or stagnant iterates. Carries the point, direction
-    and gap value where the descent failed.
+    vanishing direction or stagnant iterates.
     """
-
-    def __init__(self, message, x=None, d=None, theta=None, backtracks=None):
-        super().__init__(message)
-        self.x = x
-        self.d = d
-        self.theta = theta
-        self.backtracks = backtracks
 
 
 class MaxIterationsError(RuntimeError):
-    """Iteration budget exhausted; carries the best point and partial trace."""
+    """Iteration budget exhausted; carries the level's partial trace, whose
+    x is the last point."""
 
-    def __init__(self, message, x=None, trace=None):
+    def __init__(self, message, trace=None):
         super().__init__(message)
-        self.x = x
         self.trace = trace
 
 
@@ -168,7 +162,6 @@ class OuterConfig:
 
 @dataclass(slots=True)
 class InnerRecord:
-    j: int
     theta: float
     m: int
     branch: str
@@ -185,7 +178,6 @@ class InnerTrace:
     the problem's solution oracle, if any) and wall_time_s are filled in."""
 
     epsilon: float
-    tau: float
     p: float
     c: float
     delta: float
@@ -318,8 +310,7 @@ def _armijo(theta, x: Vector, d: Vector, theta_x: float, cfg: InnerConfig,
         step *= GAMMA
     raise StepFailureError(
         f"no Armijo step after {max_backtracks} backtracks "
-        f"(theta={theta_x:.3e}, ||d||={nd:.3e}); mis-set constants or tolerance floor",
-        x=x, d=d, theta=theta_x, backtracks=max_backtracks)
+        f"(theta={theta_x:.3e}, ||d||={nd:.3e}); mis-set constants or tolerance floor")
 
 
 def _newton_step(theta, jac, x: Vector, h: Vector) -> Vector:
@@ -399,8 +390,8 @@ def solve_inner(problem, x0: Vector, epsilon: float, tau: float,
     three steps that barely move x: "floor" if theta_ab <= 10 THETA_FLOOR,
     else "stagnated" without a certificate, else StepFailureError.
 
-    Returns (x, InnerTrace). Raises MaxIterationsError with the point and
-    the partial trace attached.
+    Returns (x, InnerTrace). Raises MaxIterationsError with the partial
+    trace attached.
     """
     cfg = cfg or InnerConfig()
     if epsilon < 0:
@@ -421,7 +412,7 @@ def solve_inner(problem, x0: Vector, epsilon: float, tau: float,
     stagnant = 0
 
     def done(status, rad=None):
-        return x, InnerTrace(epsilon=epsilon, tau=tau, p=p, c=cfg.c, delta=cfg.delta,
+        return x, InnerTrace(epsilon=epsilon, p=p, c=cfg.c, delta=cfg.delta,
                              L_theta=cfg.L_theta_estimate, records=records, status=status,
                              theta_final=th, x=x, certificate=None if rad is None else kind,
                              radius=rad)
@@ -455,37 +446,35 @@ def solve_inner(problem, x0: Vector, epsilon: float, tau: float,
 
     cfg = _resolve_constants(problem, cfg, epsilon, reg)
 
-    for j in range(1, cfg.max_iterations + 1):
+    for _ in range(cfg.max_iterations):
         if (rad := radius()) is not None:
             return done("certified", rad)
         if kind == "residual":
             trial = _newton_trial(theta, jac, x, ya, th, cfg)
             if trial is not None:
                 x, th, ya, yb, ns = trial
-                records.append(InnerRecord(j=j, theta=th, m=0, branch=BRANCH_NEWTON,
-                                           step_norm=ns))
+                records.append(InnerRecord(theta=th, m=0, branch=BRANCH_NEWTON, step_norm=ns))
                 continue
         if kind != "dgap" and th <= THETA_FLOOR:
             return done("floor")
         d, branch = _direction(x, ya, yb, cfg.c)
         nd, nx = _norm(d), _norm(x)
         if nd <= 1e-15 * (1.0 + nx):
-            return stalled(StepFailureError("the D-gap direction vanished", x=x, d=d, theta=th))
+            return stalled(StepFailureError("the D-gap direction vanished"))
         try:
             m, xn, tn, yan, ybn = _armijo(theta, x, d, th, cfg)
         except StepFailureError as err:
             return stalled(err)
-        records.append(InnerRecord(j=j, theta=tn, m=m, branch=branch,
-                                   step_norm=(GAMMA ** m) * nd))
+        records.append(InnerRecord(theta=tn, m=m, branch=branch, step_norm=(GAMMA ** m) * nd))
         stagnant = stagnant + 1 if _norm(xn - x) <= STAGNATION_TOL * (1.0 + nx) else 0
         x, th, ya, yb = xn, tn, yan, ybn
         if stagnant >= 3:
-            return stalled(StepFailureError("the iterates stagnated", x=x, theta=th))
+            return stalled(StepFailureError("the iterates stagnated"))
     if (rad := radius()) is not None:
         return done("certified", rad)
     raise MaxIterationsError(
         f"inner solve exhausted {cfg.max_iterations} iterations "
-        f"(theta={th:.3e}, threshold={p:.3e})", x=x, trace=done("max_iterations")[1])
+        f"(theta={th:.3e}, threshold={p:.3e})", done("max_iterations")[1])
 
 
 # ---------------------------------------------------------------------------
@@ -604,14 +593,13 @@ def solve_pge(problem, regularizer: Regularizer, epsilon: float, x0: Vector,
 # high-accuracy references
 # ---------------------------------------------------------------------------
 
-def reference_solution(problem, epsilon: float = 0.0, reg: Optional[Regularizer] = None,
-                       tol_residual: float = 1e-12):
+def reference_solution(problem, epsilon: float = 0.0, reg: Optional[Regularizer] = None):
     """Solve a strongly monotone VI(T_eps, Omega) to machine-level residual.
 
     Runs at most 80 semismooth Newton steps (`_newton_step`) from
     P_Omega(0), each damped by halving until the natural residual
     H(x) = x - P_Omega(x - T(x)/alpha) decreases, stopping at
-    ||H|| <= tol_residual. It does not run the D-gap descent it is used to
+    ||H|| <= REFERENCE_RESIDUAL. It does not run the D-gap descent it is used to
     check.
     A residual r certifies the true theta_ab <= (beta-alpha)/2 * r^2, far
     below anything evaluable in floating point.
@@ -630,7 +618,7 @@ def reference_solution(problem, epsilon: float = 0.0, reg: Optional[Regularizer]
     h = x - theta(x)[1]
     nh = _norm(h)
     for _ in range(80):
-        if nh <= tol_residual:
+        if nh <= REFERENCE_RESIDUAL:
             break
         step = _newton_step(theta, jac, x, h)
         t = 1.0
@@ -644,7 +632,7 @@ def reference_solution(problem, epsilon: float = 0.0, reg: Optional[Regularizer]
             t *= 0.5
         else:
             break  # no progress; nh stands
-    if nh > tol_residual:
+    if nh > REFERENCE_RESIDUAL:
         raise RuntimeError(
-            f"reference solve stalled at residual {nh:.3e} (target {tol_residual:.1e})")
+            f"reference solve stalled at residual {nh:.3e} (target {REFERENCE_RESIDUAL:.1e})")
     return x, nh

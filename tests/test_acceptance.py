@@ -122,7 +122,7 @@ def test_criterion_3_direct_l2_schedule(ba, capsys):
 def test_criterion_4_error_bound_soundness(ba, capsys):
     l2 = tikhonov()
     taus = {0.5: 1e-6, 0.1: 1e-5, 0.01: 1e-4}
-    refs = {e: reference_solution(ba, e, l2, tol_residual=1e-12)[0] for e in taus}
+    refs = {e: reference_solution(ba, e, l2)[0] for e in taus}
     rng = np.random.default_rng(123)
     n_runs = 0
     ok = True

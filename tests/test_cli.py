@@ -23,6 +23,7 @@ from vigap.cli import (
     rows_to_json,
     run_experiment,
 )
+from vigap.gap import dual_gap
 from vigap.solvers import DualGapUnreliableError, solve_inner
 
 
@@ -191,6 +192,33 @@ def test_load_problem_file(tmp_path):
                     epsilons=(0.5,))
     rows = run_experiment(cfg)
     assert rows[0].final_gap is not None
+
+
+# each set kind of a problem file: its keys, and the closed-form projection of (3, 4)
+SET_KINDS = {
+    "box": ("lower = -1 -1\nupper = 1 1", [1.0, 1.0]),
+    "orthant": ("lower = 0 5", [3.0, 5.0]),
+    "ball": ("center = 0 0\nradius = 1", [0.6, 0.8]),
+    "halfspace": ("normal = 1 1\noffset = 1", [0.0, 1.0]),
+    "hyperplane": ("normal = 1 -1\noffset = 0", [3.5, 3.5]),
+}
+
+
+@pytest.mark.parametrize("kind", list(SET_KINDS))
+def test_problem_file_set_kinds(kind, tmp_path):
+    keys, projection = SET_KINDS[kind]
+    path = tmp_path / f"{kind}.ini"
+    path.write_text(AFFINE_INI.split("[set]")[0] + f"[set]\nkind = {kind}\n{keys}\n")
+    inst = load_problem_file(str(path))
+    np.testing.assert_allclose(inst.set.project(np.array([3.0, 4.0])), projection,
+                               rtol=0.0, atol=1e-15)
+    if kind == "box":
+        # affine F on a finite box: the exact oracle, here G(0) = max_y y1 - 2 y1^2 - 3 y2^2
+        assert inst.dual_gap_exact is not None
+        ev = dual_gap(inst, np.zeros(2))
+        assert ev.converged and ev.value == pytest.approx(0.125, abs=1e-12)
+    else:
+        assert inst.dual_gap_exact is None
 
 
 def test_problem_file_named_builtin(tmp_path):

@@ -80,7 +80,7 @@ def test_box_projection_clamp():
     ball([0.5, -0.5, 0.0], 1.5),
     hyperplane([1.0, 1.0], -1.0),
     halfspace([1.0, -2.0, 0.5], 0.25),
-], ids=lambda s: s.description["kind"])
+], ids=["box", "shifted_orthant", "ball", "hyperplane", "halfspace"])
 def test_projection_invariants_1000_pairs(feasible):
     rng = np.random.default_rng(11)
     Z = 3.0 * rng.standard_normal((1000, feasible.dimension))
@@ -118,13 +118,13 @@ def test_box_projection_matches_clip_on_special_values():
             _same_floats(s.project_rows(Z), np.clip(Z, lo[part], hi[part]))
 
 
-@pytest.mark.parametrize("feasible, shift", [
-    (hyperplane([1.0, -2.0, 0.5], 0.25), lambda Z, a, b, nn: (Z @ a - b) / nn),
-    (halfspace([1.0, -2.0, 0.5], 0.25), lambda Z, a, b, nn: np.maximum(Z @ a - b, 0.0) / nn),
+@pytest.mark.parametrize("kind, shift", [
+    (hyperplane, lambda Z, a, b, nn: (Z @ a - b) / nn),
+    (halfspace, lambda Z, a, b, nn: np.maximum(Z @ a - b, 0.0) / nn),
 ], ids=["hyperplane", "halfspace"])
-def test_affine_row_projection_matches_outer_form(feasible, shift):
-    a = np.array(feasible.description["normal"])
-    b = feasible.description["offset"]
+def test_affine_row_projection_matches_outer_form(kind, shift):
+    a, b = np.array([1.0, -2.0, 0.5]), 0.25
+    feasible = kind(a, b)
     rng = np.random.default_rng(19)
     Z = 3.0 * rng.standard_normal((200, 3))
     Z[:3] = [[np.inf, 0.0, 0.0], [np.nan, 1.0, -1.0], [-0.0, 0.0, -0.0]]
@@ -151,15 +151,12 @@ def _composed_ba_set():
         Y[:, 1:3] = h.project_rows(Z[:, 1:3])
         return Y
 
-    description = {"kind": "product", "blocks": [{"indices": [0], "set": b.description},
-                                                 {"indices": [1, 2], "set": h.description}]}
-    return project, project_rows, description
+    return project, project_rows
 
 
 def test_ba_projection_is_bit_identical_to_box_and_hyperplane(ba_problem):
-    project, project_rows_ref, description = _composed_ba_set()
+    project, project_rows_ref = _composed_ba_set()
     omega = ba_problem.set
-    assert omega.description == description
     rng = np.random.default_rng(29)
     Z = 3.0 * rng.standard_normal((10_000, 3))
     Z[:2000, 0] = rng.choice([1.0, 0.0, -0.0, np.nextafter(1.0, 2.0),
@@ -210,7 +207,7 @@ def _check_jacobian_hook(f, jac, points):
     hyperplane([1.0, 1.0], -1.0),
     halfspace([1.0, -2.0, 0.5], 0.25),
     "example5_1",
-], ids=lambda s: s if isinstance(s, str) else s.description["kind"])
+], ids=["box", "shifted_orthant", "ball", "hyperplane", "halfspace", "example5_1"])
 def test_projection_jacobian_hook(feasible, ba_problem):
     # an element of the generalized Jacobian of P_Omega: the derivative of
     # the projection away from its kinks, symmetric, eigenvalues in [0, 1]

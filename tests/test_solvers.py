@@ -386,7 +386,7 @@ def test_solve_inner_max_iterations(ba_problem, l2):
     with pytest.raises(MaxIterationsError) as err:
         solve_inner(ba_problem, X0, 0.5, 1e-6, InnerConfig(max_iterations=3), l2)
     assert err.value.trace.status == "max_iterations"
-    assert err.value.x is not None
+    assert err.value.trace.x is not None and err.value.trace.iterations == 3
 
 
 def test_solve_constants_capped_at_admissible_bounds(ba_problem, l2):
