@@ -22,6 +22,7 @@ from .problems import (
 from .solvers import (
     ALPHA,
     BETA,
+    THETA_FLOOR,
     InnerConfig,
     reference_solution,
     solve_inner,
@@ -136,10 +137,12 @@ def _check_bounds_soundness(seed: int) -> CheckReport:
             levels.append((tr, tau))
             p = bounds.stopping_threshold(tau, 2.0, 1.0, 1.0, ALPHA, BETA, e)
             ok_p = ok_p and tr.p == p and tr.theta_final <= p
-            radius = bounds.dgap_error_bound(max(tr.theta_final, 0.0),
+            # theta floored as in `solve_inner`: a level may land on x_eps,
+            # where theta evaluates to <= 0 and the unfloored radius is 0
+            radius = bounds.dgap_error_bound(max(tr.theta_final, THETA_FLOOR),
                                              2.0, 1.0, 1.0, ALPHA, BETA, e)
             dist = float(np.linalg.norm(x - refs[e]))
-            ok_rad = ok_rad and dist <= radius and dist <= tau
+            ok_rad = ok_rad and dist <= radius <= tau
             if radius > 0:
                 worst_slack = min(worst_slack, radius / max(dist, 1e-300))
     report.record("stopping threshold matches and is met", ok_p,

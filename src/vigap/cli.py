@@ -147,11 +147,28 @@ def _parse_matrix(text: str, where: str) -> np.ndarray:
     return np.array([_parse_vector(r, where) for r in rows])
 
 
+# the keys each section of a problem file may carry; any other key or
+# section is a ConfigError, so a misspelt key cannot change a run silently
+SECTION_KEYS = {"problem": ("name",), "operator": ("kind", "matrix", "offset"),
+                "set": ("kind",), "constants": ("x0",)}
+SET_KEYS = {"box": ("lower", "upper"), "orthant": ("lower",), "ball": ("center", "radius"),
+            "halfspace": ("normal", "offset"), "hyperplane": ("normal", "offset")}
+
+
+def _reject_unknown_keys(sec, known):
+    for key in sec:
+        if key not in known:
+            raise ConfigError(f"{sec.name}.{key}: unknown key (known: {', '.join(known)})")
+
+
 def _build_set(sec):
     """The [set] section's set, and its (lower, upper) bounds when it is a box."""
     kind = sec.get("kind", None)
     if kind is None:
         raise ConfigError("set.kind: missing")
+    if kind not in SET_KEYS:
+        raise ConfigError(f"set.kind: unknown set kind {kind!r}")
+    _reject_unknown_keys(sec, ("kind",) + SET_KEYS[kind])
     try:
         if kind == "box":
             lo = _parse_vector(sec.get("lower", ""), "set.lower")
@@ -162,17 +179,13 @@ def _build_set(sec):
         if kind == "ball":
             return ball(_parse_vector(sec.get("center", ""), "set.center"),
                         float(sec.get("radius", "nan"))), None
-        if kind == "halfspace":
-            return halfspace(_parse_vector(sec.get("normal", ""), "set.normal"),
-                             float(sec.get("offset", "nan"))), None
-        if kind == "hyperplane":
-            return hyperplane(_parse_vector(sec.get("normal", ""), "set.normal"),
-                              float(sec.get("offset", "nan"))), None
+        normal = _parse_vector(sec.get("normal", ""), "set.normal")
+        make = halfspace if kind == "halfspace" else hyperplane
+        return make(normal, float(sec.get("offset", "nan"))), None
     except ConfigError:
         raise
     except ValueError as err:
         raise ConfigError(f"set ({kind}): {err}") from None
-    raise ConfigError(f"set.kind: unknown set kind {kind!r}")
 
 
 def load_problem_file(path: str) -> ProblemInstance:
@@ -180,28 +193,39 @@ def load_problem_file(path: str) -> ProblemInstance:
 
     Either `[problem] name = <builtin>` or an explicit `[operator]`
     (affine: matrix/offset) plus `[set]` section; `[constants]` may carry x0.
-    F's Lipschitz constant is ||M||_2, computed from the matrix, so a
-    `lipschitz` key is rejected, as is a matrix whose symmetric part is
-    indefinite. A finite box set gets the exact dual gap
-    `affine_box_dual_gap`; an orthant, ball, halfspace or hyperplane set
-    gets none, so G there comes from the ascent of `gap.dual_gap`.
+    A section or key outside SECTION_KEYS and SET_KEYS is rejected, as are
+    `[operator]` and `[set]` beside a named builtin. F's Lipschitz constant
+    is ||M||_2, computed from the matrix, so a `lipschitz` key is rejected,
+    as is a matrix whose symmetric part is indefinite. A finite box set gets
+    the exact dual gap `affine_box_dual_gap`; an orthant, ball, halfspace or
+    hyperplane set gets none, so G there comes from the ascent of
+    `gap.dual_gap`.
     """
     parser = configparser.ConfigParser()
     read = parser.read(path)
     if not read:
         raise ConfigError(f"cannot read problem file {path!r}")
+    for name in parser.sections() + (["DEFAULT"] if parser.defaults() else []):
+        if name not in SECTION_KEYS:
+            raise ConfigError(f"[{name}]: unknown section (known: {', '.join(SECTION_KEYS)})")
+    if parser.has_section("operator") and "lipschitz" in parser["operator"]:
+        raise ConfigError("operator.lipschitz: not accepted; the Lipschitz constant "
+                          "is ||M||_2, computed from the matrix")
+    for name in ("problem", "operator", "constants"):
+        if parser.has_section(name):
+            _reject_unknown_keys(parser[name], SECTION_KEYS[name])
     if parser.has_section("problem") and parser["problem"].get("name"):
         name = parser["problem"]["name"]
         if name not in BUILTIN_PROBLEMS:
             raise ConfigError(f"problem.name: unknown builtin {name!r}")
+        for sec in ("operator", "set"):
+            if parser.has_section(sec):
+                raise ConfigError(f"[{sec}]: not used with problem.name = {name}")
         inst = BUILTIN_PROBLEMS[name]()
     else:
         if not parser.has_section("operator") or not parser.has_section("set"):
             raise ConfigError("problem file needs [problem] name or [operator] + [set]")
         op = parser["operator"]
-        if "lipschitz" in op:
-            raise ConfigError("operator.lipschitz: not accepted; the Lipschitz constant "
-                              "is ||M||_2, computed from the matrix")
         if op.get("kind", "affine") != "affine":
             raise ConfigError(f"operator.kind: only 'affine' or builtins supported, "
                               f"got {op.get('kind')!r}")
@@ -286,6 +310,12 @@ def _row_shell(config, problem, eps) -> ResultRow:
                      dist_to_S0=None, final_gap=None, exactness="")
 
 
+def _gap_cell(value: float) -> float:
+    """The final_gap cell: theta_ab and G are >= 0 in exact arithmetic, so a
+    negative value is rounding and prints as 0.0."""
+    return 0.0 if value <= 0.0 else value
+
+
 def _run_direct(config, problem, reg, x0) -> list:
     eps_desc = tuple(sorted(set(float(e) for e in config.epsilons), reverse=True))
     inner = InnerConfig(max_iterations=config.max_iter) if config.max_iter else InnerConfig()
@@ -302,7 +332,7 @@ def _run_direct(config, problem, reg, x0) -> list:
         row = _row_shell(config, problem, rec.epsilon)
         row.iterations = rec.iterations
         row.wall_time_s = rec.wall_time_s
-        row.final_gap = rec.theta_final
+        row.final_gap = _gap_cell(rec.theta_final)
         row.dist_to_S0 = rec.dist_S0
         if config.regularizer == "l2":
             try:
@@ -338,7 +368,7 @@ def _run_dualgap(config, problem, reg, x0) -> list:
         row.iterations = trace.iterations
         if problem.solution_oracle is not None:
             row.dist_to_S0 = float(problem.solution_oracle.distance_to_S0(x))
-        row.final_gap = dual_gap(problem, x).value
+        row.final_gap = _gap_cell(dual_gap(problem, x).value)
         row.exactness = bounds.exactness_check(problem, problem.set.project(x), tol=config.tol)
         rows.append(row)
     return rows

@@ -2,12 +2,13 @@
 
 Three layers:
 
-* a derivative-free D-gap descent (direction switching between
-  y_alpha - y_beta and y_alpha - x, Armijo backtracking on sqrt(theta_ab))
-  for VI(T_eps, Omega) with T_eps = F + eps * grad(phi), at the fixed
-  constants ALPHA, BETA, GAMMA and MAX_BACKTRACKS below, finished by
-  semismooth Newton on the natural residual where the D-gap stopping level
-  lies below the floor of theta evaluation;
+* semismooth Newton on the natural residual for VI(T_eps, Omega) with
+  T_eps = F + eps * grad(phi), globalized by the D-gap theta_ab as merit
+  function, with a derivative-free D-gap step as the fallback (direction
+  switching between y_alpha - y_beta and y_alpha - x, Armijo backtracking on
+  sqrt(theta_ab)) at the fixed constants ALPHA, BETA, GAMMA and
+  MAX_BACKTRACKS below; levels without a certificate take the D-gap steps
+  alone;
 * a sequential inexact outer loop over a given decreasing eps schedule that
   warm-starts each inner solve and stops it through a computable error
   bound (D-gap or natural residual) at one tolerance tau;
@@ -371,21 +372,25 @@ def _newton_trial(theta, jac, x: Vector, ya: Vector, theta_x: float, cfg: InnerC
 def solve_inner(problem, x0: Vector, epsilon: float, tau: float,
                 cfg: Optional[InnerConfig] = None,
                 reg: Optional[Regularizer] = None):
-    """Approximately solve VI(T_eps, Omega) by D-gap descent.
+    """Approximately solve VI(T_eps, Omega) by semismooth Newton globalized
+    by the D-gap, or by D-gap descent alone on a level without a certificate.
 
     Each level has one certificate, chosen once. A smooth phi with rho > 0
     and eps > 0 stops once theta_ab <= p = tau^2 / L_k^2, which certifies
     ||x - x_eps|| <= tau ("dgap"). Where p lies below THETA_FLOOR, the floor of
     theta evaluation, that test cannot fire: the natural-residual bound
-    certifies instead ("residual"), and each uncertified iteration first tries
-    one full Newton step on H(x) = x - y_alpha(x) (branch "newton"), kept if
-    it passes the Armijo test on sqrt(theta_ab) or, at the floor, where that
-    test cannot judge, if it halves ||H||; else it takes a D-gap step. Any
-    other level (nonsmooth phi, eps = 0 or rho = 0) has no certificate.
+    certifies instead ("residual"). On either kind of level each uncertified
+    iteration first tries one full Newton step on H(x) = x - y_alpha(x)
+    (branch "newton"), kept if it passes the Armijo test on sqrt(theta_ab)
+    or, at the floor, where that test cannot judge, if it halves ||H||; else
+    it takes a D-gap step. Any other level (nonsmooth phi, eps = 0 or
+    rho = 0) has no certificate and takes D-gap steps only.
 
-    Status "certified" means the certificate holds with radius <= tau. A
-    level without a D-gap certificate stops "floor" once theta_ab <=
-    THETA_FLOOR (on a residual level, after a rejected Newton trial). One
+    Status "certified" means the certificate holds with radius <= tau; a
+    D-gap radius is taken at max(theta_ab, THETA_FLOOR), since a Newton step
+    can land on x_eps, where theta_ab evaluates to <= 0. A level without a
+    D-gap certificate stops "floor" once theta_ab <= THETA_FLOOR (on a
+    residual level, after a rejected Newton trial). One
     stall rule covers a vanishing direction, an exhausted Armijo search and
     three steps that barely move x: "floor" if theta_ab <= 10 THETA_FLOOR,
     else "stagnated" without a certificate, else StepFailureError.
@@ -449,7 +454,7 @@ def solve_inner(problem, x0: Vector, epsilon: float, tau: float,
     for _ in range(cfg.max_iterations):
         if (rad := radius()) is not None:
             return done("certified", rad)
-        if kind == "residual":
+        if kind is not None:
             trial = _newton_trial(theta, jac, x, ya, th, cfg)
             if trial is not None:
                 x, th, ya, yb, ns = trial

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import assert_matches_golden
 
 import vigap
 from vigap import checks, cli
@@ -102,7 +103,7 @@ GOLDEN = Path(__file__).parent / "data"
      "--no-timing", "golden_direct_l2.csv"),
     ("run --problem example5_1 --model dualgap --reg l1 --eps 0.5 --max-iter 50 "
      "--no-timing", "golden_dualgap_l1.csv"),
-    # finite bounds on both sides of a 5-D box: D-gap steps at eps = 0.5, Newton below
+    # finite bounds on both sides of a 5-D box: Newton on every level, D-gap-certified at 0.5
     ("run --problem affine5d --model direct --reg l2 --eps 0.5,0.1,0.01 --no-timing",
      "golden_affine5d_direct_l2.csv"),
     # the cold solve at eps = 1e-4: two Newton steps, then the residual certificate
@@ -123,7 +124,7 @@ def test_output_matches_committed_golden(argv, golden, capsys):
     # the golden files hold the bytes of an earlier commit, so a refactor that
     # moves any printed number by one ulp fails here
     assert main(argv.split()) == 0
-    assert capsys.readouterr().out == (GOLDEN / golden).read_text()
+    assert_matches_golden(capsys.readouterr().out, GOLDEN / golden)
 
 
 def test_dualgap_cell_reports_solver_failures_and_propagates_bugs(monkeypatch):
@@ -262,6 +263,31 @@ def test_problem_file_lipschitz_key_exits_2(tmp_path, capsys):
     path.write_text(text)
     assert load_problem_file(str(path)).map.lipschitz_L == \
         np.linalg.norm(np.array([[8.0, 3.0], [-3.0, 8.0]]), 2)
+
+
+def test_problem_file_misspelt_key_exits_2(tmp_path, capsys):
+    # a misspelt x0 would otherwise leave the run at the default start, exit 0
+    path = tmp_path / "typo.ini"
+    path.write_text(AFFINE_INI.replace("x0 =", "x_0 ="))
+    argv = f"run --problem {path} --model direct --reg l2 --eps 0.5".split()
+    assert main(argv) == 2
+    assert "constants.x_0: unknown key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    (AFFINE_INI + "[solver]\ntau = 1\n", r"\[solver\]: unknown section"),
+    ("[DEFAULT]\nx0 = 1 1\n" + AFFINE_INI, r"\[DEFAULT\]: unknown section"),
+    (AFFINE_INI.replace("upper = 1 1", "upper = 1 1\nradius = 2"), "set.radius: unknown key"),
+    (AFFINE_INI.replace("kind = affine", "kind = affine\nmatirx = 1 0; 0 1"),
+     "operator.matirx: unknown key"),
+    ("[problem]\nname = example5_1\nseed = 3\n", "problem.seed: unknown key"),
+    ("[problem]\nname = example5_1\n" + AFFINE_INI, r"\[operator\]: not used with problem.name"),
+], ids=["section", "default", "set-key", "operator-key", "problem-key", "named-and-explicit"])
+def test_problem_file_unknown_sections_and_keys_rejected(text, message, tmp_path):
+    path = tmp_path / "unknown.ini"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=message):
+        load_problem_file(str(path))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from vigap import gap, problems, solvers
-from vigap.cli import TABLE1_EPSILONS, ExperimentConfig, run_experiment
+from vigap.cli import TABLE1_EPSILONS, ExperimentConfig, load_problem_file, run_experiment
 from vigap.core import EvaluationError, MonotoneMap, affine_map, box, l1_regularizer
 from vigap.gap import _theta_ab_kernel, dual_gap, theta_ab, theta_alpha, y_alpha
 from vigap.problems import (
@@ -297,6 +297,36 @@ def test_solve_inner_kink_starts_are_certified(ba_problem, l2):
         assert np.linalg.norm(x - x_eps_l2(0.01)) <= tr.radius <= 1e-8
 
 
+@pytest.mark.parametrize("eps", [0.5, 0.1])
+def test_solve_inner_newton_above_the_floor(ba_problem, l2, eps):
+    # above the floor the Newton trial runs too, so seeded starts finish on
+    # the D-gap certificate in a few steps (D-gap descent alone took up to
+    # 55 steps at eps = 0.5 and 306 at eps = 0.1 from these starts)
+    tau = 1e-6
+    x_ref = reference_solution(ba_problem, eps, l2)[0]
+    for seed in range(60):
+        x0 = np.random.default_rng(seed).uniform(-2.0, 2.0, 3)
+        x, tr = solve_inner(ba_problem, x0, eps, tau, InnerConfig(), l2)
+        assert tr.p >= THETA_FLOOR
+        assert tr.status == "certified" and tr.certificate == "dgap", seed
+        assert tr.iterations <= 5, seed
+        assert np.linalg.norm(x - x_ref) <= tau, seed
+
+
+def test_solve_inner_skew_affine_box_certifies(tmp_path, l2):
+    # F(x) = Mx + q with a skew M shrinks the admissible D-gap constant c;
+    # D-gap descent alone took 16,838 steps here, Newton takes a few
+    path = tmp_path / "skew10.ini"
+    path.write_text("[operator]\nkind = affine\nmatrix = 0 10; -10 0\noffset = 3 -2\n"
+                    "[set]\nkind = box\nlower = -5 -5\nupper = 5 5\n")
+    problem = load_problem_file(str(path))
+    eps, tau = 0.5, 0.1
+    x, tr = solve_inner(problem, np.array([4.0, -4.0]), eps, tau,
+                        InnerConfig(max_iterations=100), l2)
+    assert tr.status == "certified"
+    assert np.linalg.norm(x - reference_solution(problem, eps, l2)[0]) <= tr.radius <= tau
+
+
 def test_solve_inner_finite_difference_fallback_certifies(ba_problem, l2):
     # without F's Jacobian hook the Newton step falls back to central
     # differences, which still certify at the default tau
@@ -384,9 +414,10 @@ def test_solve_inner_status_and_certificate_invariant(ba_problem, l1, l2):
 
 def test_solve_inner_max_iterations(ba_problem, l2):
     with pytest.raises(MaxIterationsError) as err:
-        solve_inner(ba_problem, X0, 0.5, 1e-6, InnerConfig(max_iterations=3), l2)
+        # a cold eps = 0.5 solve from X0 takes 2 steps
+        solve_inner(ba_problem, X0, 0.5, 1e-6, InnerConfig(max_iterations=1), l2)
     assert err.value.trace.status == "max_iterations"
-    assert err.value.trace.x is not None and err.value.trace.iterations == 3
+    assert err.value.trace.x is not None and err.value.trace.iterations == 1
 
 
 def test_solve_constants_capped_at_admissible_bounds(ba_problem, l2):
