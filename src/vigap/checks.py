@@ -11,7 +11,7 @@ import numpy as np
 
 from . import bounds
 from .core import ball, box, l1_regularizer, shifted_orthant, tikhonov
-from .gap import dual_gap, theta_alpha
+from .gap import dual_gap, theta_ab, theta_alpha
 from .problems import (
     affine_monotone,
     brute_force_dual_gap,
@@ -127,7 +127,6 @@ def _check_bounds_soundness(seed: int) -> CheckReport:
     rng = np.random.default_rng(seed)
     taus = {0.5: 1e-6, 0.1: 1e-5, 0.01: 1e-4}
     refs = {e: reference_solution(problem, e, reg)[0] for e in taus}
-    worst_slack = np.inf
     ok_p = ok_rad = True
     levels = []  # (trace, tau) of every seeded level
     for e, tau in taus.items():
@@ -141,13 +140,31 @@ def _check_bounds_soundness(seed: int) -> CheckReport:
             # where theta evaluates to <= 0 and the unfloored radius is 0
             radius = bounds.dgap_error_bound(max(tr.theta_final, THETA_FLOOR),
                                              2.0, 1.0, 1.0, ALPHA, BETA, e)
-            dist = float(np.linalg.norm(x - refs[e]))
-            ok_rad = ok_rad and dist <= radius <= tau
-            if radius > 0:
-                worst_slack = min(worst_slack, radius / max(dist, 1e-300))
+            ok_rad = ok_rad and float(np.linalg.norm(x - refs[e])) <= radius <= tau
     report.record("stopping threshold matches and is met", ok_p,
                   "p recomputed bit-for-bit")
-    report.record("distance within certified radius", ok_rad,
+    report.record("distance within certified radius", ok_rad, f"{len(levels)} levels")
+
+    # the bound where theta is well above the floor, apart from the solver:
+    # seeded points at distance 1e-9..1 from x_eps, on both sides of p
+    ok_probe, n_probed, n_below_p, worst_slack = True, 0, 0, np.inf
+    probe_rng = np.random.default_rng([seed, 1])
+    for e, tau in taus.items():
+        p = bounds.stopping_threshold(tau, 2.0, 1.0, 1.0, ALPHA, BETA, e)
+        for r in np.repeat(np.geomspace(1e-9, 1.0, 19), 4):
+            u = probe_rng.standard_normal(3)
+            x = problem.set.project(refs[e] + r * u / np.linalg.norm(u))
+            theta = theta_ab(problem, x, ALPHA, BETA, e, reg).value
+            if theta > THETA_FLOOR:
+                n_probed += 1
+                n_below_p += theta <= p
+                radius = bounds.dgap_error_bound(theta, 2.0, 1.0, 1.0, ALPHA, BETA, e)
+                dist = float(np.linalg.norm(x - refs[e]))
+                ok_probe = ok_probe and dist <= radius
+                worst_slack = min(worst_slack, radius / dist)
+    report.record("distance within the bound at theta above the floor",
+                  ok_probe and n_below_p >= 10,
+                  f"{n_probed} points, {n_below_p} at or below p, "
                   f"tightest radius/dist {worst_slack:.2f}x")
 
     # below the floor (p < 1e-16) the level must end residual-certified;

@@ -146,13 +146,30 @@ def test_criterion_4_error_bound_soundness(ba, capsys):
                                       1.0, 2.0, eps)
             dist = float(np.linalg.norm(x - refs[eps]))
             ok = ok and dist <= radius <= tau
-            if dist > 0:
-                tightest = min(tightest, radius / dist)
-    ok = ok and n_runs >= 50
+    # the bound where theta is well above the floor, apart from the solver:
+    # seeded points at distance 1e-9..1 from x_eps, on both sides of p
+    n_probed = n_below_p = 0
+    for eps, tau in taus.items():
+        p = stopping_threshold(tau, 2.0, 1.0, 1.0, 1.0, 2.0, eps)
+        for r in np.repeat(np.geomspace(1e-9, 1.0, 19), 4):
+            u = rng.standard_normal(3)
+            x = ba.set.project(refs[eps] + r * u / np.linalg.norm(u))
+            theta = theta_ab(ba, x, 1.0, 2.0, eps, l2).value
+            if theta <= THETA_FLOOR:
+                continue
+            n_probed += 1
+            n_below_p += theta <= p
+            radius = dgap_error_bound(theta, 2.0, 1.0, 1.0, 1.0, 2.0, eps)
+            dist = float(np.linalg.norm(x - refs[eps]))
+            ok = ok and dist <= radius
+            tightest = min(tightest, radius / dist)
+    ok = ok and n_runs >= 50 and n_probed >= 150 and n_below_p >= 20
     with capsys.disabled():
         _report("criterion 4 (error-bound soundness)", ok,
                 f"{n_runs} seeded runs, all certified with "
-                f"theta <= tau^2/L_k^2 and dist <= radius "
+                f"theta <= tau^2/L_k^2 and dist <= radius; "
+                f"{n_probed} seeded points with theta above the floor "
+                f"({n_below_p} at or below p), all dist <= radius "
                 f"(tightest radius/dist {tightest:.2f}x)")
 
 
