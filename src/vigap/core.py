@@ -14,10 +14,11 @@ from numpy.typing import NDArray
 
 Vector = NDArray[np.float64]
 
-try:  # the ufunc np.clip calls, without np.clip's Python-level dispatch
+try:  # the clip ufunc and the C einsum core, without their Python-level dispatch
+    from numpy._core.multiarray import c_einsum as _einsum
     from numpy._core.umath import clip as _clip
 except ImportError:  # numpy < 2
-    _clip = np.clip
+    _clip, _einsum = np.clip, np.einsum
 
 __all__ = [
     "Vector",
@@ -87,7 +88,7 @@ class MonotoneMap:
     right dimension, and a non-finite value raises EvaluationError. The
     D-gap descent instead calls `evaluate` raw through
     `regularized_operator` and checks finiteness once per theta_ab value;
-    `solve_pge` calls it raw and checks the norm of its subgradient.
+    the dual-gap ascent calls it raw once per evaluation, at its maximizer.
 
     Fields
     ------

@@ -45,10 +45,10 @@ class GapEvaluation:
 
     For theta_alpha / theta_ab the maximizer is y_alpha(x) (closed form, so
     converged is always True and inner_iterations 0); maximizer_beta
-    additionally carries y_beta(x) for the D-gap. For the dual gap the
-    maximizer is the inner argmax and converged reflects the inner solve;
-    upper is a certified upper bound on G(x) when the evaluation has one (an
-    exact oracle), and None for the ascent, which only bounds G from below.
+    additionally carries y_beta(x) for the D-gap. For the dual gap, built
+    once per `dual_gap` call, the maximizer is the inner argmax, converged
+    reflects the inner solve, and upper is an exact oracle's certified upper
+    bound on G(x), None for the ascent, which only bounds G from below.
     """
 
     value: float
@@ -62,9 +62,9 @@ class GapEvaluation:
 # an evaluation is converged when an exact oracle's bracket [value, upper]
 # is at most DUAL_GAP_TOL wide, or when the ascent's projected-gradient
 # residual is at most DUAL_GAP_TOL. The ascent runs ASCENT_STARTS starts,
-# counting the query point itself and a warm start when one is passed; the
-# others are drawn within 1.5 (1 + ||x||) of x from a generator seeded with
-# 0, so G(x) does not depend on the call's history. Each start takes at most
+# counting the query point itself and, within one solve, the previous
+# maximizer; the others are drawn within 1.5 (1 + ||x||) of x from a
+# generator seeded with 0 on every call. Each start takes at most
 # ASCENT_MAX_ITER steps of an adaptive step size that begins at 1/(1 + L).
 DUAL_GAP_TOL = 1e-7
 ASCENT_STARTS = 8
@@ -195,25 +195,20 @@ def _fd_inner_gradient(F: MonotoneMap, x: Vector, Y: np.ndarray) -> np.ndarray:
 
 
 def _dual_gap_kernel(problem):
-    """Raw (x, warm) -> GapEvaluation of G at the problem's F and Omega: the
-    dual gap as the subgradient loop evaluates it.
+    """Raw x -> (value, upper, ybar, F(ybar), steps) of G, converged when
+    upper - value <= DUAL_GAP_TOL: the dual gap as solve_pge evaluates it.
 
-    x and warm (None, or an extra start of the ascent) are not validated.
-    With a `dual_gap_exact` oracle the kernel calls it and marks the result
-    converged when its bracket [value, upper] is at most DUAL_GAP_TOL wide.
-    Otherwise it runs the multistart ascent on F's rows, the inner gradient
-    and the set's row projection, resolved here once, and updates its points
-    in place, so the set's `project_rows` must return a new float array. The
-    random starts come from a generator seeded with 0 on every call.
+    x is not validated. With a `dual_gap_exact` oracle the kernel is the
+    oracle. Otherwise it is the multistart ascent on F's rows, the inner
+    gradient and the set's row projection, resolved here once; it updates its
+    points in place, so `project_rows` must return a new float array. Calls
+    after the first also start from the previous maximizer: one kernel per
+    solve. The ascent certifies no bound: upper is its value when it passes
+    its stationarity test and inf when not. It evaluates F once, at ybar.
     """
     exact = getattr(problem, "dual_gap_exact", None)
     if exact is not None:
-        def exact_gap(x: Vector, warm: Optional[Vector]) -> GapEvaluation:
-            ev = exact(x)
-            ev.converged = ev.upper - ev.value <= DUAL_GAP_TOL
-            return ev
-
-        return exact_gap
+        return exact
 
     F: MonotoneMap = problem.map
     omega: FeasibleSet = problem.set
@@ -222,8 +217,10 @@ def _dual_gap_kernel(problem):
             else partial(_fd_inner_gradient, F))
     proj_rows = omega.project_rows
     step0 = 1.0 / (1.0 + F.lipschitz_L)
+    warm = None
 
-    def ascent(x: Vector, warm: Optional[Vector]) -> GapEvaluation:
+    def ascent(x: Vector):
+        nonlocal warm
         rng = np.random.default_rng(0)
         radius = 1.5 * (1.0 + float(np.linalg.norm(x)))
         cap = 4.0 * max(radius, 1.0)
@@ -264,9 +261,9 @@ def _dual_gap_kernel(problem):
         g = np.asarray(grad(x, ybar[None, :])[0], dtype=float)
         s = 0.1 / (1.0 + float(np.linalg.norm(g)))
         res = float(np.linalg.norm(ybar - omega.project(ybar + s * g))) / s
-        converged = (res <= DUAL_GAP_TOL) or (steps[k] <= collapse)
-        return GapEvaluation(value=float(f[k]), maximizer=ybar, converged=converged,
-                             inner_iterations=used)
+        warm, value = ybar, float(f[k])
+        upper = value if (res <= DUAL_GAP_TOL) or (steps[k] <= collapse) else math.inf
+        return value, upper, ybar, np.asarray(F.evaluate(ybar), dtype=float), used
 
     return ascent
 
@@ -286,16 +283,19 @@ def dual_gap(problem, x: Vector) -> GapEvaluation:
     failure is flagged through the converged flag, never silently, and
     solve_pge raises DualGapUnreliableError when too many solves fail.
 
-    x is validated here; the evaluation itself is the raw kernel
-    `_dual_gap_kernel` that solve_pge calls, without its warm start.
+    x is validated here; the evaluation is one call of a new raw kernel
+    `_dual_gap_kernel`, the one solve_pge calls, so it has no warm start.
 
     Parameters
     ----------
     problem : object with `map` (MonotoneMap) and `set` (FeasibleSet), and
-        optionally `dual_gap_exact` (x -> GapEvaluation with `upper` set)
+        optionally `dual_gap_exact` (see ProblemInstance)
     x : evaluation point
     """
-    return _dual_gap_kernel(problem)(as_point(x, problem.map.dimension), None)
+    value, upper, ybar, _, steps = _dual_gap_kernel(problem)(as_point(x, problem.map.dimension))
+    certified = getattr(problem, "dual_gap_exact", None) is not None
+    return GapEvaluation(value=value, maximizer=ybar, converged=upper - value <= DUAL_GAP_TOL,
+                         inner_iterations=steps, upper=upper if certified else None)
 
 
 # Newton iterations and Armijo halvings of the affine box oracle, the Armijo
@@ -309,7 +309,7 @@ QP_HOLD = 1e-3
 
 
 def affine_box_dual_gap(M, q, lower, upper):
-    """Exact dual-gap oracle x -> GapEvaluation for F(y) = My + q on a finite box.
+    """Exact dual-gap oracle x -> (value, upper, ybar, F(ybar), steps), F = My + q, on a box.
 
     h(y) = <My + q, x - y> is a concave quadratic when the symmetric part of
     M is positive semidefinite, so G(x) = max_{box} h is a concave box QP. It
@@ -320,7 +320,8 @@ def affine_box_dual_gap(M, q, lower, upper):
     and the bounds within the last projected-gradient step held as active.
     The result ybar is certified by the Frank-Wolfe bracket
     h(ybar) <= G(x) <= h(ybar) + max_{z in box} <grad h(ybar), z - ybar>,
-    returned as (value, upper).
+    returned as (value, upper), with F(ybar) = M ybar + q from the last
+    evaluation of h, as `core.affine_map` computes it.
 
     Returns None when the box has an infinite bound (the bracket is then
     infinite) or sym(M) has a negative eigenvalue (h is then not concave and
@@ -339,12 +340,13 @@ def affine_box_dual_gap(M, q, lower, upper):
     band = QP_HOLD * (hi - lo)
 
     def h(x, y):
-        return float((M @ y + q) @ (x - y))
+        Fy = M @ y + q
+        return float(Fy @ (x - y)), Fy
 
-    def oracle(x: Vector) -> GapEvaluation:
+    def oracle(x: Vector):
         b = M.T @ x - q   # grad h(y) = b - H y
         y = _clip(x, lo, hi)
-        hy = h(x, y)
+        hy, Fy = h(x, y)
         steps, held_prev, settled = 0, None, False
         for _ in range(QP_MAX_ITER):
             g = b - H @ y
@@ -369,7 +371,7 @@ def affine_box_dual_gap(M, q, lower, upper):
             alpha = 1.0
             for _ in range(QP_MAX_HALVINGS):
                 yn = _clip(y + alpha * d, lo, hi)
-                hn = h(x, yn)
+                hn, Fn = h(x, yn)
                 if hn >= hy + QP_ARMIJO * float(g @ (yn - y)) and hn >= hy:
                     break
                 alpha *= 0.5
@@ -380,10 +382,10 @@ def affine_box_dual_gap(M, q, lower, upper):
             # a full, unclipped Newton step on a face whose held bounds did
             # not move lands on the maximizer of h on that face
             settled = alpha == 1.0 and not d[held].any() and np.array_equal(yn, y + d)
-            y, hy, held_prev = yn, hn, held
+            y, hy, Fy, held_prev = yn, hn, Fn, held
             steps += 1
         g = b - H @ y
         width = float(np.maximum(g * (hi - y), g * (lo - y)).sum())
-        return GapEvaluation(value=hy, maximizer=y, inner_iterations=steps, upper=hy + width)
+        return hy, hy + width, y, Fy, steps
 
     return oracle

@@ -13,6 +13,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import (
+    _einsum,
     DimensionMismatchError,
     FeasibleSet,
     MonotoneMap,
@@ -25,7 +26,7 @@ from .core import (
     project_rows,
 )
 from .core import grad_or_subgrad
-from .gap import GapEvaluation, affine_box_dual_gap
+from .gap import affine_box_dual_gap
 
 __all__ = [
     "SolutionOracle",
@@ -54,9 +55,9 @@ class ProblemInstance:
     """A variational inequality problem: operator, set, and optional oracles.
 
     The dimension is the map's; the set must have the same. dual_gap_exact,
-    when set, is an exact oracle x -> GapEvaluation for the
-    dual gap G(x) with a certified upper bound `upper`; `gap.dual_gap` uses
-    it in place of its ascent.
+    when set, replaces the ascent of `gap.dual_gap` and `solvers.solve_pge`:
+    a raw x -> (value, upper, ybar, F(ybar), steps) of G(x) with a certified
+    upper >= G(x) and F(ybar) bit for bit as F's `evaluate` gives it.
     """
 
     name: str
@@ -65,7 +66,7 @@ class ProblemInstance:
     solution_oracle: Optional[SolutionOracle] = None
     default_x0: Optional[Vector] = None
     bounding_box: Optional[tuple] = None  # (lower, upper) arrays for grid oracles
-    dual_gap_exact: Optional[Callable[[Vector], GapEvaluation]] = None
+    dual_gap_exact: Optional[Callable[[Vector], tuple]] = None
 
     def __post_init__(self):
         if self.set.dimension != self.map.dimension:
@@ -161,13 +162,12 @@ def example_5_1() -> ProblemInstance:
         u0 = min(-1.25, (x2 - 0.25) / 2.0)
         u1 = min(-0.25, max(-1.25, (x2 - x3 - 2.5) / 4.0))
         u2 = max(-0.25, -(x3 + 2.25) / 2.0)
-        Y = np.empty((3, 3))
-        Y[0] = y1, u0, -1.0 - u0
-        Y[1] = y1, u1, -1.0 - u1
-        Y[2] = y1, u2, -1.0 - u2
-        vals = np.einsum("ij,ij->i", F_rows(Y), x - Y)
+        Y = np.array(((y1, u0, -1.0 - u0), (y1, u1, -1.0 - u1), (y1, u2, -1.0 - u2)))
+        FY = F_rows(Y)
+        vals = _einsum("ij,ij->i", FY, x - Y)
         k = int(vals.argmax())
-        return GapEvaluation(value=float(vals[k]), maximizer=Y[k], upper=float(vals[k]))
+        g = float(vals[k])
+        return g, g, Y[k], FY[k], 0
 
     def dist_S0(x):
         t = min(max(float(x[0]), 0.0), 1.0)

@@ -35,7 +35,8 @@ from .core import (
     as_point,
     regularized_operator,
 )
-from .gap import _dual_gap_kernel, _non_finite, _residual_jacobian_kernel, _theta_ab_kernel
+from .gap import (DUAL_GAP_TOL, _dual_gap_kernel, _non_finite, _residual_jacobian_kernel,
+                  _theta_ab_kernel)
 
 __all__ = [
     "StepFailureError",
@@ -533,10 +534,10 @@ def solve_pge(problem, regularizer: Regularizer, epsilon: float, x0: Vector,
     Returns the best-so-far iterate by objective value together with a
     PgeTrace.
 
-    x0 is validated once. The loop calls F's `evaluate`, phi's gradient or
-    subgradient selection and the dual-gap kernel raw, and one scalar check
-    per iteration replaces a check of F(ybar): a non-finite ||g|| raises
-    EvaluationError.
+    x0 is validated once. The loop calls phi's gradient or subgradient
+    selection and the dual-gap kernel raw and builds g from the F(ybar) that
+    the kernel returns (an exact oracle: no F call). A non-finite ||g|| raises
+    EvaluationError, one scalar check in place of a check of F(ybar).
 
     Raises DualGapUnreliableError when more than PGE_MAX_NONCONVERGED_FRACTION
     of the inner solves did not converge.
@@ -547,18 +548,15 @@ def solve_pge(problem, regularizer: Regularizer, epsilon: float, x0: Vector,
         raise ValueError("max_iterations must be positive")
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
-    F = problem.map
     proj = problem.set.project
-    F_raw = F.evaluate
     g_phi = regularizer.gradient if regularizer.smooth else regularizer.subgradient_select
     phi = regularizer.value
     G = _dual_gap_kernel(problem)
-    x = proj(as_point(x0, F.dimension))
+    x = proj(as_point(x0, problem.map.dimension))
 
-    ev = G(x, None)
-    n_bad = 0 if ev.converged else 1
-    f = ev.value + epsilon * phi(x)
-    ybar = ev.maximizer
+    value, upper, _, Fy, _ = G(x)
+    n_bad = 0 if upper - value <= DUAL_GAP_TOL else 1
+    f = value + epsilon * phi(x)
     x_best, f_best = x.copy(), f
 
     scale0 = 1.0 + abs(f)
@@ -568,7 +566,7 @@ def solve_pge(problem, regularizer: Regularizer, epsilon: float, x0: Vector,
 
     j = 0
     for j in range(1, max_iterations + 1):
-        sg = np.asarray(F_raw(ybar), dtype=float) + epsilon * g_phi(x)
+        sg = Fy + epsilon * g_phi(x)
         n_sg = _norm(sg)
         if not math.isfinite(n_sg):
             raise _non_finite(problem, "the subgradient F(ybar) + eps g_phi(x)", x)
@@ -579,11 +577,10 @@ def solve_pge(problem, regularizer: Regularizer, epsilon: float, x0: Vector,
             break  # subgradient is normal to Omega at x: stationary
         t = min((f - f_best + delta) / n_tan ** 2, cap / n_tan)
         x = proj(x - t * sg)
-        ev = G(x, ybar)
-        ybar = ev.maximizer
-        if not ev.converged:
+        value, upper, _, Fy, _ = G(x)
+        if not upper - value <= DUAL_GAP_TOL:
             n_bad += 1
-        f = ev.value + epsilon * phi(x)
+        f = value + epsilon * phi(x)
         if f < f_best:
             f_best, x_best = f, x.copy()
         delta *= rho_decay

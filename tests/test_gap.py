@@ -6,7 +6,7 @@ import pytest
 
 from vigap import gap
 from vigap.cli import load_problem_file
-from vigap.core import affine_map, box, l1_regularizer, tikhonov
+from vigap.core import affine_map, box, l1_regularizer, sample_in_set, tikhonov
 from vigap.gap import (
     DUAL_GAP_TOL,
     FD_STEP,
@@ -369,10 +369,18 @@ def test_example5_1_oracle_is_bit_identical_to_its_array_form(ba_problem):
     points += [np.array([a, b, -1.0 - b]) for a in x1[1000:] for b in x2[1000:]]
     assert any(np.signbit(p[0]) and p[0] == 0.0 for p in points)
     for x in points:
-        ev = ba_problem.dual_gap_exact(x)
+        ev = dual_gap(ba_problem, x)
         value, maximizer = _example5_1_oracle_reference(ba_problem.map, x)
         assert ev.value == value and np.signbit(ev.value) == np.signbit(value)
         assert ev.maximizer.tobytes() == maximizer.tobytes(), x
+
+
+def test_example5_1_oracle_returns_F_at_its_maximizer(ba_problem):
+    # the subgradient loop uses the oracle's F(ybar) in place of F's own
+    # evaluate, so the two must agree byte for byte
+    for x in sample_in_set(ba_problem.set, 200, seed=48):
+        _, _, ybar, Fy, _ = ba_problem.dual_gap_exact(x)
+        assert Fy.tobytes() == ba_problem.map.evaluate(ybar).tobytes(), x
 
 
 def test_example5_1_ascent_never_above_oracle(ba_problem):
@@ -421,6 +429,18 @@ def test_affine_box_oracle_matches_grid_and_brackets_G(problem):
         assert ev.value >= grid - 1e-12
         assert ev.value - grid <= problem.map.lipschitz_L * problem.dimension * h * h / 4 + 1e-12
         assert problem.set.contains(ev.maximizer, 0.0)
+
+
+def test_affine_box_oracle_returns_F_at_its_maximizer(tmp_path):
+    # as for example5_1: the oracle's F(ybar) is F's evaluate at ybar, byte for
+    # byte, on affine5d and on a skew problem file whose box is not [-1, 1]^n
+    path = tmp_path / "skew.ini"
+    path.write_text("[operator]\nkind = affine\nmatrix = 1 10; -10 0.5\noffset = 3 -2\n"
+                    "[set]\nkind = box\nlower = -5 -1\nupper = 2 5\n")
+    for p in (affine_monotone(5, 0), load_problem_file(str(path))):
+        for x in sample_in_set(p.set, 200, seed=49, radius=4.0):
+            _, _, ybar, Fy, _ = p.dual_gap_exact(x)
+            assert Fy.tobytes() == p.map.evaluate(ybar).tobytes(), x
 
 
 def test_affine_box_oracle_converged_is_the_bracket_width(monkeypatch):

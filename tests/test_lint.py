@@ -3,9 +3,6 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "vigap"
-# the exact-oracle dual-gap kernel keeps the ascent's (x, warm) signature, so
-# solve_pge calls both kernels alike; an exact oracle has no use for a warm start
-ALLOWED = {("gap.py", "exact_gap", "warm")}
 
 
 def _unread_parameters(path):
@@ -25,5 +22,4 @@ def _unread_parameters(path):
 
 def test_every_parameter_is_read():
     unread = {u for path in sorted(SRC.glob("*.py")) for u in _unread_parameters(path)}
-    assert sorted(unread - ALLOWED) == []
-    assert unread >= ALLOWED, "an allowlisted parameter is read now; drop it from ALLOWED"
+    assert sorted(unread) == []

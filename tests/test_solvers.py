@@ -554,12 +554,18 @@ def test_pge_raises_when_dual_gap_unreliable(ba_problem, l1, monkeypatch):
 
 
 def test_pge_non_finite_map_raises_and_marks_the_cell(ba_problem, l2, monkeypatch):
-    # G comes from example5_1's exact oracle, which never calls this map, so
-    # only the loop's one finiteness check on the subgradient sees the NaN
+    # G comes from example5_1's exact oracle, and the NaN map reaches the loop
+    # only through the F(ybar) the oracle returns, as the oracle contract
+    # has it: the loop's one finiteness check on the subgradient sees the NaN
     nan_map = MonotoneMap(dimension=3, evaluate=lambda x: np.full(3, np.nan),
                           lipschitz_L=2.0, name="nan")
+
+    def nan_oracle(x):
+        value, upper, ybar, _, steps = ba_problem.dual_gap_exact(x)
+        return value, upper, ybar, nan_map.evaluate(ybar), steps
+
     p = ProblemInstance(name="nan_map", map=nan_map, set=ba_problem.set,
-                        dual_gap_exact=ba_problem.dual_gap_exact)
+                        dual_gap_exact=nan_oracle)
     with pytest.raises(EvaluationError, match="nan"):
         solve_pge(p, l2, 0.5, X0)
     monkeypatch.setitem(problems.BUILTIN_PROBLEMS, "nan_map", lambda seed=0: p)
@@ -589,6 +595,65 @@ def test_pge_loop_calls_raw_callables(ba_problem, l2, monkeypatch):
     assert tr.iterations == 200
     assert len(calls) == tr.iterations + 1
     assert x.tobytes() == x_ref.tobytes() and tr == tr_ref
+
+
+# (problem, phi, eps, x0 or None for the default) -> x as float.hex,
+# iterations and best_objective as float.hex, at the full default budget.
+# The golden CSVs see x only through rounded columns, so a drift of x by a
+# few ulps shows here first. example5_1 runs its closed-form oracle, affine5d
+# the box QP and sharp_ball2d (a ball, no oracle) the multistart ascent.
+PGE_PINS = [
+    (("example5_1", "l1", 0.5, (1.0, -2.0, 1.0)),
+     (("0x1.52f45384f41f0p-45", "-0x1.8000000000000p-1", "-0x1.fffffffffffffp-3"),
+      1100, "0x1.00000000000a9p-1")),
+    (("example5_1", "l1", 1e-4, (1.0, -2.0, 1.0)),
+     (("0x1.817a3c8d4cd4ap-34", "-0x1.8000000000000p-1", "-0x1.fffffffffffffp-3"),
+      1100, "0x1.a36e2eb261d71p-14")),
+    (("example5_1", "l2", 0.5, (1.0, -2.0, 1.0)),
+     (("0x1.051a91fc8abc0p-232", "-0x1.3fffffcce0876p-1", "-0x1.800000663ef14p-2"),
+      1100, "0x1.2000000000002p-3")),
+    (("example5_1", "l2", 1e-4, (1.0, -2.0, 1.0)),
+     (("0x1.542da16cc5afdp-71", "-0x1.7ff972afa2d30p-1", "-0x1.000d1aa0ba5a0p-2"),
+      1100, "0x1.06222e206bd50p-15")),
+    (("affine5d", "l2", 0.01, None),
+     (("-0x1.0000000000000p+0", "0x1.7f83c2194f290p-2", "0x1.00c83e7bebf33p-1",
+       "0x1.0000000000000p+0", "-0x1.e78c15eb79a73p-2"),
+      1100, "0x1.ad581cab9e515p-7")),
+    (("sharp_ball2d", "l2", 0.01, (0.6, -0.7)),
+     (("0x1.0a94012585080p-29", "-0x1.370203e7b7880p-29"), 1100, "0x1.495a60336df3ap-57")),
+]
+
+
+@pytest.mark.parametrize("case,pinned", PGE_PINS, ids=lambda c: "-".join(map(str, c[:3])))
+def test_pge_is_pinned_bit_for_bit(case, pinned, l1, l2):
+    name, reg, eps, x0 = case
+    p = get_problem(name)
+    x, tr = solve_pge(p, l1 if reg == "l1" else l2, eps,
+                      p.default_x0 if x0 is None else np.array(x0))
+    assert (tuple(float(v).hex() for v in x), tr.iterations,
+            float(tr.best_objective).hex()) == pinned
+
+
+def _count_F_evaluations(p):
+    """The same problem with F's raw `evaluate` counted; returns (problem, calls)."""
+    calls = []
+
+    def counted(x):
+        calls.append(1)
+        return p.map.evaluate(x)
+
+    return replace(p, map=replace(p.map, evaluate=counted)), calls
+
+
+def test_pge_with_an_exact_oracle_evaluates_no_F(ba_problem, l1):
+    # F(ybar) comes from the oracle, so the loop makes no F call; a problem
+    # without an oracle evaluates F once per ascent, at its maximizer
+    p, calls = _count_F_evaluations(ba_problem)
+    _, tr = solve_pge(p, l1, 0.5, X0)
+    assert tr.iterations == PGE_MAX_ITERATIONS and len(calls) == 0
+    p, calls = _count_F_evaluations(get_problem("sharp_ball2d"))
+    _, tr = solve_pge(p, l1, 0.01, np.array([0.6, -0.7]), 20)
+    assert len(calls) >= 1
 
 
 def test_pge_rejects_an_empty_budget(ba_problem, l1):
