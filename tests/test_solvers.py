@@ -624,7 +624,8 @@ PGE_PINS = [
 ]
 
 
-@pytest.mark.parametrize("case,pinned", PGE_PINS, ids=lambda c: "-".join(map(str, c[:3])))
+@pytest.mark.parametrize("case,pinned", PGE_PINS,
+                         ids=["-".join(map(str, case[:3])) for case, _ in PGE_PINS])
 def test_pge_is_pinned_bit_for_bit(case, pinned, l1, l2):
     name, reg, eps, x0 = case
     p = get_problem(name)
