@@ -3,8 +3,10 @@ variational inequalities.
 
 Two regularization routes for VI(F, Omega):
 
-* direct — solve VI(F + eps*grad(phi), Omega) by derivative-free D-gap
-  descent inside a sequential outer loop with computable stopping bounds;
+* direct — solve VI(F + eps*grad(phi), Omega) in a sequential outer loop
+  with computable stopping bounds; on each certified level `solve_inner`
+  tries an exact-J_H semismooth Newton step first and a derivative-free
+  D-gap descent step when that fails;
 * dual-gap — minimize G + eps*phi over Omega by a projected subgradient
   method, where G is the dual gap function of the unregularized problem.
 
@@ -41,6 +43,7 @@ from .problems import (
     ProblemInstance,
     SolutionOracle,
     affine_monotone,
+    affine_problem,
     brute_force_dual_gap,
     brute_force_gap,
     example_5_1,

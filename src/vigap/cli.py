@@ -19,7 +19,6 @@ from . import bounds
 from .core import (
     EvaluationError,
     Regularizer,
-    affine_map,
     ball,
     box,
     halfspace,
@@ -29,8 +28,8 @@ from .core import (
     tikhonov,
 )
 from .checks import CHECK_SUITES, CheckReport
-from .gap import affine_box_dual_gap, dual_gap
-from .problems import BUILTIN_PROBLEMS, ProblemInstance, get_problem
+from .gap import dual_gap
+from .problems import BUILTIN_PROBLEMS, ProblemInstance, affine_problem, get_problem
 from .solvers import (
     DualGapUnreliableError,
     InnerConfig,
@@ -149,8 +148,8 @@ def _parse_matrix(text: str, where: str) -> np.ndarray:
 
 # the keys each section of a problem file may carry; any other key or
 # section is a ConfigError, so a misspelt key cannot change a run silently
-SECTION_KEYS = {"problem": ("name",), "operator": ("kind", "matrix", "offset"),
-                "set": ("kind",), "constants": ("x0",)}
+SECTION_KEYS = {"operator": ("kind", "matrix", "offset"), "set": ("kind",),
+                "constants": ("x0",)}
 SET_KEYS = {"box": ("lower", "upper"), "orthant": ("lower",), "ball": ("center", "radius"),
             "halfspace": ("normal", "offset"), "hyperplane": ("normal", "offset")}
 
@@ -162,7 +161,7 @@ def _reject_unknown_keys(sec, known):
 
 
 def _build_set(sec):
-    """The [set] section's set, and its (lower, upper) bounds when it is a box."""
+    """The [set] section's set."""
     kind = sec.get("kind", None)
     if kind is None:
         raise ConfigError("set.kind: missing")
@@ -173,15 +172,15 @@ def _build_set(sec):
         if kind == "box":
             lo = _parse_vector(sec.get("lower", ""), "set.lower")
             hi = _parse_vector(sec.get("upper", ""), "set.upper")
-            return box(lo, hi), (lo, hi)
+            return box(lo, hi)
         if kind == "orthant":
-            return shifted_orthant(_parse_vector(sec.get("lower", ""), "set.lower")), None
+            return shifted_orthant(_parse_vector(sec.get("lower", ""), "set.lower"))
         if kind == "ball":
             return ball(_parse_vector(sec.get("center", ""), "set.center"),
-                        float(sec.get("radius", "nan"))), None
+                        float(sec.get("radius", "nan")))
         normal = _parse_vector(sec.get("normal", ""), "set.normal")
         make = halfspace if kind == "halfspace" else hyperplane
-        return make(normal, float(sec.get("offset", "nan"))), None
+        return make(normal, float(sec.get("offset", "nan")))
     except ConfigError:
         raise
     except ValueError as err:
@@ -189,21 +188,18 @@ def _build_set(sec):
 
 
 def load_problem_file(path: str) -> ProblemInstance:
-    """Build a ProblemInstance from an INI problem file.
+    """Build the affine VI of an INI problem file with `problems.affine_problem`.
 
-    Either `[problem] name = <builtin>` or an explicit `[operator]`
-    (affine: matrix/offset) plus `[set]` section; `[constants]` may carry x0.
-    A section or key outside SECTION_KEYS and SET_KEYS is rejected, as are
-    `[operator]` and `[set]` beside a named builtin. F's Lipschitz constant
-    is ||M||_2, computed from the matrix, so a `lipschitz` key is rejected,
-    as is a matrix whose symmetric part is indefinite. A finite box set gets
-    the exact dual gap `affine_box_dual_gap`; an orthant, ball, halfspace or
-    hyperplane set gets none, so G there comes from the ascent of
-    `gap.dual_gap`.
+    `[operator]` gives F(x) = Mx + q (kind affine, matrix, offset), `[set]`
+    the set (a kind of SET_KEYS with its keys) and `[constants]`, optional,
+    the start x0, else P_Omega(0). A ConfigError names what is wrong: a
+    section or key outside SECTION_KEYS and SET_KEYS; a `lipschitz` key,
+    since L is ||M||_2, computed from the matrix; an indefinite sym(M); a
+    set whose dimension is not F's. Whether G is exact follows from the set
+    by `affine_problem`'s rule.
     """
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
+    if not parser.read(path):
         raise ConfigError(f"cannot read problem file {path!r}")
     for name in parser.sections() + (["DEFAULT"] if parser.defaults() else []):
         if name not in SECTION_KEYS:
@@ -211,39 +207,21 @@ def load_problem_file(path: str) -> ProblemInstance:
     if parser.has_section("operator") and "lipschitz" in parser["operator"]:
         raise ConfigError("operator.lipschitz: not accepted; the Lipschitz constant "
                           "is ||M||_2, computed from the matrix")
-    for name in ("problem", "operator", "constants"):
+    for name in ("operator", "constants"):
         if parser.has_section(name):
             _reject_unknown_keys(parser[name], SECTION_KEYS[name])
-    if parser.has_section("problem") and parser["problem"].get("name"):
-        name = parser["problem"]["name"]
-        if name not in BUILTIN_PROBLEMS:
-            raise ConfigError(f"problem.name: unknown builtin {name!r}")
-        for sec in ("operator", "set"):
-            if parser.has_section(sec):
-                raise ConfigError(f"[{sec}]: not used with problem.name = {name}")
-        inst = BUILTIN_PROBLEMS[name]()
-    else:
-        if not parser.has_section("operator") or not parser.has_section("set"):
-            raise ConfigError("problem file needs [problem] name or [operator] + [set]")
-        op = parser["operator"]
-        if op.get("kind", "affine") != "affine":
-            raise ConfigError(f"operator.kind: only 'affine' or builtins supported, "
-                              f"got {op.get('kind')!r}")
-        M = _parse_matrix(op.get("matrix", ""), "operator.matrix")
-        q = _parse_vector(op.get("offset", ""), "operator.offset")
-        try:
-            fmap = affine_map(M, q)
-        except ValueError as err:
-            raise ConfigError(f"operator: {err}") from None
-        feasible, box_bounds = _build_set(parser["set"])
-        if feasible.dimension != fmap.dimension:
-            raise ConfigError(
-                f"set: dimension {feasible.dimension} does not match operator "
-                f"dimension {fmap.dimension}")
-        exact = None if box_bounds is None else affine_box_dual_gap(M, q, *box_bounds)
-        inst = ProblemInstance(
-            name=str(path), map=fmap, set=feasible,
-            default_x0=feasible.project(np.zeros(fmap.dimension)), dual_gap_exact=exact)
+    if not parser.has_section("operator") or not parser.has_section("set"):
+        raise ConfigError("problem file needs [operator] + [set]")
+    op = parser["operator"]
+    if op.get("kind", "affine") != "affine":
+        raise ConfigError(f"operator.kind: only 'affine' supported, got {op.get('kind')!r}")
+    M = _parse_matrix(op.get("matrix", ""), "operator.matrix")
+    q = _parse_vector(op.get("offset", ""), "operator.offset")
+    feasible = _build_set(parser["set"])
+    try:
+        inst = affine_problem(str(path), M, q, feasible)
+    except ValueError as err:
+        raise ConfigError(f"operator: {err}") from None
     if parser.has_section("constants") and parser["constants"].get("x0"):
         x0 = _parse_vector(parser["constants"]["x0"], "constants.x0")
         inst = replace(inst, default_x0=x0)

@@ -184,6 +184,7 @@ class FeasibleSet:
     `project_jacobian`, optional, maps z to an (n, n) element of the
     generalized Jacobian of the projection at z (symmetric, eigenvalues in
     [0, 1]), used by the semismooth Newton step; callers do not modify it.
+    `bounds`, set by `box` alone, is the box's (lower, upper) arrays.
     """
 
     dimension: int
@@ -191,6 +192,7 @@ class FeasibleSet:
     contains: Callable[[Vector, float], bool]
     project_rows: Optional[Callable[[np.ndarray], np.ndarray]] = None
     project_jacobian: Optional[Callable[[Vector], np.ndarray]] = None
+    bounds: Optional[tuple] = None
 
     def __post_init__(self):
         if self.project_rows is None:
@@ -213,16 +215,16 @@ def box(lower, upper) -> FeasibleSet:
         raise DimensionMismatchError("box bounds must be 1-D and of equal length")
     if np.any(lo > hi):
         raise ValueError("box has lower > upper")
-    n = lo.shape[0]
+    # the clip ufunc, not the min/max form: with the bounds broadcast down a
+    # single column that form breaks ties between -0.0 and 0.0 unlike np.clip
+    clip = lambda z: _clip(z, lo, hi)   # one point or an array of rows alike
     return FeasibleSet(
-        dimension=n,
-        # the clip ufunc, not the min/max form: with the bounds broadcast
-        # down a single column that form breaks ties between -0.0 and 0.0
-        # unlike np.clip
-        project=lambda z: _clip(z, lo, hi),
-        project_rows=lambda Z: _clip(Z, lo, hi),
+        dimension=lo.shape[0],
+        project=clip,
+        project_rows=clip,
         project_jacobian=lambda z: np.diag(((lo < z) & (z < hi)).astype(float)),
         contains=lambda x, tol=1e-10: bool(np.all(x >= lo - tol) and np.all(x <= hi + tol)),
+        bounds=(lo, hi),
     )
 
 

@@ -2,8 +2,9 @@
 
 A best-approximation benchmark (a monotone, non-strongly-monotone VI with
 a segment of solutions), seeded affine monotone VIs, and small strongly
-monotone problems with closed-form solutions. Grid oracles cover dimensions
-one and two for cross-checking the explicit gap formulas.
+monotone problems with closed-form solutions, each affine one built by
+`affine_problem`. Grid oracles cover dimensions one and two for
+cross-checking the explicit gap formulas.
 """
 from __future__ import annotations
 
@@ -32,6 +33,7 @@ __all__ = [
     "SolutionOracle",
     "ProblemInstance",
     "example_5_1",
+    "affine_problem",
     "affine_monotone",
     "strongly_monotone_quadratic",
     "sharp_quadratic_ball",
@@ -57,7 +59,8 @@ class ProblemInstance:
     The dimension is the map's; the set must have the same. dual_gap_exact,
     when set, replaces the ascent of `gap.dual_gap` and `solvers.solve_pge`:
     a raw x -> (value, upper, ybar, F(ybar), steps) of G(x) with a certified
-    upper >= G(x) and F(ybar) bit for bit as F's `evaluate` gives it.
+    upper >= G(x) and F(ybar) bit for bit as F's `evaluate` gives it; for
+    affine F, `affine_problem` chooses it from the set.
     """
 
     name: str
@@ -109,20 +112,17 @@ def example_5_1() -> ProblemInstance:
     """
 
     def F(x):
+        # one expression for a point and for an array of rows
         return x - np.maximum(x, _BA_SHIFT)
-
-    def F_rows(Y):
-        return Y - np.maximum(Y, _BA_SHIFT)
 
     def inner_grad(x, Y):
         # d/dy <F(y), x - y> = J_F(y)(x - y) - F(y), J_F = diag(y < shift) a.e.
-        FY = Y - np.maximum(Y, _BA_SHIFT)
-        return (Y < _BA_SHIFT).astype(float) * (x - Y) - FY
+        return (Y < _BA_SHIFT).astype(float) * (x - Y) - F(Y)
 
     F_map = MonotoneMap(
         dimension=3,
         evaluate=F,
-        evaluate_rows=F_rows,
+        evaluate_rows=F,
         inner_gradient=inner_grad,
         jacobian=lambda x: np.diag((x < _BA_SHIFT).astype(float)),
         lipschitz_L=2.0,
@@ -163,7 +163,7 @@ def example_5_1() -> ProblemInstance:
         u1 = min(-0.25, max(-1.25, (x2 - x3 - 2.5) / 4.0))
         u2 = max(-0.25, -(x3 + 2.25) / 2.0)
         Y = np.array(((y1, u0, -1.0 - u0), (y1, u1, -1.0 - u1), (y1, u2, -1.0 - u2)))
-        FY = F_rows(Y)
+        FY = F(Y)
         vals = _einsum("ij,ij->i", FY, x - Y)
         k = int(vals.argmax())
         g = float(vals[k])
@@ -194,7 +194,31 @@ def example_5_1() -> ProblemInstance:
 # synthetic instances
 # ---------------------------------------------------------------------------
 
-_AFFINE_CACHE: dict = {}
+def _point_oracle(xstar: Vector) -> SolutionOracle:
+    """The solution oracle of a problem whose S0 is the single point xstar."""
+    return SolutionOracle(
+        distance_to_S0=lambda x: float(np.linalg.norm(np.asarray(x) - xstar)),
+        sample_S0=lambda count, seed=0: np.tile(xstar, (count, 1)),
+    )
+
+
+def affine_problem(name: str, M, q, omega: FeasibleSet,
+                   solution_oracle: Optional[SolutionOracle] = None,
+                   bounding_box: Optional[tuple] = None) -> ProblemInstance:
+    """The VI of F(x) = Mx + q on omega, starting from P_omega(0).
+
+    `core.affine_map` builds F and raises ValueError when sym(M) is
+    indefinite. A box with finite bounds gets the exact dual gap
+    `gap.affine_box_dual_gap`, a certified box QP, and those bounds as its
+    bounding box for the grid oracles; every other set gets no exact G, so G
+    comes from the ascent of `gap.dual_gap`.
+    """
+    F_map = affine_map(M, q, name=name)
+    exact = None if omega.bounds is None else affine_box_dual_gap(M, q, *omega.bounds)
+    return ProblemInstance(name, F_map, omega, solution_oracle,
+                           default_x0=omega.project(np.zeros(omega.dimension)),
+                           bounding_box=omega.bounds if exact is not None else bounding_box,
+                           dual_gap_exact=exact)
 
 
 def affine_monotone(n: int, seed: int = 0) -> ProblemInstance:
@@ -202,36 +226,21 @@ def affine_monotone(n: int, seed: int = 0) -> ProblemInstance:
     Omega = [-1, 1]^n, with the box's exact dual-gap oracle.
 
     For M positive definite the instance carries a solution oracle obtained
-    from a residual-certified high-accuracy solve (cached by (n, seed)).
+    from a residual-certified high-accuracy solve.
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")
-    key = (n, seed)
-    if key in _AFFINE_CACHE:
-        return _AFFINE_CACHE[key]
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((n, n))
     M = A.T @ A
     q = rng.standard_normal(n)
-    lower, upper = -np.ones(n), np.ones(n)
-    inst = ProblemInstance(
-        name=f"affine_monotone(n={n}, seed={seed}, box)",
-        map=affine_map(M, q, name=f"affine[{n},{seed}]"),
-        set=box(lower, upper),
-        default_x0=np.zeros(n),
-        bounding_box=(lower, upper),
-        dual_gap_exact=affine_box_dual_gap(M, q, lower, upper),
-    )
+    inst = affine_problem(f"affine_monotone(n={n}, seed={seed}, box)", M, q,
+                          box(-np.ones(n), np.ones(n)))
     if inst.map.mu > 0:
         from .solvers import reference_solution
 
         xstar, _ = reference_solution(inst, 0.0, None)
-        oracle = SolutionOracle(
-            distance_to_S0=lambda x: float(np.linalg.norm(np.asarray(x) - xstar)),
-            sample_S0=lambda count, seed=0: np.tile(xstar, (count, 1)),
-        )
-        inst = replace(inst, solution_oracle=oracle)
-    _AFFINE_CACHE[key] = inst
+        inst = replace(inst, solution_oracle=_point_oracle(xstar))
     return inst
 
 
@@ -241,24 +250,10 @@ def strongly_monotone_quadratic(n: int = 3, seed: int = 0) -> ProblemInstance:
     c is seeded with entries in [-2, 2], so some coordinates clamp. With the
     quadratic regularizer the regularized solution is P_box(c / (1 + eps)).
     """
-    rng = np.random.default_rng(seed)
-    c = rng.uniform(-2.0, 2.0, size=n)
-    F_map = affine_map(np.eye(n), -c, name=f"identity_minus_target[{n},{seed}]")
-    omega = box(-np.ones(n), np.ones(n))
-    xstar = np.clip(c, -1.0, 1.0)
-    oracle = SolutionOracle(
-        distance_to_S0=lambda x: float(np.linalg.norm(np.asarray(x) - xstar)),
-        sample_S0=lambda count, seed=0: np.tile(xstar, (count, 1)),
-    )
-    return ProblemInstance(
-        name=f"strongly_monotone_quadratic(n={n}, seed={seed})",
-        map=F_map,
-        set=omega,
-        solution_oracle=oracle,
-        default_x0=np.zeros(n),
-        bounding_box=(-np.ones(n), np.ones(n)),
-        dual_gap_exact=affine_box_dual_gap(np.eye(n), -c, -np.ones(n), np.ones(n)),
-    )
+    c = np.random.default_rng(seed).uniform(-2.0, 2.0, size=n)
+    return affine_problem(f"strongly_monotone_quadratic(n={n}, seed={seed})",
+                          np.eye(n), -c, box(-np.ones(n), np.ones(n)),
+                          solution_oracle=_point_oracle(np.clip(c, -1.0, 1.0)))
 
 
 def sharp_quadratic_ball(n: int = 2) -> ProblemInstance:
@@ -268,20 +263,9 @@ def sharp_quadratic_ball(n: int = 2) -> ProblemInstance:
     giving G(x) = ||x||^2 on the whole ball and S0 = {0}; weakly sharp of
     order 2 with sharpness constant exactly 1.
     """
-    F_map = affine_map(4.0 * np.eye(n), np.zeros(n), name=f"four_x[{n}]")
-    omega = ball(np.zeros(n), 1.0)
-    oracle = SolutionOracle(
-        distance_to_S0=lambda x: float(np.linalg.norm(x)),
-        sample_S0=lambda count, seed=0: np.zeros((count, n)),
-    )
-    return ProblemInstance(
-        name=f"sharp_quadratic_ball(n={n})",
-        map=F_map,
-        set=omega,
-        solution_oracle=oracle,
-        default_x0=np.zeros(n),
-        bounding_box=(-np.ones(n), np.ones(n)),
-    )
+    return affine_problem(f"sharp_quadratic_ball(n={n})", 4.0 * np.eye(n), np.zeros(n),
+                          ball(np.zeros(n), 1.0), solution_oracle=_point_oracle(np.zeros(n)),
+                          bounding_box=(-np.ones(n), np.ones(n)))
 
 
 # ---------------------------------------------------------------------------

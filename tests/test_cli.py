@@ -2,6 +2,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -195,38 +196,31 @@ def test_load_problem_file(tmp_path):
     assert rows[0].final_gap is not None
 
 
-# each set kind of a problem file: its keys, and the closed-form projection of (3, 4)
+# each set of a problem file: its [set] keys, the closed-form projection of
+# (3, 4), and whether G is exact, as it is on a box with finite bounds alone
 SET_KINDS = {
-    "box": ("lower = -1 -1\nupper = 1 1", [1.0, 1.0]),
-    "orthant": ("lower = 0 5", [3.0, 5.0]),
-    "ball": ("center = 0 0\nradius = 1", [0.6, 0.8]),
-    "halfspace": ("normal = 1 1\noffset = 1", [0.0, 1.0]),
-    "hyperplane": ("normal = 1 -1\noffset = 0", [3.5, 3.5]),
+    "box": ("kind = box\nlower = -1 -1\nupper = 1 1", [1.0, 1.0], True),
+    "box-inf": ("kind = box\nlower = -1 -1\nupper = 1 inf", [1.0, 4.0], False),
+    "orthant": ("kind = orthant\nlower = 0 5", [3.0, 5.0], False),
+    "ball": ("kind = ball\ncenter = 0 0\nradius = 1", [0.6, 0.8], False),
+    "halfspace": ("kind = halfspace\nnormal = 1 1\noffset = 1", [0.0, 1.0], False),
+    "hyperplane": ("kind = hyperplane\nnormal = 1 -1\noffset = 0", [3.5, 3.5], False),
 }
 
 
 @pytest.mark.parametrize("kind", list(SET_KINDS))
 def test_problem_file_set_kinds(kind, tmp_path):
-    keys, projection = SET_KINDS[kind]
+    keys, projection, exact = SET_KINDS[kind]
     path = tmp_path / f"{kind}.ini"
-    path.write_text(AFFINE_INI.split("[set]")[0] + f"[set]\nkind = {kind}\n{keys}\n")
+    path.write_text(AFFINE_INI.split("[set]")[0] + f"[set]\n{keys}\n")
     inst = load_problem_file(str(path))
     np.testing.assert_allclose(inst.set.project(np.array([3.0, 4.0])), projection,
                                rtol=0.0, atol=1e-15)
-    if kind == "box":
+    assert (inst.dual_gap_exact is not None) == exact
+    if exact:
         # affine F on a finite box: the exact oracle, here G(0) = max_y y1 - 2 y1^2 - 3 y2^2
-        assert inst.dual_gap_exact is not None
         ev = dual_gap(inst, np.zeros(2))
         assert ev.converged and ev.value == pytest.approx(0.125, abs=1e-12)
-    else:
-        assert inst.dual_gap_exact is None
-
-
-def test_problem_file_named_builtin(tmp_path):
-    path = tmp_path / "named.ini"
-    path.write_text("[problem]\nname = example5_1\n")
-    inst = load_problem_file(str(path))
-    assert inst.name == "example5_1"
 
 
 def test_problem_file_errors(tmp_path):
@@ -280,14 +274,16 @@ def test_problem_file_misspelt_key_exits_2(tmp_path, capsys):
     (AFFINE_INI.replace("upper = 1 1", "upper = 1 1\nradius = 2"), "set.radius: unknown key"),
     (AFFINE_INI.replace("kind = affine", "kind = affine\nmatirx = 1 0; 0 1"),
      "operator.matirx: unknown key"),
-    ("[problem]\nname = example5_1\nseed = 3\n", "problem.seed: unknown key"),
-    ("[problem]\nname = example5_1\n" + AFFINE_INI, r"\[operator\]: not used with problem.name"),
-], ids=["section", "default", "set-key", "operator-key", "problem-key", "named-and-explicit"])
-def test_problem_file_unknown_sections_and_keys_rejected(text, message, tmp_path):
+    # a builtin is run by --problem <name>, not named in a problem file
+    ("[problem]\nname = example5_1\n", r"\[problem\]: unknown section"),
+], ids=["section", "default", "set-key", "operator-key", "problem-section"])
+def test_problem_file_unknown_sections_and_keys_rejected(text, message, tmp_path, capsys):
     path = tmp_path / "unknown.ini"
     path.write_text(text)
     with pytest.raises(ConfigError, match=message):
         load_problem_file(str(path))
+    assert main(f"run --problem {path} --model direct --reg l2 --eps 0.5".split()) == 2
+    assert re.search(message, capsys.readouterr().err)
 
 
 # ---------------------------------------------------------------------------

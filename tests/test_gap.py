@@ -19,6 +19,7 @@ from vigap.gap import (
 from vigap.problems import (
     ProblemInstance,
     affine_monotone,
+    affine_problem,
     brute_force_dual_gap,
     brute_force_gap,
     get_problem,
@@ -405,9 +406,7 @@ def _affine_box_cases():
         M = A.T @ A + np.array([[0.0, 0.7], [-0.7, 0.0]])
         q = rng.standard_normal(2)
         lo, hi = np.array([-1.0, -0.5]), np.array([0.5, 1.0])
-        cases.append(ProblemInstance(
-            name=f"rank{rank}", map=affine_map(M, q), set=box(lo, hi),
-            bounding_box=(lo, hi), dual_gap_exact=affine_box_dual_gap(M, q, lo, hi)))
+        cases.append(affine_problem(f"rank{rank}", M, q, box(lo, hi)))
     return cases
 
 

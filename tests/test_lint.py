@@ -1,4 +1,5 @@
-"""Source lint: every parameter of every function in src/vigap is read."""
+"""Source lint: every parameter of every function in src/vigap is read, and
+problem instances and the exact dual gap are built in one place each."""
 import ast
 from pathlib import Path
 
@@ -23,3 +24,27 @@ def _unread_parameters(path):
 def test_every_parameter_is_read():
     unread = {u for path in sorted(SRC.glob("*.py")) for u in _unread_parameters(path)}
     assert sorted(unread) == []
+
+
+def _calls(path, callee):
+    """(file, enclosing function) for each call of callee in the file."""
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Call):
+            f = node.func
+            if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == callee:
+                yield path.name, where
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, where)
+
+    yield from visit(ast.parse(path.read_text()), None)
+
+
+def test_problem_instances_and_exact_G_have_one_home():
+    # every affine problem takes its exact G from problems.affine_problem,
+    # so a new exact oracle is wired in there alone
+    paths = sorted(SRC.glob("*.py"))
+    assert {f for p in paths for f, _ in _calls(p, "ProblemInstance")} == {"problems.py"}
+    assert {u for p in paths for u in _calls(p, "affine_box_dual_gap")} == \
+        {("problems.py", "affine_problem")}

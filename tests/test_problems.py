@@ -114,9 +114,14 @@ def test_affine_2d_oracle_matches_grid_zero_set():
             assert brute_force_dual_gap(p, x, grid_resolution=1e-3) >= 1e-4
 
 
-def test_caching_by_seed():
-    assert affine_monotone(3, seed=9) is affine_monotone(3, seed=9)
-    assert affine_monotone(3, seed=9) is not affine_monotone(3, seed=10)
+def test_affine_monotone_is_a_function_of_its_seed():
+    # each call builds afresh: the same (n, seed) gives the same F and x*
+    x = np.array([0.3, -0.2, 0.9])
+    a, b, c = (affine_monotone(3, seed) for seed in (9, 9, 10))
+    assert a is not b
+    assert a.map(x).tobytes() == b.map(x).tobytes() != c.map(x).tobytes()
+    xstar = [p.solution_oracle.sample_S0(1)[0].tobytes() for p in (a, b)]
+    assert xstar[0] == xstar[1]
 
 
 # ---------------------------------------------------------------------------
