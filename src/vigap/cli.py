@@ -11,7 +11,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .core import (
     shifted_orthant,
     tikhonov,
 )
-from .checks import CHECK_SUITES, CheckReport
 from .gap import dual_gap
 from .problems import BUILTIN_PROBLEMS, ProblemInstance, affine_problem, get_problem
 from .solvers import (
@@ -41,11 +40,13 @@ from .solvers import (
     solve_pge,
 )
 
+if TYPE_CHECKING:   # the check suites are imported by the check command alone
+    from .checks import CheckReport
+
 __all__ = [
     "ConfigError",
     "ExperimentConfig",
     "ResultRow",
-    "CheckReport",
     "run_experiment",
     "table1",
     "check_invariants",
@@ -54,7 +55,6 @@ __all__ = [
     "load_problem_file",
     "main",
     "CSV_COLUMNS",
-    "CHECK_SUITES",
 ]
 
 MODELS = ("direct", "dualgap")
@@ -412,7 +412,8 @@ def _write_rows(rows, path: Optional[str], fmt: str):
 # ---------------------------------------------------------------------------
 
 def check_invariants(suite: str, seed: int = 0) -> CheckReport:
-    """Run a named property suite; see CHECK_SUITES for the catalogue."""
+    """Run a named property suite; see `checks.CHECK_SUITES` for the catalogue."""
+    from .checks import CHECK_SUITES
     try:
         fn = CHECK_SUITES[suite]
     except KeyError:
@@ -458,6 +459,7 @@ def _build_parser() -> argparse.ArgumentParser:
     t1.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
     t1.add_argument("--no-timing", action="store_true")
 
+    from .checks import CHECK_SUITES
     chk = sub.add_parser("check", help="run an invariant check suite")
     chk.add_argument("suite", help=f"one of: {', '.join(sorted(CHECK_SUITES))}")
     chk.add_argument("--seed", type=int, default=0)

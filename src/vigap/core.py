@@ -14,11 +14,10 @@ from numpy.typing import NDArray
 
 Vector = NDArray[np.float64]
 
-try:  # the clip ufunc and the C einsum core, without their Python-level dispatch
-    from numpy._core.multiarray import c_einsum as _einsum
+try:  # the clip ufunc, without np.clip's Python-level dispatch
     from numpy._core.umath import clip as _clip
 except ImportError:  # numpy < 2
-    _clip, _einsum = np.clip, np.einsum
+    _clip = np.clip
 
 __all__ = [
     "Vector",
@@ -36,6 +35,7 @@ __all__ = [
     "halfspace",
     "ball",
     "psd_tolerance",
+    "least_symmetric_eigenvalue",
     "affine_map",
     "tikhonov",
     "l1_regularizer",
@@ -140,6 +140,17 @@ def psd_tolerance(A: np.ndarray) -> float:
     return 1e-12 * max(1.0, float(np.abs(A).max()))
 
 
+def least_symmetric_eigenvalue(M: np.ndarray) -> float:
+    """The least eigenvalue of sym(M): the one monotonicity test of an affine
+    F = Mx + q. Raises ValueError when it lies below -psd_tolerance(M), since
+    sym(M) is then indefinite and F not monotone."""
+    least = float(np.linalg.eigvalsh(0.5 * (M + M.T)).min())
+    if least < -psd_tolerance(M):
+        raise ValueError(f"the symmetric part of the matrix is indefinite (least eigenvalue "
+                         f"{least:.3e}): F is not monotone")
+    return least
+
+
 def affine_map(M: np.ndarray, q, name: str = "affine") -> MonotoneMap:
     """F(x) = M x + q with sym(M) positive semidefinite (monotone affine map).
 
@@ -152,10 +163,7 @@ def affine_map(M: np.ndarray, q, name: str = "affine") -> MonotoneMap:
     n = q.shape[0]
     if M.shape != (n, n):
         raise DimensionMismatchError(f"matrix shape {M.shape} does not match offset length {n}")
-    least = float(np.linalg.eigvalsh(0.5 * (M + M.T)).min())
-    if least < -psd_tolerance(M):
-        raise ValueError(f"the symmetric part of the matrix is indefinite (least eigenvalue "
-                         f"{least:.3e}): F is not monotone")
+    least = least_symmetric_eigenvalue(M)
     return MonotoneMap(
         dimension=n,
         evaluate=lambda x: M @ x + q,

@@ -25,6 +25,7 @@ from .core import (
     Regularizer,
     Vector,
     as_point,
+    least_symmetric_eigenvalue,
     psd_tolerance,
     regularized_operator,
 )
@@ -315,7 +316,8 @@ def affine_box_dual_gap(M, q, lower, upper):
     M is positive semidefinite, so G(x) = max_{box} h is a concave box QP. It
     is solved by projected Newton (Bertsekas 1982): a Newton step on the
     coordinates not held at a bound (numpy lstsq, since sym(M) may be
-    singular, plus the part of the gradient in its null space, along which h
+    singular, with the face's singular values at rounding level taken as
+    zero, plus the part of the gradient in its null space, along which h
     rises linearly up to the box), an Armijo step along the projected path,
     and the bounds within the last projected-gradient step held as active.
     The result ybar is certified by the Frank-Wolfe bracket
@@ -324,8 +326,9 @@ def affine_box_dual_gap(M, q, lower, upper):
     evaluation of h, as `core.affine_map` computes it.
 
     Returns None when the box has an infinite bound (the bracket is then
-    infinite) or sym(M) has a negative eigenvalue (h is then not concave and
-    the bracket does not bound G), so such problems keep the ascent.
+    infinite) or sym(M) fails `core.least_symmetric_eigenvalue`'s test, the
+    one `core.affine_map` makes (h is then not concave and the bracket does
+    not bound G), so such problems keep the ascent.
     """
     M = np.asarray(M, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -334,8 +337,13 @@ def affine_box_dual_gap(M, q, lower, upper):
     H = M + M.T   # minus the Hessian of h
     if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
         return None
-    if np.linalg.eigvalsh(H).min() < -psd_tolerance(H):
+    try:
+        least_symmetric_eigenvalue(M)
+    except ValueError:
         return None
+    # an eigenvalue of H = 2 sym(M) at most this in size is rounding: the
+    # monotonicity test lets one this far below zero pass as zero
+    null = 2.0 * psd_tolerance(M)
     reach = float(np.linalg.norm(hi - lo))
     band = QP_HOLD * (hi - lo)
 
@@ -362,7 +370,10 @@ def affine_box_dual_gap(M, q, lower, upper):
             if free.any():
                 HF = H[np.ix_(free, free)]
                 gF = g[free]
-                dF = np.linalg.lstsq(HF, gF, rcond=None)[0]
+                dF, _, _, sv = np.linalg.lstsq(HF, gF, rcond=None)
+                if sv[-1] <= null:   # h is linear along it: solve without it
+                    dF = (np.linalg.lstsq(HF, gF, rcond=null / sv[0])[0] if sv[0] > null
+                          else np.zeros_like(gF))
                 r = gF - HF @ dF   # gradient in null(H_FF): h rises linearly along it
                 nr = float(np.linalg.norm(r))
                 if nr > 1e-12 * (1.0 + float(np.linalg.norm(gF))):

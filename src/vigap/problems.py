@@ -14,7 +14,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import (
-    _einsum,
     DimensionMismatchError,
     FeasibleSet,
     MonotoneMap,
@@ -108,7 +107,11 @@ def example_5_1() -> ProblemInstance:
     peaking at min(x1/2, 0), and, along y = (u, -1 - u) on the hyperplane, a
     continuous function of u made of three concave quadratic pieces split
     at the kinks u = -1.25 and u = -0.25. Each piece's vertex, clamped into
-    its interval, is a candidate, and G is the best of the three.
+    its interval, is a candidate, and G is the best of the three. The
+    oracle evaluates the three candidates on Python floats, summing
+    <F(y), x - y> in numpy einsum's order, and builds arrays only for the
+    winning ybar and F(ybar); tests/test_gap.py pins it bit for bit to the
+    array form (np.clip, F's rows, einsum, argmax).
     """
 
     def F(x):
@@ -153,21 +156,30 @@ def example_5_1() -> ProblemInstance:
                                            and abs(x[1] + x[2] + 1.0) <= 2.0 * tol),
     )
 
+    s1, s2, s3 = _BA_SHIFT.tolist()
+
     def dual_gap_exact(x):
+        # on Python floats, each F component y - max(y, s) as F computes it
+        # (s first: np.maximum gives s on a tie of -0.0 with 0.0), and
+        # <F(y), x - y> summed in einsum's order for three terms,
+        # ((0.0 + p1) + p3) + p2: its sum starts at +0.0, so it is never -0.0
         x1, x2, x3 = x.tolist()
         y1 = min(x1 / 2.0, 0.0)
+        f1 = y1 - max(s1, y1)
+        p1 = 0.0 + f1 * (x1 - y1)
+        g = None
         # each vertex clamped into its interval in np.clip's order, lower
         # bound first; on a tie max(lo, v) and min(hi, v) return the bound,
         # as np.clip does
-        u0 = min(-1.25, (x2 - 0.25) / 2.0)
-        u1 = min(-0.25, max(-1.25, (x2 - x3 - 2.5) / 4.0))
-        u2 = max(-0.25, -(x3 + 2.25) / 2.0)
-        Y = np.array(((y1, u0, -1.0 - u0), (y1, u1, -1.0 - u1), (y1, u2, -1.0 - u2)))
-        FY = F(Y)
-        vals = _einsum("ij,ij->i", FY, x - Y)
-        k = int(vals.argmax())
-        g = float(vals[k])
-        return g, g, Y[k], FY[k], 0
+        for u in (min(-1.25, (x2 - 0.25) / 2.0),
+                  min(-0.25, max(-1.25, (x2 - x3 - 2.5) / 4.0)),
+                  max(-0.25, -(x3 + 2.25) / 2.0)):
+            y3 = -1.0 - u
+            f2, f3 = u - max(s2, u), y3 - max(s3, y3)
+            h = (p1 + f3 * (x3 - y3)) + f2 * (x2 - u)
+            if g is None or h > g:   # the first maximum, as argmax
+                g, y, Fy = h, (y1, u, y3), (f1, f2, f3)
+        return g, g, np.array(y), np.array(Fy), 0
 
     def dist_S0(x):
         t = min(max(float(x[0]), 0.0), 1.0)

@@ -13,9 +13,9 @@ from conftest import assert_matches_golden
 
 import vigap
 from vigap import checks, cli
+from vigap.checks import CheckReport
 from vigap.cli import (
     CSV_COLUMNS,
-    CheckReport,
     ConfigError,
     ExperimentConfig,
     check_invariants,
@@ -300,12 +300,17 @@ def test_main_run_writes_deterministic_files(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def _child_env():
+    """The environment of a child process that imports the same vigap as
+    this process, installed or not."""
+    src = str(Path(vigap.__file__).resolve().parent.parent)
+    return dict(os.environ,
+                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_main_module_invocation(tmp_path):
     out = tmp_path / "m.csv"
-    # the child imports the same vigap as this process, installed or not
-    src = str(Path(vigap.__file__).resolve().parent.parent)
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = _child_env()
     res = subprocess.run(
         [sys.executable, "-m", "vigap", "run", "--problem", "example5_1",
          "--model", "direct", "--reg", "l2", "--eps", "0.5", "--no-timing",
@@ -313,6 +318,15 @@ def test_main_module_invocation(tmp_path):
         capture_output=True, text=True, timeout=300, env=env)
     assert res.returncode == 0, res.stderr
     assert out.read_text().startswith(",".join(CSV_COLUMNS))
+
+
+def test_importing_the_cli_leaves_the_check_suites_unimported():
+    # only the check command needs `checks`, so other callers never compile it
+    code = "import sys, vigap.cli; print('vigap.checks' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=120, env=_child_env())
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
 
 
 def test_main_rejects_bad_config():

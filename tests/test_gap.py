@@ -348,14 +348,15 @@ def test_example5_1_oracle_is_d_squared_over_four_near_S0(ba_problem):
 
 def _example5_1_oracle_reference(F, x):
     """example5_1's closed-form G in its array form: the three clamped vertices
-    by np.clip, stacked by np.column_stack."""
+    by np.clip, stacked by np.column_stack; returns G, ybar and F(ybar)."""
     _, x2, x3 = x
     u = np.clip([(x2 - 0.25) / 2.0, (x2 - x3 - 2.5) / 4.0, -(x3 + 2.25) / 2.0],
                 [-np.inf, -1.25, -0.25], [-1.25, -0.25, np.inf])
     Y = np.column_stack([np.full(3, min(x[0] / 2.0, 0.0)), u, -1.0 - u])
-    vals = np.einsum("ij,ij->i", F.rows(Y), x - Y)
+    FY = F.rows(Y)
+    vals = np.einsum("ij,ij->i", FY, x - Y)
     k = int(np.argmax(vals))
-    return float(vals[k]), Y[k]
+    return float(vals[k]), Y[k], FY[k]
 
 
 def test_example5_1_oracle_is_bit_identical_to_its_array_form(ba_problem):
@@ -371,9 +372,12 @@ def test_example5_1_oracle_is_bit_identical_to_its_array_form(ba_problem):
     assert any(np.signbit(p[0]) and p[0] == 0.0 for p in points)
     for x in points:
         ev = dual_gap(ba_problem, x)
-        value, maximizer = _example5_1_oracle_reference(ba_problem.map, x)
+        value, maximizer, Fy = _example5_1_oracle_reference(ba_problem.map, x)
         assert ev.value == value and np.signbit(ev.value) == np.signbit(value)
         assert ev.maximizer.tobytes() == maximizer.tobytes(), x
+        _, upper, _, raw_Fy, steps = ba_problem.dual_gap_exact(x)
+        assert upper == value and np.signbit(upper) == np.signbit(value)
+        assert raw_Fy.tobytes() == Fy.tobytes() and steps == 0, x
 
 
 def test_example5_1_oracle_returns_F_at_its_maximizer(ba_problem):
@@ -460,6 +464,21 @@ def test_affine_box_oracle_needs_a_concave_inner_problem():
     assert affine_box_dual_gap(M, q, [-1.0, -np.inf], [1.0, 1.0]) is None
     assert affine_box_dual_gap(np.diag([1.0, -1.0]), q, -np.ones(2), np.ones(2)) is None
     assert get_problem("sharp_ball2d").dual_gap_exact is None   # a ball
+
+
+@pytest.mark.parametrize("corner", [-1e-13, -0.7e-12])
+def test_affine_box_oracle_with_sym_M_just_below_zero(corner):
+    # the monotonicity test lets an eigenvalue of sym(M) just below zero pass;
+    # the box QP takes it as zero, not as a curvature to step 4e12 against.
+    # At x = (0.5, 0.5), h(y) = <My + q, x - y> peaks at the corner (-1, 1)
+    M, q = np.array([[corner, 1.0], [-1.0, 0.0]]), np.array([0.3, -0.2])
+    p = affine_problem("near_psd", M, q, box(-np.ones(2), np.ones(2)))
+    assert p.dual_gap_exact is not None
+    x = np.array([0.5, 0.5])
+    value, upper, ybar, _, _ = p.dual_gap_exact(x)
+    assert abs(value - 1.55) <= 1e-11 and upper == value
+    assert np.array_equal(ybar, [-1.0, 1.0])
+    assert dual_gap(p, x).converged
 
 
 def _ill_conditioned_box_vi(seed):
