@@ -9,7 +9,6 @@ exactness_check classifies a candidate point through the dual gap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,7 +40,6 @@ class DegenerateSamplesError(ValueError):
     """Sharpness fit received samples with degenerate distance spread."""
 
 
-@dataclass(frozen=True)
 class SharpnessModel:
     """Growth model G(x) >= alpha_sharp * d(x, S0)^gamma on Omega.
 
@@ -49,15 +47,14 @@ class SharpnessModel:
     and `order1_inequality`, not by a radius formula).
     """
 
-    gamma: float
-    alpha_sharp: float
-    source: str = "user_declared"
+    __slots__ = ("gamma", "alpha_sharp", "source")
 
-    def __post_init__(self):
-        if not self.gamma > 1.0:
+    def __init__(self, gamma: float, alpha_sharp: float, source: str = "user_declared"):
+        if not gamma > 1.0:
             raise ValueError("sharpness order gamma must exceed 1")
-        if not self.alpha_sharp > 0.0:
+        if not alpha_sharp > 0.0:
             raise ValueError("alpha_sharp must be positive")
+        self.gamma, self.alpha_sharp, self.source = gamma, alpha_sharp, source
 
 
 def _check_dgap_inputs(L, M, rho, alpha, beta, epsilon):

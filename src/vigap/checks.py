@@ -5,8 +5,6 @@ returns a CheckReport with one PASS/FAIL line and its margin per check.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from . import bounds
@@ -32,10 +30,12 @@ from .solvers import (
 __all__ = ["CheckReport", "CHECK_SUITES"]
 
 
-@dataclass
 class CheckReport:
-    suite: str
-    lines: list = field(default_factory=list)  # (name, passed, margin text)
+    __slots__ = ("suite", "lines")
+
+    def __init__(self, suite: str):
+        self.suite = suite
+        self.lines = []  # (name, passed, margin text)
 
     def record(self, name: str, passed: bool, margin: str):
         self.lines.append((name, bool(passed), margin))

@@ -10,8 +10,8 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Optional
+from dataclasses import replace
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 import numpy as np
 
@@ -61,17 +61,12 @@ MODELS = ("direct", "dualgap")
 REGULARIZERS = ("l1", "l2")
 TABLE1_EPSILONS = (0.5, 0.1, 0.01, 0.005, 0.0001)
 
-CSV_COLUMNS = ["problem", "model", "regularizer", "epsilon", "iterations",
-               "wall_time_s", "dist_to_reg_solution", "dist_to_S0", "final_gap",
-               "exactness"]
-
 
 class ConfigError(ValueError):
     """Invalid experiment configuration or problem file."""
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     """One sweep: a problem, a model, a regularizer and an epsilon list.
 
     `problem` is a registry name or a path to an INI problem file. `seed`
@@ -111,8 +106,7 @@ class ExperimentConfig:
             raise ConfigError(f"max_iter must be positive, got {self.max_iter}")
 
 
-@dataclass
-class ResultRow:
+class ResultRow(NamedTuple):
     """One sweep cell of the model-comparison table, plus gap/verdict columns."""
 
     problem: str
@@ -127,7 +121,10 @@ class ResultRow:
     exactness: str
 
     def to_dict(self) -> dict:
-        return {c: getattr(self, c) for c in CSV_COLUMNS}
+        return self._asdict()
+
+
+CSV_COLUMNS = list(ResultRow._fields)
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +261,7 @@ def run_experiment(config: ExperimentConfig) -> list:
     rows = run(config, problem, reg, x0)
     rows.sort(key=lambda r: (r.model, r.regularizer, r.epsilon))
     if not config.timing:
-        for r in rows:
-            r.wall_time_s = 0.0
+        rows = [r._replace(wall_time_s=0.0) for r in rows]
     return rows
 
 
@@ -280,12 +276,10 @@ def _start_point(config, problem) -> np.ndarray:
     return x0
 
 
-def _row_shell(config, problem, eps) -> ResultRow:
-    return ResultRow(problem=problem.name if config.problem.endswith(".ini")
-                     else config.problem,
-                     model=config.model, regularizer=config.regularizer, epsilon=eps,
-                     iterations=0, wall_time_s=0.0, dist_to_reg_solution=None,
-                     dist_to_S0=None, final_gap=None, exactness="")
+def _sweep_cells(config, problem) -> tuple:
+    """The problem, model and regularizer cells that every row of a sweep shares."""
+    name = problem.name if config.problem.endswith(".ini") else config.problem
+    return name, config.model, config.regularizer
 
 
 def _gap_cell(value: float) -> float:
@@ -306,49 +300,44 @@ def _run_direct(config, problem, reg, x0) -> list:
     except (StepFailureError, MaxIterationsError) as err:
         failure = err
         records = err.partial_trace.outer if hasattr(err, "partial_trace") else []
+    cells = _sweep_cells(config, problem)
     for rec in records:
-        row = _row_shell(config, problem, rec.epsilon)
-        row.iterations = rec.iterations
-        row.wall_time_s = rec.wall_time_s
-        row.final_gap = _gap_cell(rec.theta_final)
-        row.dist_to_S0 = rec.dist_S0
+        dist_ref = None   # no certified reference: the cell stays empty
         if config.regularizer == "l2":
             try:
                 ref = reference_solution(problem, rec.epsilon, reg)[0]
             except (ValueError, RuntimeError):
-                pass   # no certified reference: the cell stays empty
+                pass
             else:
-                row.dist_to_reg_solution = float(np.linalg.norm(rec.x - ref))
-        row.exactness = bounds.exactness_check(problem, problem.set.project(rec.x), tol=config.tol)
-        rows.append(row)
+                dist_ref = float(np.linalg.norm(rec.x - ref))
+        verdict = bounds.exactness_check(problem, problem.set.project(rec.x), tol=config.tol)
+        rows.append(ResultRow(*cells, rec.epsilon, rec.iterations, rec.wall_time_s, dist_ref,
+                              rec.dist_S0, _gap_cell(rec.theta_final), verdict))
     done = {r.epsilon for r in rows}
-    for e in eps_desc:
-        if e not in done:
-            row = _row_shell(config, problem, e)
-            row.exactness = f"error:{type(failure).__name__}" if failure else "error"
-            rows.append(row)
+    error = f"error:{type(failure).__name__}" if failure else "error"
+    rows += [ResultRow(*cells, e, 0, 0.0, None, None, None, error)
+             for e in eps_desc if e not in done]
     return rows
 
 
 def _run_dualgap(config, problem, reg, x0) -> list:
     rows = []
+    cells = _sweep_cells(config, problem)
+    oracle = problem.solution_oracle
     for e in sorted(set(float(v) for v in config.epsilons), reverse=True):
-        row = _row_shell(config, problem, e)
         tick = time.perf_counter()
         try:
             x, trace = solve_pge(problem, reg, e, x0, config.max_iter)
         except (DualGapUnreliableError, EvaluationError) as err:  # per-cell isolation
-            row.wall_time_s = time.perf_counter() - tick
-            row.exactness = f"error:{type(err).__name__}"
-            rows.append(row)
+            rows.append(ResultRow(*cells, e, 0, time.perf_counter() - tick, None, None, None,
+                                  f"error:{type(err).__name__}"))
             continue
-        row.wall_time_s = time.perf_counter() - tick
-        row.iterations = trace.iterations
-        if problem.solution_oracle is not None:
-            row.dist_to_S0 = float(problem.solution_oracle.distance_to_S0(x))
-        row.final_gap = _gap_cell(dual_gap(problem, x).value)
-        row.exactness = bounds.exactness_check(problem, problem.set.project(x), tol=config.tol)
-        rows.append(row)
+        wall_time_s = time.perf_counter() - tick
+        dist_S0 = None if oracle is None else float(oracle.distance_to_S0(x))
+        final_gap = _gap_cell(dual_gap(problem, x).value)
+        verdict = bounds.exactness_check(problem, problem.set.project(x), tol=config.tol)
+        rows.append(ResultRow(*cells, e, trace.iterations, wall_time_s, None, dist_S0, final_gap,
+                              verdict))
     return rows
 
 
@@ -459,9 +448,8 @@ def _build_parser() -> argparse.ArgumentParser:
     t1.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
     t1.add_argument("--no-timing", action="store_true")
 
-    from .checks import CHECK_SUITES
     chk = sub.add_parser("check", help="run an invariant check suite")
-    chk.add_argument("suite", help=f"one of: {', '.join(sorted(CHECK_SUITES))}")
+    chk.add_argument("suite", help="a check suite's name; an unknown name lists them all")
     chk.add_argument("--seed", type=int, default=0)
     return parser
 

@@ -1,8 +1,9 @@
 """Domain types for monotone variational inequalities.
 
 Operators, feasible sets with closed-form projections, convex regularizers,
-and the regularized operator T = F + eps * grad(phi). Everything here is
-immutable after construction; evaluation and projection are pure functions.
+and the regularized operator T = F + eps * grad(phi). Maps and sets are
+frozen dataclasses and nothing changes a regularizer after construction;
+evaluation and projection are pure functions.
 """
 from __future__ import annotations
 
@@ -75,7 +76,7 @@ def as_point(x, dim: Optional[int] = None) -> Vector:
 # operators
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MonotoneMap:
     """An evaluable operator F: R^n -> R^n with declared constants.
 
@@ -180,7 +181,7 @@ def affine_map(M: np.ndarray, q, name: str = "affine") -> MonotoneMap:
 # feasible sets
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeasibleSet:
     """A closed convex set exposed through a projection oracle.
 
@@ -315,7 +316,6 @@ def ball(center, radius: float) -> FeasibleSet:
 # regularizers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Regularizer:
     """Convex regularizer phi with value and gradient/subgradient selection.
 
@@ -328,18 +328,19 @@ class Regularizer:
     the semismooth Newton step.
     """
 
-    value: Callable[[Vector], float]
-    gradient: Optional[Callable[[Vector], Vector]] = None
-    subgradient_select: Optional[Callable[[Vector], Vector]] = None
-    hessian: Optional[Callable[[Vector], np.ndarray]] = None
-    rho: float = 0.0
-    lipschitz_M: Optional[float] = None
+    __slots__ = ("value", "gradient", "subgradient_select", "hessian", "rho", "lipschitz_M")
 
-    def __post_init__(self):
-        if self.gradient is None and self.subgradient_select is None:
+    def __init__(self, value: Callable[[Vector], float],
+                 gradient: Optional[Callable[[Vector], Vector]] = None,
+                 subgradient_select: Optional[Callable[[Vector], Vector]] = None,
+                 hessian: Optional[Callable[[Vector], np.ndarray]] = None,
+                 rho: float = 0.0, lipschitz_M: Optional[float] = None):
+        if gradient is None and subgradient_select is None:
             raise ValueError("regularizer needs a gradient or a subgradient selection")
-        if self.rho < 0:
+        if rho < 0:
             raise ValueError("rho must be nonnegative")
+        self.value, self.gradient, self.subgradient_select = value, gradient, subgradient_select
+        self.hessian, self.rho, self.lipschitz_M = hessian, rho, lipschitz_M
 
     @property
     def smooth(self) -> bool:

@@ -11,9 +11,8 @@ back to a multistart projected gradient ascent, which bounds G from below.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -40,8 +39,7 @@ __all__ = [
 ]
 
 
-@dataclass
-class GapEvaluation:
+class GapEvaluation(NamedTuple):
     """Value of a gap function at a point plus the inner point that produced it.
 
     For theta_alpha / theta_ab the maximizer is y_alpha(x) (closed form, so

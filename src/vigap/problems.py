@@ -9,7 +9,7 @@ cross-checking the explicit gap formulas.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -43,15 +43,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SolutionOracle:
+class SolutionOracle(NamedTuple):
     """Closed-form (or cached high-accuracy) description of S0."""
 
     distance_to_S0: Callable[[Vector], float]
     sample_S0: Callable[[int, int], np.ndarray]  # (count, seed) -> rows
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProblemInstance:
     """A variational inequality problem: operator, set, and optional oracles.
 

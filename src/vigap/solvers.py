@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -113,7 +112,6 @@ class DualGapUnreliableError(RuntimeError):
 # configs and traces
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class InnerConfig:
     """Parameters of the D-gap descent for one regularization level.
 
@@ -129,55 +127,53 @@ class InnerConfig:
     L_theta_estimate=None takes the declared L + eps*M (`estimate_L_theta`).
     """
 
-    c: Optional[float] = None
-    delta: Optional[float] = None
-    max_iterations: int = 400_000
-    L_theta_estimate: Optional[float] = None
+    __slots__ = ("c", "delta", "max_iterations", "L_theta_estimate")
 
-    def __post_init__(self):
-        if self.max_iterations < 1:
+    def __init__(self, c: Optional[float] = None, delta: Optional[float] = None,
+                 max_iterations: int = 400_000, L_theta_estimate: Optional[float] = None):
+        if max_iterations < 1:
             raise ValueError("max_iterations must be positive")
+        self.c, self.delta = c, delta
+        self.max_iterations, self.L_theta_estimate = max_iterations, L_theta_estimate
 
 
-@dataclass(frozen=True)
 class OuterConfig:
     """Schedule for the sequential inexact descent.
 
     epsilons is the strictly decreasing, positive eps schedule (stored as a
-    tuple of floats); tau is the error tolerance every level is certified to.
+    tuple of floats); tau is the error tolerance every level is certified to;
+    inner (default InnerConfig()) configures every level's inner solve.
     """
 
-    epsilons: tuple
-    tau: float = 1e-6
-    inner: InnerConfig = field(default_factory=InnerConfig)
+    __slots__ = ("epsilons", "tau", "inner")
 
-    def __post_init__(self):
-        eps = tuple(float(e) for e in self.epsilons)
+    def __init__(self, epsilons, tau: float = 1e-6, inner: Optional[InnerConfig] = None):
+        eps = tuple(float(e) for e in epsilons)
         if not eps or any(e <= 0 for e in eps):
             raise ValueError("epsilon schedule must be positive")
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise ValueError("epsilon schedule must be strictly decreasing")
-        if not self.tau > 0:
+        if not tau > 0:
             raise ValueError("tau must be positive")
-        object.__setattr__(self, "epsilons", eps)
+        self.epsilons, self.tau = eps, tau
+        self.inner = InnerConfig() if inner is None else inner
 
 
-@dataclass(slots=True)
-class InnerRecord:
+class InnerRecord(NamedTuple):
     theta: float
     m: int
     branch: str
     step_norm: float
 
 
-@dataclass
-class InnerTrace:
+class InnerTrace(NamedTuple):
     """One inner solve, ending at the point x: status "certified", "floor" or
     "stagnated" (see `solve_inner`), or "max_iterations" on a
     MaxIterationsError's trace. certificate ("dgap" or "residual") and radius
     (the distance to x_eps it certifies, <= tau) are set exactly when the
-    status is "certified". Within `sequential_inexact_descent`, dist_S0 (from
-    the problem's solution oracle, if any) and wall_time_s are filled in."""
+    status is "certified". `solve_inner` leaves dist_S0 and wall_time_s at
+    their defaults; `sequential_inexact_descent` returns each level with
+    dist_S0 (from the problem's solution oracle, if any) and wall_time_s."""
 
     epsilon: float
     p: float
@@ -199,15 +195,13 @@ class InnerTrace:
         return len(self.records)
 
 
-@dataclass
-class SolverTrace:
+class SolverTrace(NamedTuple):
     """The sequential descent's levels in schedule order, one InnerTrace each."""
 
     outer: list
 
 
-@dataclass
-class PgeTrace:
+class PgeTrace(NamedTuple):
     """One projected subgradient run: the iterations taken, the dual-gap
     evaluations that did not converge, and the objective G + eps*phi at the
     returned point."""
@@ -241,7 +235,7 @@ def _resolve_constants(problem, cfg: InnerConfig, epsilon: float,
     d_bound = min(0.5 * math.sqrt((BETA - ALPHA) / 2.0),
                   math.sqrt(2.0) * c * mu / math.sqrt(BETA - ALPHA))
     delta = d_bound if cfg.delta is None else min(cfg.delta, d_bound)
-    return replace(cfg, c=c, delta=delta, L_theta_estimate=L_theta)
+    return InnerConfig(c, delta, cfg.max_iterations, L_theta)
 
 
 # ---------------------------------------------------------------------------
@@ -492,8 +486,8 @@ def sequential_inexact_descent(problem, x0: Vector, outer_cfg: OuterConfig,
     """Sequential inexact descent over a decreasing epsilon schedule.
 
     Each level solves VI(T_eps_k, Omega) by solve_inner warm-started from
-    the previous level's point, and its InnerTrace, with dist_S0 and
-    wall_time_s filled in, is the level's record in SolverTrace.outer; its
+    the previous level's point, and its InnerTrace, copied with dist_S0 and
+    wall_time_s set, is the level's record in SolverTrace.outer; its
     radius is the distance to x_eps that the level's certificate (D-gap or
     residual) gives. Returns (SolverTrace, x_final); inner failures propagate
     with the partial trace attached to the exception.
@@ -510,10 +504,9 @@ def sequential_inexact_descent(problem, x0: Vector, outer_cfg: OuterConfig,
         except (StepFailureError, MaxIterationsError) as err:
             err.partial_trace = SolverTrace(outer=outer)
             raise
-        itrace.wall_time_s = time.perf_counter() - tick
-        if oracle is not None:
-            itrace.dist_S0 = float(oracle.distance_to_S0(x))
-        outer.append(itrace)
+        wall_time_s = time.perf_counter() - tick
+        dist_S0 = None if oracle is None else float(oracle.distance_to_S0(x))
+        outer.append(itrace._replace(dist_S0=dist_S0, wall_time_s=wall_time_s))
     return SolverTrace(outer=outer), x
 
 

@@ -1,5 +1,4 @@
 """CLI wiring: config validation, emitters, problem files, check suites."""
-import dataclasses
 import json
 import os
 import re
@@ -329,6 +328,21 @@ def test_importing_the_cli_leaves_the_check_suites_unimported():
     assert res.stdout.strip() == "False"
 
 
+def test_run_command_leaves_the_check_suites_unimported(tmp_path):
+    # the parser's help does not list the suites, so `vigap run` and
+    # `vigap table1` never import `checks`
+    out = tmp_path / "r.csv"
+    code = ("import sys; from vigap.cli import main; "
+            "rc = main(['run', '--problem', 'example5_1', '--model', 'direct', '--reg', 'l2', "
+            f"'--eps', '0.5', '--no-timing', '--out', {str(out)!r}]); "
+            "print(rc, 'vigap.checks' in sys.modules)")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=300, env=_child_env())
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "0 False"
+    assert out.read_text().startswith(",".join(CSV_COLUMNS))
+
+
 def test_main_rejects_bad_config():
     assert main(["run", "--problem", "example5_1", "--model", "direct",
                  "--reg", "l1", "--eps", "0.5"]) == 2
@@ -368,10 +382,14 @@ def test_main_rejects_bad_run_inputs(model, flags, message, capsys):
     assert message in captured.err
 
 
-def test_check_unknown_suite():
+def test_check_unknown_suite(capsys):
     with pytest.raises(ConfigError, match="core-geometry"):
         check_invariants("no-such-suite")
+    # the check command's help does not list the suites; the error does
     assert main(["check", "no-such-suite"]) == 2
+    err = capsys.readouterr().err
+    assert "unknown suite 'no-such-suite'" in err
+    assert all(name in err for name in checks.CHECK_SUITES), err
 
 
 def test_check_core_geometry_passes():
@@ -393,7 +411,7 @@ def test_check_bounds_soundness_names_the_failing_check(monkeypatch):
     # the threshold line alone
     def wrong_p(*args, **kwargs):
         x, tr = solve_inner(*args, **kwargs)
-        return x, dataclasses.replace(tr, p=2.0 * tr.p)
+        return x, tr._replace(p=2.0 * tr.p)
 
     monkeypatch.setattr(checks, "solve_inner", wrong_p)
     report = check_invariants("bounds-soundness", seed=3)

@@ -10,6 +10,7 @@ from vigap.core import (
     DimensionMismatchError,
     EvaluationError,
     MonotoneMap,
+    Regularizer,
     affine_map,
     ball,
     box,
@@ -378,6 +379,15 @@ def test_tikhonov_strong_convexity_sampled():
         x, y = rng.standard_normal((2, 3))
         lhs = (reg.gradient(x) - reg.gradient(y)) @ (x - y)
         assert lhs >= reg.rho * np.linalg.norm(x - y) ** 2 - 1e-12
+
+
+def test_regularizer_rejects_missing_derivative_and_negative_rho():
+    with pytest.raises(ValueError, match="gradient or a subgradient"):
+        Regularizer(value=lambda x: 0.0)
+    with pytest.raises(ValueError, match="rho must be nonnegative"):
+        Regularizer(value=lambda x: 0.0, gradient=lambda x: x, rho=-1e-3)
+    reg = Regularizer(value=lambda x: 0.0, subgradient_select=np.sign)
+    assert not reg.smooth and reg.rho == 0.0 and reg.lipschitz_M is None
 
 
 def test_sample_in_set_members(ba_problem):

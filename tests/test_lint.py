@@ -1,5 +1,6 @@
-"""Source lint: every parameter of every function in src/vigap is read, and
-problem instances and the exact dual gap are built in one place each."""
+"""Source lint: every parameter of every function in src/vigap is read,
+problem instances and the exact dual gap are built in one place each, and
+only three classes are dataclasses."""
 import ast
 from pathlib import Path
 
@@ -48,3 +49,26 @@ def test_problem_instances_and_exact_G_have_one_home():
     assert {f for p in paths for f, _ in _calls(p, "ProblemInstance")} == {"problems.py"}
     assert {u for p in paths for u in _calls(p, "affine_box_dual_gap")} == \
         {("problems.py", "affine_problem")}
+
+
+PINNED_DATACLASSES = {"MonotoneMap", "FeasibleSet", "ProblemInstance"}
+
+
+def _dataclasses(path):
+    """(file, class) for each class in the file decorated with dataclass."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ClassDef):
+            for dec in node.decorator_list:
+                f = dec.func if isinstance(dec, ast.Call) else dec
+                if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == "dataclass":
+                    yield path.name, node.name
+
+
+def test_only_the_pinned_classes_are_dataclasses():
+    found = {c for p in sorted(SRC.glob("*.py")) for _, c in _dataclasses(p)}
+    assert found == PINNED_DATACLASSES, (
+        f"@dataclass decorates {sorted(found)}; only {sorted(PINNED_DATACLASSES)} may be "
+        "dataclasses, because perfbench/tracing.py calls dataclasses.replace on them. "
+        "A @dataclass generates and execs its __init__, __repr__, __eq__ and more on "
+        "every import; use a NamedTuple for a read-only record or a class with "
+        "__slots__ and a validating __init__")

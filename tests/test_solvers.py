@@ -504,6 +504,50 @@ def test_sequential_rejects_nondecreasing_schedule(ba_problem, l2):
                                    OuterConfig(epsilons=(0.1, 0.5)), l2)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(epsilons=()), "must be positive"),
+    (dict(epsilons=(0.5, 0.0)), "must be positive"),
+    (dict(epsilons=(0.5, -0.1)), "must be positive"),
+    (dict(epsilons=(0.5, 0.5)), "strictly decreasing"),
+    (dict(epsilons=(0.5, 0.1, 0.2)), "strictly decreasing"),
+    (dict(epsilons=(0.5,), tau=0.0), "tau must be positive"),
+    (dict(epsilons=(0.5,), tau=-1e-6), "tau must be positive"),
+])
+def test_outer_config_rejects_bad_schedules(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        OuterConfig(**kwargs)
+
+
+def test_outer_config_stores_epsilons_as_floats():
+    cfg = OuterConfig(epsilons=[1, np.float32(0.5), 0.25])
+    assert cfg.epsilons == (1.0, 0.5, 0.25)
+    assert all(type(e) is float for e in cfg.epsilons)
+    assert cfg.tau == 1e-6
+    assert cfg.inner.max_iterations == InnerConfig().max_iterations
+    inner = InnerConfig(max_iterations=7)
+    assert OuterConfig(epsilons=(0.5,), inner=inner).inner is inner
+
+
+def test_inner_config_rejects_zero_iterations():
+    with pytest.raises(ValueError, match="max_iterations must be positive"):
+        InnerConfig(max_iterations=0)
+
+
+def test_traces_compare_and_copy_by_field(ba_problem, l2):
+    _, tr = solve_inner(ba_problem, X0, 0.5, 1e-6, InnerConfig(), l2)
+    twin = tr._replace()
+    assert twin == tr and twin is not tr
+    moved = tr._replace(wall_time_s=1.5, dist_S0=0.25)
+    assert (moved.wall_time_s, moved.dist_S0) == (1.5, 0.25)
+    assert (tr.wall_time_s, tr.dist_S0) == (0.0, None)
+    assert moved != tr and moved._replace(wall_time_s=0.0, dist_S0=None) == tr
+    assert moved.iterations == tr.iterations == len(tr.records)
+    pt = solvers.PgeTrace(iterations=3, n_nonconverged=0, best_objective=0.5)
+    assert pt == solvers.PgeTrace(3, 0, 0.5)
+    assert pt._replace(n_nonconverged=1) != pt
+    assert pt._replace(n_nonconverged=1).n_nonconverged == 1
+
+
 def test_sequential_pure_regularizer_limit(l2):
     # zero operator and one huge-epsilon outer step: the solve lands on the
     # phi-minimizer over the set
