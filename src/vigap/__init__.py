@@ -29,7 +29,7 @@ from .core import (
     shifted_orthant,
     tikhonov,
 )
-from .gap import GapEvaluation, dual_gap, theta_ab, theta_alpha, y_alpha
+from .gap import GapEvaluation, dual_gap, theta_ab, theta_alpha
 from .bounds import (
     SharpnessModel,
     dgap_error_bound,

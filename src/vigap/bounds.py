@@ -35,6 +35,10 @@ EXACT = "exact"
 NOT_EXACT = "not_exact"
 INCONCLUSIVE = "inconclusive"
 
+# `fit_sharpness` keeps samples whose distance to S0 lies in this window,
+# above the numerical noise floor and short of the far field
+SHARPNESS_WINDOW = (1e-4, 1.0)
+
 
 class DegenerateSamplesError(ValueError):
     """Sharpness fit received samples with degenerate distance spread."""
@@ -158,18 +162,18 @@ def eps_to_S0_bound(sharp: SharpnessModel, M: float, epsilon: float) -> float:
 
 
 def order1_inequality(alpha_sharp: float, epsilon: float, dist_S0: float,
-                      phi_at_projection: float, phi_at_x: float, tol: float = 1e-12):
+                      phi_at_projection: float, phi_at_x: float):
     """Order-1 weak-sharpness consequence alpha * d(x_eps, S0) <= eps * (phi(xbar) - phi(x_eps)).
 
-    Returns (lhs, rhs, holds); offered as a checkable inequality when phi
-    values at x_eps and its S0-projection are available, replacing a radius
-    for the order-1 case.
+    Returns (lhs, rhs, holds), holds allowing lhs to exceed rhs by 1e-12;
+    offered as a checkable inequality when phi values at x_eps and its
+    S0-projection are available, replacing a radius for the order-1 case.
     """
     if not alpha_sharp > 0:
         raise ValueError("alpha_sharp must be positive")
     lhs = alpha_sharp * dist_S0
     rhs = epsilon * (phi_at_projection - phi_at_x)
-    return lhs, rhs, bool(lhs <= rhs + tol)
+    return lhs, rhs, bool(lhs <= rhs + 1e-12)
 
 
 def exactness_check(problem, x: Vector, tol: float = 1e-6) -> str:
@@ -192,18 +196,17 @@ def exactness_check(problem, x: Vector, tol: float = 1e-6) -> str:
     return INCONCLUSIVE
 
 
-def fit_sharpness(problem, samples, window=(1e-4, 1.0)) -> SharpnessModel:
+def fit_sharpness(problem, samples) -> SharpnessModel:
     """Least-squares fit of log G(x) = log alpha_sharp + gamma log d(x, S0).
 
-    Uses only samples whose distance to S0 lies inside `window` (avoids the
-    numerical noise floor and far-field distortion). The problem must carry
-    a distance-to-S0 oracle. Raises DegenerateSamplesError when the kept
-    distances have no usable spread.
+    Uses only samples whose distance to S0 lies inside SHARPNESS_WINDOW. The
+    problem must carry a distance-to-S0 oracle. Raises DegenerateSamplesError
+    when the kept distances have no usable spread.
     """
     oracle = getattr(problem, "solution_oracle", None)
     if oracle is None:
         raise ValueError("fit_sharpness needs a problem with a distance-to-S0 oracle")
-    lo, hi = window
+    lo, hi = SHARPNESS_WINDOW
     logs_d = []
     logs_g = []
     for x in samples:
@@ -218,7 +221,7 @@ def fit_sharpness(problem, samples, window=(1e-4, 1.0)) -> SharpnessModel:
         logs_g.append(math.log(g))
     if len(logs_d) < 4:
         raise DegenerateSamplesError(
-            f"only {len(logs_d)} usable samples in the distance window {window}")
+            f"only {len(logs_d)} usable samples in the distance window {SHARPNESS_WINDOW}")
     ld = np.asarray(logs_d)
     lg = np.asarray(logs_g)
     if float(ld.std()) < 1e-6:

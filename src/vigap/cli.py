@@ -78,7 +78,6 @@ class ExperimentConfig(NamedTuple):
     regularizer: str
     epsilons: tuple
     seed: int = 0
-    tol: float = 1e-6
     tau: float = 1e-6
     max_iter: Optional[int] = None
     x0: Optional[tuple] = None
@@ -100,8 +99,8 @@ class ExperimentConfig(NamedTuple):
             raise ConfigError(
                 "direct model with the l1 regularizer is experimental; "
                 "pass --experimental-nonsmooth to enable it")
-        if not (0 < self.tol < math.inf and 0 < self.tau < math.inf):
-            raise ConfigError("tol and tau must be finite and positive")
+        if not 0 < self.tau < math.inf:
+            raise ConfigError("tau must be finite and positive")
         if self.max_iter is not None and self.max_iter < 1:
             raise ConfigError(f"max_iter must be positive, got {self.max_iter}")
 
@@ -276,12 +275,6 @@ def _start_point(config, problem) -> np.ndarray:
     return x0
 
 
-def _sweep_cells(config, problem) -> tuple:
-    """The problem, model and regularizer cells that every row of a sweep shares."""
-    name = problem.name if config.problem.endswith(".ini") else config.problem
-    return name, config.model, config.regularizer
-
-
 def _gap_cell(value: float) -> float:
     """The final_gap cell: theta_ab and G are >= 0 in exact arithmetic, so a
     negative value is rounding and prints as 0.0."""
@@ -299,8 +292,8 @@ def _run_direct(config, problem, reg, x0) -> list:
         records = trace.outer
     except (StepFailureError, MaxIterationsError) as err:
         failure = err
-        records = err.partial_trace.outer if hasattr(err, "partial_trace") else []
-    cells = _sweep_cells(config, problem)
+        records = err.partial_trace.outer
+    cells = config.problem, config.model, config.regularizer
     for rec in records:
         dist_ref = None   # no certified reference: the cell stays empty
         if config.regularizer == "l2":
@@ -310,7 +303,7 @@ def _run_direct(config, problem, reg, x0) -> list:
                 pass
             else:
                 dist_ref = float(np.linalg.norm(rec.x - ref))
-        verdict = bounds.exactness_check(problem, problem.set.project(rec.x), tol=config.tol)
+        verdict = bounds.exactness_check(problem, problem.set.project(rec.x))
         rows.append(ResultRow(*cells, rec.epsilon, rec.iterations, rec.wall_time_s, dist_ref,
                               rec.dist_S0, _gap_cell(rec.theta_final), verdict))
     done = {r.epsilon for r in rows}
@@ -322,7 +315,7 @@ def _run_direct(config, problem, reg, x0) -> list:
 
 def _run_dualgap(config, problem, reg, x0) -> list:
     rows = []
-    cells = _sweep_cells(config, problem)
+    cells = config.problem, config.model, config.regularizer
     oracle = problem.solution_oracle
     for e in sorted(set(float(v) for v in config.epsilons), reverse=True):
         tick = time.perf_counter()
@@ -335,7 +328,7 @@ def _run_dualgap(config, problem, reg, x0) -> list:
         wall_time_s = time.perf_counter() - tick
         dist_S0 = None if oracle is None else float(oracle.distance_to_S0(x))
         final_gap = _gap_cell(dual_gap(problem, x).value)
-        verdict = bounds.exactness_check(problem, problem.set.project(x), tol=config.tol)
+        verdict = bounds.exactness_check(problem, problem.set.project(x))
         rows.append(ResultRow(*cells, e, trace.iterations, wall_time_s, None, dist_S0, final_gap,
                               verdict))
     return rows
@@ -430,8 +423,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--eps", required=True,
                      help="comma-separated regularization parameters")
     run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--tol", type=float, default=1e-6,
-                     help="exactness tolerance on the dual gap")
     run.add_argument("--tau", type=float, default=1e-6,
                      help="inner error tolerance for the direct model")
     run.add_argument("--max-iter", type=int, default=None)
@@ -462,7 +453,7 @@ def main(argv=None) -> int:
             x0 = tuple(_parse_vector(args.x0, "--x0").tolist()) if args.x0 else None
             cfg = ExperimentConfig(
                 problem=args.problem, model=args.model, regularizer=args.reg,
-                epsilons=eps, seed=args.seed, tol=args.tol, tau=args.tau,
+                epsilons=eps, seed=args.seed, tau=args.tau,
                 max_iter=args.max_iter, x0=x0, timing=not args.no_timing,
                 experimental_nonsmooth=args.experimental_nonsmooth)
             _write_rows(run_experiment(cfg), args.out, args.fmt)
@@ -471,14 +462,12 @@ def main(argv=None) -> int:
             table1(args.out, fmt=args.fmt, timing=not args.no_timing)
             print(f"wrote {args.out}")
             return 0
-        if args.command == "check":
-            report = check_invariants(args.suite, seed=args.seed)
-            print(report.render())
-            return 0 if report.passed else 1
+        report = check_invariants(args.suite, seed=args.seed)   # the check command
+        print(report.render())
+        return 0 if report.passed else 1
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    return 0
 
 
 if __name__ == "__main__":

@@ -31,7 +31,6 @@ from .core import (
 
 __all__ = [
     "GapEvaluation",
-    "y_alpha",
     "theta_alpha",
     "theta_ab",
     "dual_gap",
@@ -78,21 +77,14 @@ def _non_finite(problem, what: str, x: Vector) -> EvaluationError:
     return EvaluationError(f"{what} is non-finite at {x} (operator {name})")
 
 
-def y_alpha(problem, x: Vector, alpha: float, epsilon: float = 0.0,
-            reg: Optional[Regularizer] = None) -> Vector:
-    """Unique maximizer of the regularized gap: P_Omega(x - T(x)/alpha)."""
-    if not alpha > 0:
-        raise ValueError("alpha must be positive")
-    x = as_point(x, problem.map.dimension)
-    Tx = regularized_operator(problem.map, reg, epsilon)(x)
-    if not np.all(np.isfinite(Tx)):
-        raise _non_finite(problem, "T", x)
-    return problem.set.project(x - Tx / alpha)
-
-
 def theta_alpha(problem, x: Vector, alpha: float, epsilon: float = 0.0,
                 reg: Optional[Regularizer] = None) -> GapEvaluation:
-    """Regularized gap value <T(x), x-y> - (alpha/2)||y-x||^2 at y = y_alpha(x)."""
+    """Regularized gap value <T(x), x-y> - (alpha/2)||y-x||^2 at its unique
+    maximizer y = y_alpha(x) = P_Omega(x - T(x)/alpha), returned as `maximizer`.
+
+    A non-finite entry of T(x) makes the value non-finite, which raises
+    EvaluationError.
+    """
     if not alpha > 0:
         raise ValueError("alpha must be positive")
     x = as_point(x, problem.map.dimension)

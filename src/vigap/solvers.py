@@ -140,21 +140,22 @@ class InnerConfig:
 class OuterConfig:
     """Schedule for the sequential inexact descent.
 
-    epsilons is the strictly decreasing, positive eps schedule (stored as a
-    tuple of floats); tau is the error tolerance every level is certified to;
-    inner (default InnerConfig()) configures every level's inner solve.
+    epsilons is the strictly decreasing, finite and positive eps schedule
+    (stored as a tuple of floats); tau, finite and positive, is the error
+    tolerance every level is certified to; inner (default InnerConfig())
+    configures every level's inner solve.
     """
 
     __slots__ = ("epsilons", "tau", "inner")
 
     def __init__(self, epsilons, tau: float = 1e-6, inner: Optional[InnerConfig] = None):
         eps = tuple(float(e) for e in epsilons)
-        if not eps or any(e <= 0 for e in eps):
-            raise ValueError("epsilon schedule must be positive")
+        if not eps or min(eps) <= 0 or not all(map(math.isfinite, eps)):
+            raise ValueError("epsilon schedule must be positive and finite")
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise ValueError("epsilon schedule must be strictly decreasing")
-        if not tau > 0:
-            raise ValueError("tau must be positive")
+        if not 0 < tau < math.inf:
+            raise ValueError("tau must be positive and finite")
         self.epsilons, self.tau = eps, tau
         self.inner = InnerConfig() if inner is None else inner
 

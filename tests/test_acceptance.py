@@ -18,7 +18,7 @@ from vigap.bounds import (
     fit_sharpness,
     stopping_threshold,
 )
-from vigap.core import l1_regularizer, sample_in_set, tikhonov
+from vigap.core import l1_regularizer, tikhonov
 from vigap.gap import dual_gap, theta_ab
 from vigap.problems import (
     affine_monotone,
@@ -36,6 +36,7 @@ from vigap.solvers import (
     solve_inner,
     solve_pge,
 )
+from probes import sample_in_set
 
 X0 = np.array([1.0, -2.0, 1.0])
 XSTAR = np.array([0.0, -0.75, -0.25])

@@ -21,9 +21,10 @@ from vigap.bounds import (
     residual_rounding,
     stopping_threshold,
 )
-from vigap.core import regularized_operator, sample_in_set
-from vigap.gap import y_alpha
+from vigap.core import regularized_operator
+from vigap.gap import theta_alpha
 from vigap.problems import sharp_quadratic_ball
+from probes import sample_in_set
 
 
 def x_eps_direct(eps):
@@ -143,7 +144,8 @@ def test_residual_bound_sound_against_closed_form(ba_problem, l2):
         points = [x_e] + [x_e + 10.0 ** rng.uniform(-15.0, 0.5) * rng.standard_normal(3)
                           for _ in range(199)]
         for x in points:
-            r = float(np.linalg.norm(x - y_alpha(ba_problem, x, 1.0, eps, l2)))
+            y = theta_alpha(ba_problem, x, 1.0, eps, l2).maximizer
+            r = float(np.linalg.norm(x - y))
             radius = residual_error_bound(r, 2.0, 1.0, 1.0, 1.0, eps,
                                           residual_rounding(x, T(x), 1.0))
             assert float(np.linalg.norm(x - x_e)) + u * np.linalg.norm(x_e) <= radius

@@ -11,7 +11,7 @@ import pytest
 from conftest import assert_matches_golden
 
 import vigap
-from vigap import checks, cli
+from vigap import checks, cli, solvers
 from vigap.checks import CheckReport
 from vigap.cli import (
     CSV_COLUMNS,
@@ -109,7 +109,7 @@ GOLDEN = Path(__file__).parent / "data"
     # the cold solve at eps = 1e-4: two Newton steps, then the residual certificate
     ("run --problem example5_1 --model direct --reg l2 --eps 0.0001 --x0 1,-2,1 "
      "--no-timing", "golden_cold_direct_l2.csv"),
-    # the dual-gap ascent on box rows with the analytic affine inner gradient
+    # affine5d lies on a finite box, so G is the exact box QP of gap.affine_box_dual_gap
     ("run --problem affine5d --model dualgap --reg l2 --eps 0.1 --max-iter 100 --no-timing",
      "golden_affine5d_dualgap_l2.csv"),
     # the dual-gap ascent on ball rows (from the default x0 it stops after one step)
@@ -142,6 +142,32 @@ def test_dualgap_cell_reports_solver_failures_and_propagates_bugs(monkeypatch):
     monkeypatch.setattr(cli, "solve_pge", broken)
     with pytest.raises(TypeError, match="a bug"):
         run_experiment(small_cfg())
+
+
+def test_direct_sweep_failing_partway_keeps_the_levels_done(monkeypatch):
+    cfg = small_cfg(model="direct", regularizer="l2", epsilons=(0.5, 0.1, 0.01),
+                    x0=(1.0, -2.0, 1.0))
+    # one iteration is too few for the first level: no level is done
+    rows = run_experiment(cfg._replace(max_iter=1))
+    assert [(r.epsilon, r.iterations, r.final_gap, r.exactness) for r in rows] == \
+        [(e, 0, None, "error:MaxIterationsError") for e in (0.01, 0.1, 0.5)]
+
+    # a failure on the second level keeps the first level's row as it was
+    real, levels = solvers.solve_inner, []
+
+    def fail_second_level(*args, **kwargs):
+        levels.append(args[2])
+        if len(levels) == 2:
+            raise solvers.StepFailureError("injected")
+        return real(*args, **kwargs)
+
+    first = run_experiment(cfg._replace(epsilons=(0.5,)))
+    monkeypatch.setattr(solvers, "solve_inner", fail_second_level)
+    rows = run_experiment(cfg)
+    assert levels == [0.5, 0.1]
+    assert rows[2] == first[0] and first[0].exactness in ("exact", "not_exact")
+    assert [(r.epsilon, r.exactness) for r in rows[:2]] == \
+        [(0.01, "error:StepFailureError"), (0.1, "error:StepFailureError")]
 
 
 def test_csv_json_round_trip_no_drift():
@@ -299,6 +325,13 @@ def test_main_run_writes_deterministic_files(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_main_table1_writes_the_golden_table(tmp_path, capsys):
+    out = tmp_path / "t1.csv"
+    assert main(["table1", "--out", str(out), "--no-timing"]) == 0
+    assert capsys.readouterr().out == f"wrote {out}\n"
+    assert_matches_golden(out.read_text(), GOLDEN / "golden_table1.csv")
+
+
 def _child_env():
     """The environment of a child process that imports the same vigap as
     this process, installed or not."""
@@ -370,7 +403,7 @@ def test_main_direct_l1_gate(capsys):
     ("--eps 0.5 --x0 1,2", "x0 must be 3 finite numbers"),
     ("--eps 0.5 --x0 1,-2,nan", "x0 must be 3 finite numbers"),
     ("--eps 0.5 --x0 1,x,1", "--x0: cannot parse"),
-    ("--eps 0.5 --tol inf", "tol and tau must be finite and positive"),
+    ("--eps 0.5 --tau inf", "tau must be finite and positive"),
     ("--eps 0.5 --max-iter 0", "max_iter must be positive"),
 ])
 def test_main_rejects_bad_run_inputs(model, flags, message, capsys):

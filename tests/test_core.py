@@ -17,15 +17,12 @@ from vigap.core import (
     halfspace,
     hyperplane,
     l1_regularizer,
-    probe_convexity,
-    probe_lipschitz,
-    probe_monotonicity,
     project_rows,
     regularized_operator,
-    sample_in_set,
     shifted_orthant,
     tikhonov,
 )
+from probes import probe_convexity, probe_lipschitz, probe_monotonicity, sample_in_set
 
 XSTAR = np.array([0.0, -0.75, -0.25])
 

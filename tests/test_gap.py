@@ -6,7 +6,7 @@ import pytest
 
 from vigap import gap
 from vigap.cli import load_problem_file
-from vigap.core import affine_map, box, l1_regularizer, sample_in_set, tikhonov
+from vigap.core import affine_map, box, l1_regularizer, tikhonov
 from vigap.gap import (
     DUAL_GAP_TOL,
     FD_STEP,
@@ -14,7 +14,6 @@ from vigap.gap import (
     dual_gap,
     theta_ab,
     theta_alpha,
-    y_alpha,
 )
 from vigap.problems import (
     ProblemInstance,
@@ -26,6 +25,7 @@ from vigap.problems import (
     strongly_monotone_quadratic,
 )
 from vigap.solvers import PGE_MAX_ITERATIONS, solve_pge
+from probes import sample_in_set
 
 X0 = np.array([1.0, -2.0, 1.0])
 XSTAR = np.array([0.0, -0.75, -0.25])
@@ -59,18 +59,19 @@ def grid_sup_theta(problem, x, alpha, lo, hi, n=200001):
 
 
 # ---------------------------------------------------------------------------
-# y_alpha
+# y_alpha(x) = P_Omega(x - T(x)/alpha), the maximizer theta_alpha returns
 # ---------------------------------------------------------------------------
 
 def test_y_alpha_fixed_point_on_solutions(ba_problem):
     for x in ba_problem.solution_oracle.sample_S0(5, seed=1):
         for alpha in (0.5, 1.0, 3.0):
-            np.testing.assert_allclose(y_alpha(ba_problem, x, alpha), x, atol=1e-12)
+            np.testing.assert_allclose(theta_alpha(ba_problem, x, alpha).maximizer, x,
+                                       atol=1e-12)
 
 
 def test_y_alpha_hand_value(ba_problem):
     # F(x0) = x0 - clamp(x0) = (0, -7/4, 0); project x0 - F(x0) = (1, -1/4, 1)
-    got = y_alpha(ba_problem, X0, alpha=1.0)
+    got = theta_alpha(ba_problem, X0, alpha=1.0).maximizer
     z = X0 - ba_problem.map(X0)
     np.testing.assert_allclose(z, [1.0, -0.25, 1.0], atol=1e-15)
     m = (z[1] + z[2] + 1.0) / 2.0
@@ -90,12 +91,12 @@ def test_y_alpha_hand_value(ba_problem):
 def test_y_alpha_zero_map_projects():
     p = zero_map_problem()
     x = np.array([2.0, -3.0, 0.5])
-    np.testing.assert_allclose(y_alpha(p, x, 1.7), p.set.project(x))
+    np.testing.assert_allclose(theta_alpha(p, x, 1.7).maximizer, p.set.project(x))
 
 
 def test_y_alpha_rejects_bad_alpha(ba_problem):
-    with pytest.raises(ValueError):
-        y_alpha(ba_problem, X0, alpha=0.0)
+    with pytest.raises(ValueError, match="alpha must be positive"):
+        theta_alpha(ba_problem, X0, alpha=0.0)
 
 
 # ---------------------------------------------------------------------------

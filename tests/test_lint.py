@@ -1,6 +1,7 @@
 """Source lint: every parameter of every function in src/vigap is read,
-problem instances and the exact dual gap are built in one place each, and
-only three classes are dataclasses."""
+problem instances and the exact dual gap are built in one place each, only
+three classes are dataclasses, and no public name of core, gap or problems
+is reached by the tests alone."""
 import ast
 from pathlib import Path
 
@@ -72,3 +73,46 @@ def test_only_the_pinned_classes_are_dataclasses():
         "A @dataclass generates and execs its __init__, __repr__, __eq__ and more on "
         "every import; use a NamedTuple for a read-only record or a class with "
         "__slots__ and a validating __init__")
+
+
+PERFBENCH = SRC.parents[1] / "perfbench"
+
+
+def _module_all(path):
+    """The names a module lists in its __all__."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
+                                                for t in node.targets):
+            return [elt.value for elt in node.value.elts]
+    return []
+
+
+def _referenced_names(path):
+    """Every name a file imports, loads or reads as an attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_public_names_are_reached_outside_the_tests():
+    # a public name of core, gap or problems must be used by another module
+    # of the package (vigap/__init__.py re-exports count) or by the benchmark
+    # scripts; code only the tests call lives under tests/
+    users = sorted(SRC.glob("*.py")) + sorted(p for p in PERFBENCH.glob("*.py")
+                                              if not p.name.startswith("test_"))
+    unused = []
+    for module in ("core", "gap", "problems"):
+        path = SRC / f"{module}.py"
+        reached = set().union(*(_referenced_names(p) for p in users if p != path))
+        unused += [f"{module}.{name}" for name in _module_all(path) if name not in reached]
+    assert unused == [], (
+        f"{unused} are public but reached only by the tests. ROADMAP.md rules out "
+        "test-only code in src/ (design aim: the same behaviour from the least "
+        "code): move such a helper to tests/, as tests/probes.py holds the "
+        "sampling probes, or delete it")

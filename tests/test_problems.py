@@ -67,7 +67,7 @@ def test_instance_rejects_a_set_of_another_dimension():
 # ---------------------------------------------------------------------------
 
 def test_affine_monotone_probe_and_oracle():
-    from vigap.core import probe_monotonicity
+    from probes import probe_monotonicity
 
     for seed in (0, 1, 2):
         p = affine_monotone(3, seed=seed)

@@ -8,7 +8,7 @@ import pytest
 from vigap import gap, problems, solvers
 from vigap.cli import TABLE1_EPSILONS, ExperimentConfig, load_problem_file, run_experiment
 from vigap.core import EvaluationError, MonotoneMap, affine_map, box, l1_regularizer
-from vigap.gap import _theta_ab_kernel, dual_gap, theta_ab, theta_alpha, y_alpha
+from vigap.gap import _theta_ab_kernel, dual_gap, theta_ab, theta_alpha
 from vigap.problems import (
     ProblemInstance,
     affine_monotone,
@@ -90,8 +90,6 @@ def test_nan_off_region_raises_evaluation_error(l2):
         theta_ab(p, outside, 1.0, 2.0, 0.1, l2)
     with pytest.raises(EvaluationError):
         theta_alpha(p, outside, 1.0, 0.1, l2)
-    with pytest.raises(EvaluationError):
-        y_alpha(p, outside, 1.0, 0.1, l2)
     x0 = np.zeros(1)
     assert math.isfinite(theta_ab(p, x0, 1.0, 2.0, 0.1, l2).value)
     # both with the declared L + eps*M as L_theta and with a given L_theta
@@ -285,6 +283,86 @@ def test_solve_inner_stall_on_certified_level_raises(l2):
         solve_inner(p, x0, 0.1, 1e-6, InnerConfig(), l2)
 
 
+def shifted_line(b, jacobian=None, bound=1e15, mu=0.0):
+    """F(x) = x - b on [-bound, bound], with an optional Jacobian hook."""
+    return ProblemInstance(
+        name="shifted_line",
+        map=MonotoneMap(dimension=1, evaluate=lambda x: x - b, lipschitz_L=1.0, mu=mu,
+                        jacobian=jacobian),
+        set=box([-bound], [bound]),
+    )
+
+
+@pytest.mark.parametrize("b, offset, status", [
+    # at |x| = 2^40 the direction 2^-11 is below 1e-15 (1 + |x|) = 1.1e-3
+    # while theta_ab = 2.4e-7 is far above the floor
+    (2.0 ** 40, 2.0 ** -10, "stagnated"),
+    # at |x| = 2^25 the direction vanishes with theta_ab = 3.6e-16, within
+    # 10x the floor
+    (2.0 ** 25, 5 * 2.0 ** -27, "floor"),
+])
+def test_solve_inner_vanishing_direction_stalls(b, offset, status):
+    # eps = 0 gives no certificate, so a vanishing direction ends the level
+    # by the stall rule although the step along it would pass the Armijo test
+    p = shifted_line(b)
+    x0 = np.array([b + offset])
+    d, _ = li_ng_direction(p, x0, _resolve_constants(p, InnerConfig(), 0.0, None))
+    assert _norm(d) <= 1e-15 * (1.0 + abs(x0[0]))
+    assert armijo_step(p, x0, d, InnerConfig())[0] == 0
+    x, tr = solve_inner(p, x0, 0.0, 1e-6, InnerConfig(), None)
+    assert tr.status == status and tr.iterations == 0
+    assert tr.theta_final > THETA_FLOOR
+    assert tr.certificate is None and tr.radius is None
+
+
+def test_solve_inner_stagnating_iterates_stall():
+    # at |x| = 2^40 the accepted D-gap steps 2^-5, 2^-6 and 2^-7 each move x
+    # by less than 1e-13 (1 + |x|) = 0.11, but none of them vanishes; the
+    # third ends the level, far above the floor
+    b = 2.0 ** 40
+    x, tr = solve_inner(shifted_line(b), np.array([b + 2.0 ** -4]), 0.0, 1e-6,
+                        InnerConfig(), None)
+    assert tr.status == "stagnated"
+    assert [r.step_norm for r in tr.records] == [2.0 ** -5, 2.0 ** -6, 2.0 ** -7]
+    assert tr.theta_final > 10.0 * THETA_FLOOR
+    assert x[0] == b + 2.0 ** -7
+
+
+@pytest.mark.parametrize("entry", [math.nan, math.inf])
+def test_newton_trial_rejects_a_non_finite_or_zero_step(entry, l2):
+    # a Jacobian hook of NaN makes every Newton step NaN, one of inf makes it
+    # -0.0; each trial is rejected and D-gap steps certify the level
+    jacobian = lambda x: np.array([[entry]])
+    p = shifted_line(0.25, jacobian=jacobian, bound=1.0)
+    x0 = np.array([0.9])
+    theta = _theta_ab_kernel(p, ALPHA, BETA, 0.5, l2)
+    s = _newton_step(theta, gap._residual_jacobian_kernel(p, ALPHA, 0.5, l2), x0,
+                     x0 - theta(x0)[1])
+    assert not (math.isfinite(_norm(s)) and _norm(s) > 0.0)
+    x, tr = solve_inner(p, x0, 0.5, 1e-6, InnerConfig(), l2)
+    assert tr.status == "certified" and tr.iterations > 0
+    assert all(r.branch != BRANCH_NEWTON for r in tr.records)
+    assert abs(x[0] - 0.25 / 1.5) <= tr.radius <= 1e-6
+
+
+@pytest.mark.parametrize("slope, status", [(3.0, "floor"), (1.0, "certified")])
+def test_newton_trial_at_the_floor_must_halve_the_residual(slope, status, l2):
+    # F(x) = x at eps = 0.5: H(x) = 1.5x, and a Jacobian hook of 3 (the true
+    # one is 1) takes H to (1 - 1.5/3.5) H = 0.57 H, short of halving it. At
+    # x0 = 1e-9 theta_ab = 5.6e-19 is below the floor, and tau = 1e-12 needs
+    # the residual certificate, whose radius 5 ||H|| = 7.5e-9 exceeds tau;
+    # the rejected trial ends the level at the floor, the true hook certifies
+    p = shifted_line(0.0, jacobian=lambda x: np.array([[slope]]), bound=1.0)
+    x, tr = solve_inner(p, np.array([1e-9]), 0.5, 1e-12, InnerConfig(), l2)
+    assert tr.p < THETA_FLOOR
+    assert tr.status == status
+    if status == "floor":
+        assert tr.iterations == 0 and tr.theta_final <= THETA_FLOOR
+    else:
+        assert [r.branch for r in tr.records] == [BRANCH_NEWTON]
+        assert tr.certificate == "residual" and abs(x[0]) <= tr.radius <= 1e-12
+
+
 def test_solve_inner_kink_starts_are_certified(ba_problem, l2):
     # x_eps lies on the kink of F at x1 = 0; the exact Jacobian element
     # diag(x < s) takes one piece of it, so every start certifies at the
@@ -359,6 +437,12 @@ def test_newton_step_evaluates_theta_only_without_hooks(ba_problem, l2):
     np.testing.assert_allclose(s_exact, s_fd, rtol=0.0, atol=1e-6)
 
 
+def test_newton_step_is_least_squares_for_a_singular_jacobian():
+    J = np.array([[1.0, 0.0], [0.0, 0.0]])
+    s = _newton_step(None, lambda x: J, np.zeros(2), np.array([1.0, 1.0]))
+    np.testing.assert_array_equal(s, [-1.0, 0.0])
+
+
 @pytest.mark.parametrize("alpha", [ALPHA, 0.5])
 @pytest.mark.parametrize("name", ["example5_1", "affine5d", "sharp_ball2d",
                                   "box_quadratic3d"])
@@ -418,6 +502,10 @@ def test_solve_inner_max_iterations(ba_problem, l2):
         solve_inner(ba_problem, X0, 0.5, 1e-6, InnerConfig(max_iterations=1), l2)
     assert err.value.trace.status == "max_iterations"
     assert err.value.trace.x is not None and err.value.trace.iterations == 1
+    # a budget of exactly the 2 steps it needs certifies after the loop ends
+    x, tr = solve_inner(ba_problem, X0, 0.5, 1e-6, InnerConfig(max_iterations=2), l2)
+    assert tr.status == "certified" and tr.iterations == 2
+    assert np.linalg.norm(x - x_eps_l2(0.5)) <= tr.radius <= 1e-6
 
 
 def test_solve_constants_capped_at_admissible_bounds(ba_problem, l2):
@@ -512,6 +600,11 @@ def test_sequential_rejects_nondecreasing_schedule(ba_problem, l2):
     (dict(epsilons=(0.5, 0.1, 0.2)), "strictly decreasing"),
     (dict(epsilons=(0.5,), tau=0.0), "tau must be positive"),
     (dict(epsilons=(0.5,), tau=-1e-6), "tau must be positive"),
+    (dict(epsilons=(0.5, math.nan)), "must be positive and finite"),
+    (dict(epsilons=(math.nan, 0.5)), "must be positive and finite"),
+    (dict(epsilons=(math.inf, 0.5)), "must be positive and finite"),
+    (dict(epsilons=(0.5,), tau=math.inf), "tau must be positive and finite"),
+    (dict(epsilons=(0.5,), tau=math.nan), "tau must be positive and finite"),
 ])
 def test_outer_config_rejects_bad_schedules(kwargs, message):
     with pytest.raises(ValueError, match=message):
@@ -753,6 +846,16 @@ def test_reference_matches_projected_fixed_point(l2):
 def test_reference_unregularized_needs_strong_monotonicity(ba_problem):
     with pytest.raises(ValueError):
         reference_solution(ba_problem, 0.0, None)
+
+
+@pytest.mark.parametrize("slope", [-1.0, 10.0])
+def test_reference_raises_when_the_residual_stalls(slope):
+    # F(x) = x - 0.5, mu = 1, with a wrong Jacobian hook: slope -1 points every
+    # Newton step uphill, so 40 halvings find no decrease; slope 10 shrinks
+    # ||H|| by 0.9 a step and is still near 1e-4 after 80 steps
+    p = shifted_line(0.5, jacobian=lambda x: np.array([[slope]]), bound=1.0, mu=1.0)
+    with pytest.raises(RuntimeError, match="reference solve stalled"):
+        reference_solution(p, 0.0, None)
 
 
 def test_reference_affine_pd():
