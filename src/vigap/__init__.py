@@ -7,8 +7,8 @@ Two regularization routes for VI(F, Omega):
   with computable stopping bounds; on each certified level `solve_inner`
   tries an exact-J_H semismooth Newton step first and a derivative-free
   D-gap descent step when that fails;
-* dual-gap — minimize G + eps*phi over Omega by a projected subgradient
-  method, where G is the dual gap function of the unregularized problem.
+* dual-gap — minimize G + eps*phi over Omega, G the dual gap function, by
+  spectral projected gradient to a certified radius or projected subgradient.
 
 Plus error bounds returned as floats (D-gap and natural-residual distance
 certificates, the weak-sharpness bound `eps_to_S0_bound`),

@@ -1,8 +1,8 @@
 """Computable error bounds and regularization diagnostics.
 
-Every bound returns its value as a float. The D-gap distance bound with its
-stopping threshold, and the natural-residual bound, certify inner-solve
-accuracy for VI(T_eps, Omega); the weak-sharpness bound `eps_to_S0_bound`
+Every bound returns a float (`dualgap_radius` also its floor). The D-gap bound with
+its stopping threshold and the natural-residual bound certify inner solves of
+VI(T_eps, Omega), `dualgap_radius` the dual-gap route; the weak-sharpness bound `eps_to_S0_bound`
 relates regularized solutions to the unregularized solution set;
 exactness_check classifies a candidate point through the dual gap.
 """
@@ -25,6 +25,7 @@ __all__ = [
     "stopping_threshold",
     "residual_rounding",
     "residual_error_bound",
+    "dualgap_radius",
     "eps_to_S0_bound",
     "order1_inequality",
     "exactness_check",
@@ -136,6 +137,22 @@ def residual_error_bound(r: float, L: float, M: float, rho: float, alpha: float,
         raise ValueError("residual and rounding must be finite and nonnegative")
     factor = (L + epsilon * M + alpha) / (epsilon * rho)
     return factor * max(r, rounding)
+
+
+def dualgap_radius(a: float, delta: float, mu: float, epsilon: float, Fy: Vector, x: Vector):
+    """(r, floor): ||x - x_eps|| <= r for x_eps = argmin_Omega G + eps*phi, floor the r
+    of a = 0. mu = eps*rho > 0, a = ||P_{T_Omega(x)}(-g)||, g = F(ybar) + eps*grad(phi)(x)
+    and delta = upper - value >= 0. For y in Omega, G(y) >= <F(ybar), y - ybar> >= G(x) -
+    delta + <F(ybar), y - x>; with mu-strong convexity, x_eps's optimality and
+    <-g, x_eps - x> <= a r (Moreau) this gives mu r^2 - a r - delta <= 0. Rounding of g, a
+    and x's membership in Omega adds 4n(ulp(max|F(ybar)|) + eps*ulp(max|x|))/mu + 4*ulp(max|x|).
+    """
+    if not (mu > 0 and a >= 0 and delta >= 0):
+        raise ValueError("need mu > 0 and a, delta nonnegative")
+    ux = math.ulp(float(np.abs(x).max()))
+    rounding = 4.0 * len(x) * (math.ulp(float(np.abs(Fy).max())) + epsilon * ux) / mu + 4.0 * ux
+    return ((a + math.sqrt(a * a + 4.0 * mu * delta)) / (2.0 * mu) + rounding,
+            math.sqrt(delta / mu) + rounding)
 
 
 def eps_to_S0_bound(sharp: SharpnessModel, M: float, epsilon: float) -> float:

@@ -77,7 +77,27 @@ def _check_core_geometry(seed: int) -> CheckReport:
         report.record(f"{name}: projection nonexpansive", worst_nonexp <= 1e-10,
                       f"worst excess {worst_nonexp:.2e}")
         report.record(f"{name}: projected points feasible", all_in, "1000 points")
+        if s.tangent_project is not None:
+            report.record(f"{name}: tangent cone", *_tangent_cone_margin(s, rng))
     return report
+
+
+def _tangent_cone_margin(s, rng):
+    """At 200 seeded points x = P(z), many on the faces a clip leaves, and
+    seeded directions v: P_T(v) against (P(x + h v) - x)/h at h = 1e-7, the
+    worst <v - P_T(v), y - x> over sampled y, |<P_T(v), v - P_T(v)>| and the
+    idempotence drift of P_T; returns (passed, margin text)."""
+    X, Y = (s.project_rows(3.0 * rng.standard_normal((200, s.dimension))) for _ in range(2))
+    worst, faces = np.zeros(4), 0
+    for x, v in zip(X, 3.0 * rng.standard_normal(X.shape)):
+        pv = s.tangent_project(x, v)
+        faces += not np.array_equal(pv, v)
+        worst = np.maximum(worst, [np.abs((s.project(x + 1e-7 * v) - x) / 1e-7 - pv).max(),
+                                   ((Y - x) @ (v - pv)).max(), abs(pv @ (v - pv)),
+                                   np.abs(s.tangent_project(x, pv) - pv).max()])
+    ok = faces >= 20 and (worst <= (1e-6, 1e-10, 1e-10, 1e-14)).all()
+    return ok, "{} on a face; worst derivative {:.1e}, normal {:.1e}, orthogonality " \
+               "{:.1e}, idempotence {:.1e}".format(faces, *worst)
 
 
 def _check_gap_oracle(seed: int) -> CheckReport:
@@ -184,6 +204,20 @@ def _check_bounds_soundness(seed: int) -> CheckReport:
         ok_res = ok_res and dist <= tr.radius <= tau
     report.record(f"eps={e:g}: residual-certified within tau of the closed form", ok_res,
                   f"worst dist {worst_dist:.2e} vs tau {tau:g}")
+
+    # the dual-gap route's radius: x_eps = (0, -3/4 + t, -1/4 - t) with
+    # t = eps / (2 (1 + 2 eps)) in closed form
+    ok_dg, widest, farthest = True, 0.0, 0.0
+    dg_rng = np.random.default_rng([seed, 2])
+    for e in (0.5, 0.01, 1e-4):
+        t = e / (2.0 * (1.0 + 2.0 * e))
+        for _ in range(4):
+            x, tr = solve_pge(problem, reg, e, dg_rng.uniform(-3.0, 3.0, size=3))
+            dist = float(np.linalg.norm(x - np.array([0.0, -0.75 + t, -0.25 - t])))
+            ok_dg = ok_dg and dist <= tr.radius <= 1e-9
+            widest, farthest = max(widest, tr.radius), max(farthest, dist)
+    report.record("dual-gap l2: radius holds the closed-form distance", ok_dg,
+                  f"12 starts, widest radius {widest:.1e}, farthest {farthest:.1e}")
 
     # "certified" exactly when a certificate within tau is attached; l1 has
     # none, so its level at x* (theta_ab = 0) must not read certified

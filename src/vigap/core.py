@@ -188,6 +188,9 @@ class FeasibleSet:
     `project_jacobian`, optional, maps z to an (n, n) element of the
     generalized Jacobian of the projection at z (symmetric, eigenvalues in
     [0, 1]), used by the semismooth Newton step; callers do not modify it.
+    `tangent_project`, optional, maps (x, v) to the projection of v onto the
+    tangent cone at x, for the dual-gap radius; a bound is active only where x
+    lies exactly on it, so a cone errs only larger, which loosens the radius.
     `bounds`, set by `box` alone, is the box's (lower, upper) arrays.
     """
 
@@ -196,6 +199,7 @@ class FeasibleSet:
     contains: Callable[[Vector, float], bool]
     project_rows: Optional[Callable[[np.ndarray], np.ndarray]] = None
     project_jacobian: Optional[Callable[[Vector], np.ndarray]] = None
+    tangent_project: Optional[Callable[[Vector, Vector], Vector]] = None
     bounds: Optional[tuple] = None
 
     def __post_init__(self):
@@ -227,6 +231,7 @@ def box(lower, upper) -> FeasibleSet:
         project=clip,
         project_rows=clip,
         project_jacobian=lambda z: np.diag(((lo < z) & (z < hi)).astype(float)),
+        tangent_project=lambda x, v: np.where((x == lo) & (v < 0) | (x == hi) & (v > 0), 0.0, v),
         contains=lambda x, tol=1e-10: bool(np.all(x >= lo - tol) and np.all(x <= hi + tol)),
         bounds=(lo, hi),
     )

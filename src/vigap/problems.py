@@ -146,11 +146,17 @@ def example_5_1() -> ProblemInstance:
                          (0.0, 0.5, -0.5),
                          (0.0, -0.5, 0.5)))
 
+    def tangent(x, v):   # core.box's rule on x1 <= 1, times the plane v2 + v3 = 0
+        v1, v2, v3 = v.tolist()
+        m = (v2 + v3) / 2.0
+        return np.array((0.0 if x[0] == 1.0 and v1 > 0.0 else v1, v2 - m, v3 - m))
+
     omega = FeasibleSet(
         dimension=3,
         project=proj,
         project_rows=proj_rows,
         project_jacobian=proj_jac,
+        tangent_project=tangent,
         contains=lambda x, tol=1e-10: bool(x[0] <= 1.0 + tol
                                            and abs(x[1] + x[2] + 1.0) <= 2.0 * tol),
     )

@@ -12,11 +12,12 @@ Three layers:
 * a sequential inexact outer loop over a given decreasing eps schedule that
   warm-starts each inner solve and stops it through a computable error
   bound (D-gap or natural residual) at one tolerance tau;
-* a projected subgradient method with gap-anchored Polyak steps for the
-  regularized dual-gap model min_{Omega} G + eps * phi.
+* for the dual-gap model min_{Omega} G + eps * phi, spectral projected gradient
+  stopped on a certified radius (smooth strongly convex phi, exact G, a tangent
+  cone), else a projected subgradient method with gap-anchored Polyak steps.
 
 Results are plain records: one InnerTrace per eps-level (the outer loop's
-SolverTrace.outer is a list of them) and one PgeTrace per subgradient run.
+SolverTrace.outer is a list of them) and one PgeTrace per dual-gap run.
 """
 from __future__ import annotations
 
@@ -84,6 +85,10 @@ PGE_DELTA0_FRACTION = 0.25
 PGE_DELTA_FINAL_REL = 1e-14
 PGE_TANGENT_PROBE = 1e-7
 PGE_MAX_NONCONVERGED_FRACTION = 0.5
+# spectral projected gradient: nonmonotone memory, Armijo constant, BB step clamp
+SPG_MEMORY = 10
+SPG_ARMIJO = 1e-4
+SPG_SIGMA_MIN, SPG_SIGMA_MAX = 1e-10, 1e10
 # natural-residual norm at which `reference_solution` stops
 REFERENCE_RESIDUAL = 1e-12
 
@@ -203,13 +208,14 @@ class SolverTrace(NamedTuple):
 
 
 class PgeTrace(NamedTuple):
-    """One projected subgradient run: the iterations taken, the dual-gap
-    evaluations that did not converge, and the objective G + eps*phi at the
-    returned point."""
+    """One `solve_pge` run: the steps taken, the dual-gap brackets wider than
+    DUAL_GAP_TOL, and, at the returned point, G + eps*phi and the certified
+    distance to x_eps (`bounds.dualgap_radius`; None on the subgradient path)."""
 
     iterations: int
     n_nonconverged: int
     best_objective: float
+    radius: Optional[float] = None
 
 
 # ---------------------------------------------------------------------------
@@ -517,24 +523,22 @@ def sequential_inexact_descent(problem, x0: Vector, outer_cfg: OuterConfig,
 
 def solve_pge(problem, regularizer: Regularizer, epsilon: float, x0: Vector,
               max_iterations: Optional[int] = None):
-    """Projected subgradient method for min_{Omega} G(x) + eps * phi(x).
+    """Minimize G(x) + eps * phi(x) over Omega, G the dual gap; returns (x, PgeTrace).
 
-    Update x+ = P_Omega(x - t_j g) with g = F(ybar(x)) + eps g_phi(x), ybar
-    the dual-gap inner maximizer, for at most max_iterations steps (None:
-    PGE_MAX_ITERATIONS). The steps are gap-anchored:
-    t_j = min((f - f_best + delta_j)/||g_T||^2, cap/||g_T||) with a
-    geometrically decaying relaxation delta_j and displacement cap
-    2 (1 + ||x0||), where g_T is the tangential (projected) part of g.
-    Returns the best-so-far iterate by objective value together with a
-    PgeTrace.
+    With phi smooth and strongly convex, eps > 0, an exact dual-gap oracle and
+    a set with `tangent_project`, this is `_spg`, stopped on a certified radius.
+    Otherwise it takes max_iterations (None: PGE_MAX_ITERATIONS) projected
+    subgradient steps x+ = P_Omega(x - t_j g), g = F(ybar(x)) + eps g_phi(x) with
+    ybar the dual-gap inner maximizer, t_j = min((f - f_best + delta_j)/||g_T||^2,
+    cap/||g_T||), delta_j decaying geometrically, cap = 2 (1 + ||x0||) and g_T the
+    tangential part of g, and returns the iterate of least objective.
 
-    x0 is validated once. The loop calls phi's gradient or subgradient
-    selection and the dual-gap kernel raw and builds g from the F(ybar) that
+    x0 is validated once. The loops call phi's gradient or subgradient
+    selection and the dual-gap kernel raw and build g from the F(ybar) that
     the kernel returns (an exact oracle: no F call). A non-finite ||g|| raises
-    EvaluationError, one scalar check in place of a check of F(ybar).
-
-    Raises DualGapUnreliableError when more than PGE_MAX_NONCONVERGED_FRACTION
-    of the inner solves did not converge.
+    EvaluationError, one scalar check in place of a check of F(ybar). The
+    subgradient method raises DualGapUnreliableError when more than
+    PGE_MAX_NONCONVERGED_FRACTION of the inner solves did not converge.
     """
     if max_iterations is None:
         max_iterations = PGE_MAX_ITERATIONS
@@ -547,6 +551,9 @@ def solve_pge(problem, regularizer: Regularizer, epsilon: float, x0: Vector,
     phi = regularizer.value
     G = _dual_gap_kernel(problem)
     x = proj(as_point(x0, problem.map.dimension))
+    if (regularizer.smooth and regularizer.rho > 0 and epsilon > 0 and problem.set.tangent_project
+            and getattr(problem, "dual_gap_exact", None) is not None):
+        return _spg(problem, G, phi, g_phi, epsilon, epsilon * regularizer.rho, x, max_iterations)
 
     value, upper, _, Fy, _ = G(x)
     n_bad = 0 if upper - value <= DUAL_GAP_TOL else 1
@@ -583,6 +590,51 @@ def solve_pge(problem, regularizer: Regularizer, epsilon: float, x0: Vector,
                 f"{n_bad}/{j + 1} dual-gap inner solves failed to converge; "
                 "give the problem an exact oracle (ProblemInstance.dual_gap_exact)")
     return x_best, PgeTrace(iterations=j, n_nonconverged=n_bad, best_objective=f_best)
+
+
+def _spg(problem, G, phi, g_phi, epsilon: float, mu: float, x: Vector, max_iterations: int):
+    """Spectral projected gradient (Birgin, Martinez & Raydan 2000) on f = G + eps*phi
+    from x in Omega, mu = eps*rho: steps along d = P(x - sigma g) - x, sigma the
+    Barzilai-Borwein s.s/s.y in [SPG_SIGMA_MIN, SPG_SIGMA_MAX], under a nonmonotone
+    Armijo test against the largest f of the last SPG_MEMORY iterates, halving lambda and
+    projecting each trial P(x + lambda d). After a first step it stops at a radius within
+    2x its floor (not at tau: the floor is a step or two further), after SPG_MEMORY steps
+    without a better radius, or at max_iterations steps; returns the least-radius iterate.
+    """
+    proj, tangent, n_bad = problem.set.project, problem.set.tangent_project, 0
+
+    def evaluate(x):   # (f, g, (radius, floor)) at x
+        nonlocal n_bad
+        value, upper, _, Fy, _ = G(x)
+        n_bad += not upper - value <= DUAL_GAP_TOL
+        g = Fy + epsilon * g_phi(x)
+        if not math.isfinite(g.dot(g)):
+            raise _non_finite(problem, "the subgradient F(ybar) + eps g_phi(x)", x)
+        return value + epsilon * phi(x), g, bounds.dualgap_radius(
+            _norm(tangent(x, -g)), upper - value, mu, epsilon, Fy, x)
+
+    f, g, (rad, _) = evaluate(x)
+    best, recent, sigma, steps, stale = (rad, x, f), [f], 1.0, 0, 0
+    while steps < max_iterations:
+        d = proj(x - sigma * g) - x
+        slope, f_ref, lam = SPG_ARMIJO * g.dot(d), max(recent), 1.0
+        for _ in range(MAX_BACKTRACKS + 1):
+            xt = proj(x + lam * d)
+            ft, gt, (rad, floor) = evaluate(xt)
+            if ft <= f_ref + lam * slope:
+                break
+            lam *= 0.5
+        else:
+            break
+        s, y = xt - x, gt - g
+        sy = s.dot(y)
+        sigma = min(max(s.dot(s) / sy, SPG_SIGMA_MIN), SPG_SIGMA_MAX) if sy > 0 else SPG_SIGMA_MAX
+        x, g, steps, recent = xt, gt, steps + 1, recent[1 - SPG_MEMORY:] + [ft]
+        best, stale = ((rad, x, ft), 0) if rad < best[0] else (best, stale + 1)
+        if rad <= 2.0 * floor or stale >= SPG_MEMORY:
+            break
+    rad, x, f = best
+    return x, PgeTrace(iterations=steps, n_nonconverged=n_bad, best_objective=f, radius=rad)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("workload, attempted", [("direct-ba", 11), ("dualgap-ba", 4)])
+@pytest.mark.parametrize("workload, attempted",
+                         [("direct-ba", 11), ("dualgap-ba", 4), ("affine10-box", 16)])
 def test_benchmark_workload_runs_traced_and_correct(workload, attempted):
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", "0", "--seconds", "1", "--trace", "1"]

@@ -13,6 +13,7 @@ from vigap.bounds import (
     DegenerateSamplesError,
     SharpnessModel,
     dgap_error_bound,
+    dualgap_radius,
     eps_to_S0_bound,
     exactness_check,
     fit_sharpness,
@@ -110,6 +111,23 @@ def test_residual_bound_arithmetic():
     assert residual_error_bound(0.0, 2.0, 1.0, 1.0, 1.0, 0.5, rounding=1e-16) \
         == pytest.approx(7e-16, rel=1e-15)
     assert residual_error_bound(1e-3, 2.0, 1.0, 1.0, 1.0, 0.5, rounding=1e-16) == radius
+
+
+def test_dualgap_radius_arithmetic():
+    # the larger root of mu r^2 - a r - delta = 0, plus the rounding term
+    x, Fy = np.array([0.5, -1.0]), np.array([2.0, 0.25])
+    rounding = 4 * 2 * (math.ulp(2.0) + 0.1 * math.ulp(1.0)) / 0.2 + 4 * math.ulp(1.0)
+    r, floor = dualgap_radius(0.3, 0.02, 0.2, 0.1, Fy, x)
+    assert r == (0.3 + math.sqrt(0.09 + 4 * 0.2 * 0.02)) / 0.4 + rounding
+    assert 0.2 * (r - rounding) ** 2 - 0.3 * (r - rounding) - 0.02 == pytest.approx(0, abs=1e-15)
+    assert floor == math.sqrt(0.1) + rounding
+    assert floor == pytest.approx(dualgap_radius(0.0, 0.02, 0.2, 0.1, Fy, x)[0], rel=1e-15)
+    # an exact oracle (delta = 0): a / mu, and the floor is the rounding alone
+    r, floor = dualgap_radius(0.3, 0.0, 0.2, 0.1, Fy, x)
+    assert r == pytest.approx(1.5 + rounding, rel=1e-15) and floor == rounding
+    for a, delta, mu in [(-1e-3, 0.0, 0.2), (0.3, -1e-16, 0.2), (0.3, 0.0, 0.0)]:
+        with pytest.raises(ValueError):
+            dualgap_radius(a, delta, mu, 0.1, Fy, x)
 
 
 def test_residual_rounding_scale():

@@ -221,6 +221,50 @@ def test_projection_jacobian_hook(feasible, ba_problem):
         assert ev.min() >= -1e-12 and ev.max() <= 1.0 + 1e-12
 
 
+def test_tangent_cone_closed_forms(ba_problem):
+    # a bound is active only where x lies on it; orthant's infinite bound never is
+    t = box([-1.0, 0.0], [1.0, 2.0]).tangent_project
+    np.testing.assert_array_equal(t(np.array([-1.0, 2.0]), np.array([-1.0, 1.0])), [0.0, 0.0])
+    np.testing.assert_array_equal(t(np.array([-1.0, 2.0]), np.array([1.0, -1.0])), [1.0, -1.0])
+    np.testing.assert_array_equal(t(np.array([0.5, 1.0]), np.array([-3.0, 4.0])), [-3.0, 4.0])
+    t = shifted_orthant([0.0, 0.0]).tangent_project
+    np.testing.assert_array_equal(t(np.array([0.0, 5.0]), np.array([-1.0, 3.0])), [0.0, 3.0])
+    t = ba_problem.set.tangent_project
+    np.testing.assert_array_equal(t(np.array([1.0, -0.5, -0.5]), np.array([1.0, 1.0, 0.0])),
+                                  [0.0, 0.5, -0.5])
+    np.testing.assert_array_equal(t(np.array([0.5, -0.5, -0.5]), np.array([1.0, 1.0, 0.0])),
+                                  [1.0, 0.5, -0.5])
+    for feasible in (ball([0.0], 1.0), halfspace([1.0], 0.0), hyperplane([1.0], 0.0)):
+        assert feasible.tangent_project is None
+
+
+@pytest.mark.parametrize("feasible", [
+    box([-1.0, 0.0], [1.0, 2.0]),
+    shifted_orthant([0.0, -0.25, 0.25]),
+    "example5_1",
+], ids=["box", "shifted_orthant", "example5_1"])
+def test_tangent_cone_properties(feasible, ba_problem):
+    # at seeded points on the faces a clip leaves: P_T(v) is the one-sided
+    # derivative of the projection along v, v - P_T(v) is normal to the set,
+    # the two parts are orthogonal, and P_T is idempotent
+    if feasible == "example5_1":
+        feasible = ba_problem.set
+    rng = np.random.default_rng(41)
+    n, s = feasible.dimension, 1e-7
+    X, Y, V = (3.0 * rng.standard_normal((300, n)) for _ in range(3))
+    X, Y = project_rows(feasible, X), project_rows(feasible, Y)
+    on_face = 0
+    for x, v in zip(X, V):
+        pv = feasible.tangent_project(x, v)
+        on_face += not np.array_equal(pv, v)
+        np.testing.assert_allclose((feasible.project(x + s * v) - x) / s, pv, rtol=0, atol=1e-6)
+        assert float(((Y - x) @ (v - pv)).max()) <= 1e-11 * (1.0 + float(np.linalg.norm(v)))
+        assert abs(float(pv @ (v - pv))) <= 1e-12 * (1.0 + float(v @ v))
+        np.testing.assert_allclose(feasible.tangent_project(x, pv), pv, rtol=0,
+                                   atol=1e-15 * (1.0 + np.abs(v).max()))
+    assert on_face >= 50
+
+
 def test_map_and_regularizer_jacobian_hooks(ba_problem, l2):
     # example5_1's diag(x < s), affine M and the Tikhonov identity are the
     # derivatives of F and of grad(phi) away from kinks

@@ -24,7 +24,7 @@ from vigap.problems import (
     get_problem,
     strongly_monotone_quadratic,
 )
-from vigap.solvers import PGE_MAX_ITERATIONS, solve_pge
+from vigap.solvers import solve_pge
 from probes import sample_in_set
 
 X0 = np.array([1.0, -2.0, 1.0])
@@ -510,4 +510,17 @@ def test_ill_conditioned_affine_box_pge_has_no_failed_inner_solve(tmp_path):
         assert problem.dual_gap_exact is not None
         _, trace = solve_pge(problem, tikhonov(), 0.01, np.zeros(10))
         assert trace.n_nonconverged == 0
-        assert trace.iterations == PGE_MAX_ITERATIONS
+        assert trace.radius <= 1e-6
+
+
+def test_ill_conditioned_affine_box_pge_radii_overlap():
+    # no reference point: the certified balls around two starts' answers must
+    # both hold x_eps, so they meet
+    for seed in (0, 1):
+        M, q = _ill_conditioned_box_vi(seed)
+        problem = affine_problem("ill", M, q, box(-np.ones(10), np.ones(10)))
+        rng = np.random.default_rng(seed)
+        (x1, t1), (x2, t2) = (solve_pge(problem, tikhonov(), 0.1, rng.uniform(-1.0, 1.0, 10))
+                              for _ in range(2))
+        assert t1.radius <= 1e-6 and t2.radius <= 1e-6
+        assert np.linalg.norm(x1 - x2) <= t1.radius + t2.radius

@@ -711,16 +711,16 @@ def test_pge_non_finite_map_raises_and_marks_the_cell(ba_problem, l2, monkeypatc
     assert [r.exactness for r in rows] == ["error:EvaluationError"] * 2
 
 
-def test_pge_loop_calls_raw_callables(ba_problem, l2, monkeypatch):
-    # x0 is validated once; the loop calls F, phi and the dual-gap kernel raw,
-    # so neither the map's validating entry points nor the validation of the
-    # public dual_gap is reached
-    x_ref, tr_ref = solve_pge(ba_problem, l2, 0.5, X0, 200)
+def _run_with_raw_callables(problem, reg, monkeypatch):
+    """solve_pge on example5_1 at eps = 0.5 with a budget of 200, once plain
+    and once with every validating entry point raising; returns both runs'
+    (x, trace) and the oracle's call log of the second."""
+    ref = solve_pge(problem, reg, 0.5, X0, 200)
     calls = []
 
     def counted(x):
         calls.append(x)
-        return ba_problem.dual_gap_exact(x)
+        return problem.dual_gap_exact(x)
 
     def validated(*args, **kwargs):
         raise AssertionError("solve_pge called a validating entry point")
@@ -728,8 +728,24 @@ def test_pge_loop_calls_raw_callables(ba_problem, l2, monkeypatch):
     monkeypatch.setattr(MonotoneMap, "__call__", validated)
     monkeypatch.setattr(MonotoneMap, "rows", validated)
     monkeypatch.setattr(gap, "as_point", validated)
-    x, tr = solve_pge(replace(ba_problem, dual_gap_exact=counted), l2, 0.5, X0, 200)
-    assert tr.iterations == 200
+    return ref, solve_pge(replace(problem, dual_gap_exact=counted), reg, 0.5, X0, 200), calls
+
+
+def test_pge_loop_calls_raw_callables(ba_problem, l2, monkeypatch):
+    # x0 is validated once; the loop calls F, phi and the dual-gap kernel raw,
+    # so neither the map's validating entry points nor the validation of the
+    # public dual_gap is reached. l2 runs the spectral projected gradient:
+    # one oracle call at x0 and one per Armijo trial
+    (x_ref, tr_ref), (x, tr), calls = _run_with_raw_callables(ba_problem, l2, monkeypatch)
+    assert 1 <= tr.iterations < 200 and tr.radius is not None
+    assert len(calls) >= tr.iterations + 1
+    assert x.tobytes() == x_ref.tobytes() and tr == tr_ref
+
+
+def test_pge_subgradient_loop_calls_raw_callables(ba_problem, l1, monkeypatch):
+    # the same for the subgradient loop of an l1 cell: one oracle call per step
+    (x_ref, tr_ref), (x, tr), calls = _run_with_raw_callables(ba_problem, l1, monkeypatch)
+    assert tr.iterations == 200 and tr.radius is None
     assert len(calls) == tr.iterations + 1
     assert x.tobytes() == x_ref.tobytes() and tr == tr_ref
 
@@ -738,7 +754,9 @@ def test_pge_loop_calls_raw_callables(ba_problem, l2, monkeypatch):
 # iterations and best_objective as float.hex, at the full default budget.
 # The golden CSVs see x only through rounded columns, so a drift of x by a
 # few ulps shows here first. example5_1 runs its closed-form oracle, affine5d
-# the box QP and sharp_ball2d (a ball, no oracle) the multistart ascent.
+# the box QP and sharp_ball2d (a ball, no oracle) the multistart ascent; the
+# l2 cells with an oracle run the spectral projected gradient, the others
+# the subgradient loop.
 PGE_PINS = [
     (("example5_1", "l1", 0.5, (1.0, -2.0, 1.0)),
      (("0x1.52f45384f41f0p-45", "-0x1.8000000000000p-1", "-0x1.fffffffffffffp-3"),
@@ -747,15 +765,15 @@ PGE_PINS = [
      (("0x1.817a3c8d4cd4ap-34", "-0x1.8000000000000p-1", "-0x1.fffffffffffffp-3"),
       1100, "0x1.a36e2eb261d71p-14")),
     (("example5_1", "l2", 0.5, (1.0, -2.0, 1.0)),
-     (("0x1.051a91fc8abc0p-232", "-0x1.3fffffcce0876p-1", "-0x1.800000663ef14p-2"),
-      1100, "0x1.2000000000002p-3")),
+     (("0x1.0731f2d4be1a4p-57", "-0x1.4000000000001p-1", "-0x1.8000000000000p-2"),
+      11, "0x1.2000000000004p-3")),
     (("example5_1", "l2", 1e-4, (1.0, -2.0, 1.0)),
-     (("0x1.542da16cc5afdp-71", "-0x1.7ff972afa2d30p-1", "-0x1.000d1aa0ba5a0p-2"),
-      1100, "0x1.06222e206bd50p-15")),
+     (("0x0.0p+0", "-0x1.7ff9729d270edp-1", "-0x1.000d1ac5b1e26p-2"),
+      8, "0x1.06222e206bbfap-15")),
     (("affine5d", "l2", 0.01, None),
-     (("-0x1.0000000000000p+0", "0x1.7f83c2194f290p-2", "0x1.00c83e7bebf33p-1",
-       "0x1.0000000000000p+0", "-0x1.e78c15eb79a73p-2"),
-      1100, "0x1.ad581cab9e515p-7")),
+     (("-0x1.0000000000000p+0", "0x1.7f83c2317f530p-2", "0x1.00c83e97651eap-1",
+       "0x1.0000000000000p+0", "-0x1.e78c15dd0d194p-2"),
+      21, "0x1.ad581cab9e509p-7")),
     (("sharp_ball2d", "l2", 0.01, (0.6, -0.7)),
      (("0x1.0a94012585080p-29", "-0x1.370203e7b7880p-29"), 1100, "0x1.495a60336df3ap-57")),
 ]
@@ -797,6 +815,37 @@ def test_pge_with_an_exact_oracle_evaluates_no_F(ba_problem, l1):
 def test_pge_rejects_an_empty_budget(ba_problem, l1):
     with pytest.raises(ValueError, match="max_iterations"):
         solve_pge(ba_problem, l1, 0.1, X0, max_iterations=0)
+
+
+def test_pge_l2_radius_covers_the_closed_form_error(ba_problem, l2):
+    # the dual-gap route's x_eps = (0, -3/4 + t, -1/4 - t), t = eps/(2(1 + 2 eps)):
+    # from the benchmark start and seeded starts in [-3, 3]^3, every radius
+    # holds the true error and is at most 1e-9
+    rng = np.random.default_rng(3)
+    for eps in TABLE1_EPSILONS:
+        t = eps / (2.0 * (1.0 + 2.0 * eps))
+        x_eps = np.array([0.0, -0.75 + t, -0.25 - t])
+        for x0 in [X0, *rng.uniform(-3.0, 3.0, (8, 3))]:
+            x, tr = solve_pge(ba_problem, l2, eps, x0)
+            assert tr.iterations >= 1 and tr.n_nonconverged == 0
+            assert float(np.linalg.norm(x - x_eps)) <= tr.radius <= 1e-9
+
+
+def test_pge_without_a_certificate_keeps_the_subgradient_loop(ba_problem, l1, l2):
+    # eps = 0, a nonsmooth phi, a set without a tangent cone and a problem
+    # without an exact oracle get no radius and run the subgradient loop's budget
+    no_cone = replace(ba_problem, set=replace(ba_problem.set, tangent_project=None))
+    for p, reg, eps, x0 in [(ba_problem, l2, 0.0, X0), (ba_problem, l1, 0.5, X0),
+                            (no_cone, l2, 0.5, X0),
+                            (get_problem("sharp_ball2d"), l2, 0.01, np.array([0.6, -0.7]))]:
+        _, tr = solve_pge(p, reg, eps, x0, 30)
+        assert tr.radius is None and tr.iterations == 30
+    # at the full budget the subgradient loop ends that cell at this point, bit
+    # for bit
+    x, tr = solve_pge(no_cone, l2, 0.5, X0)
+    assert (tuple(float(v).hex() for v in x), tr.iterations) == (
+        ("0x1.051a91fc8abc0p-232", "-0x1.3fffffcce0876p-1", "-0x1.800000663ef14p-2"),
+        PGE_MAX_ITERATIONS)
 
 
 # ---------------------------------------------------------------------------
