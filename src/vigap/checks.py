@@ -79,6 +79,8 @@ def _check_core_geometry(seed: int) -> CheckReport:
         report.record(f"{name}: projected points feasible", all_in, "1000 points")
         if s.tangent_project is not None:
             report.record(f"{name}: tangent cone", *_tangent_cone_margin(s, rng))
+        if s.l1_prox is not None:
+            report.record(f"{name}: l1 prox", *_l1_prox_margin(s, rng))
     return report
 
 
@@ -98,6 +100,29 @@ def _tangent_cone_margin(s, rng):
     ok = faces >= 20 and (worst <= (1e-6, 1e-10, 1e-10, 1e-14)).all()
     return ok, "{} on a face; worst derivative {:.1e}, normal {:.1e}, orthogonality " \
                "{:.1e}, idempotence {:.1e}".format(faces, *worst)
+
+
+def _l1_prox_margin(s, rng):
+    """At 200 seeded (v, t), z = l1_prox(v, t) and 40 points y = P(z + r u), r from
+    1e-6 to 3: whether z lies in the set, the worst excess of h(z) + ||y - z||^2/2 over
+    h(y) for the 1-strongly convex h = ||. - v||^2/2 + t||.||_1 (a brute-force test of
+    the minimizer), and of <v - z, y - z> over t(||y||_1 - ||z||_1) (the optimality
+    condition v - z in t d||z||_1 + N(z)), each relative to 1 + ||v||^2; returns
+    (passed, margin text)."""
+    n, worst, all_in = s.dimension, np.zeros(2), True
+    r = np.geomspace(1e-6, 3.0, 40)[:, None]
+    for v, t in zip(3.0 * rng.standard_normal((200, n)), rng.uniform(0.0, 2.0, 200)):
+        z = s.l1_prox(v, t)
+        all_in = all_in and s.contains(z, 1e-15)
+        Y = s.project_rows(z + r * rng.standard_normal((40, n)))
+        l1_Y, l1_z = np.abs(Y).sum(1), np.abs(z).sum()
+        h_Y, h_z = 0.5 * ((Y - v) ** 2).sum(1) + t * l1_Y, 0.5 * (z - v) @ (z - v) + t * l1_z
+        worst = np.maximum(worst, np.array([(h_z + 0.5 * ((Y - z) ** 2).sum(1) - h_Y).max(),
+                                            ((Y - z) @ (v - z) - t * (l1_Y - l1_z)).max()])
+                           / (1.0 + v @ v))
+    ok = all_in and (worst <= 1e-13).all()
+    return ok, "minimizer {}; worst excess {:.1e}, optimality {:.1e}".format(
+        "feasible" if all_in else "INFEASIBLE", *worst)
 
 
 def _check_gap_oracle(seed: int) -> CheckReport:

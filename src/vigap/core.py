@@ -191,6 +191,8 @@ class FeasibleSet:
     `tangent_project`, optional, maps (x, v) to the projection of v onto the
     tangent cone at x, for the dual-gap radius; a bound is active only where x
     lies exactly on it, so a cone errs only larger, which loosens the radius.
+    `l1_prox`, optional, maps (v, t) to argmin_z 0.5||z - v||^2 + t||z||_1 over
+    the set, the prox step of the dual-gap route's l1 cells.
     `bounds`, set by `box` alone, is the box's (lower, upper) arrays.
     """
 
@@ -200,6 +202,7 @@ class FeasibleSet:
     project_rows: Optional[Callable[[np.ndarray], np.ndarray]] = None
     project_jacobian: Optional[Callable[[Vector], np.ndarray]] = None
     tangent_project: Optional[Callable[[Vector, Vector], Vector]] = None
+    l1_prox: Optional[Callable[[Vector, float], Vector]] = None
     bounds: Optional[tuple] = None
 
     def __post_init__(self):
@@ -232,6 +235,8 @@ def box(lower, upper) -> FeasibleSet:
         project_rows=clip,
         project_jacobian=lambda z: np.diag(((lo < z) & (z < hi)).astype(float)),
         tangent_project=lambda x, v: np.where((x == lo) & (v < 0) | (x == hi) & (v > 0), 0.0, v),
+        # separable into 1-D convex pieces, so the box clips the soft threshold
+        l1_prox=lambda v, t: _clip(np.sign(v) * np.maximum(np.abs(v) - t, 0.0), lo, hi),
         contains=lambda x, tol=1e-10: bool(np.all(x >= lo - tol) and np.all(x <= hi + tol)),
         bounds=(lo, hi),
     )
@@ -325,22 +330,26 @@ class Regularizer:
     `subgradient_select` must be a deterministic selection. Both return
     float arrays: `regularized_operator` uses them unwrapped. `hessian`,
     optional for smooth phi, maps x to the (n, n) Hessian of phi, used by
-    the semismooth Newton step.
+    the semismooth Newton step. `is_l1` is True only where phi is exactly
+    ||x||_1 (as `l1_regularizer` builds it), so the dual-gap route may take
+    prox steps through the set's `l1_prox`.
     """
 
-    __slots__ = ("value", "gradient", "subgradient_select", "hessian", "rho", "lipschitz_M")
+    __slots__ = ("value", "gradient", "subgradient_select", "hessian", "rho", "lipschitz_M",
+                 "is_l1")
 
     def __init__(self, value: Callable[[Vector], float],
                  gradient: Optional[Callable[[Vector], Vector]] = None,
                  subgradient_select: Optional[Callable[[Vector], Vector]] = None,
                  hessian: Optional[Callable[[Vector], np.ndarray]] = None,
-                 rho: float = 0.0, lipschitz_M: Optional[float] = None):
+                 rho: float = 0.0, lipschitz_M: Optional[float] = None, is_l1: bool = False):
         if gradient is None and subgradient_select is None:
             raise ValueError("regularizer needs a gradient or a subgradient selection")
         if rho < 0:
             raise ValueError("rho must be nonnegative")
         self.value, self.gradient, self.subgradient_select = value, gradient, subgradient_select
         self.hessian, self.rho, self.lipschitz_M = hessian, rho, lipschitz_M
+        self.is_l1 = is_l1
 
     @property
     def smooth(self) -> bool:
@@ -371,6 +380,7 @@ def l1_regularizer() -> Regularizer:
         subgradient_select=lambda x: np.sign(x),
         rho=0.0,
         lipschitz_M=None,
+        is_l1=True,
     )
 
 

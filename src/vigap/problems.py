@@ -101,6 +101,12 @@ def example_5_1() -> ProblemInstance:
     z3 - c) with c = (z2 + z3 + 1)/2, whose Jacobian element is
     blockdiag([z1 < 1], I - 11^T/2).
 
+    The prox of t||.||_1 on Omega splits the same way: z1 = min(soft(v1, t), 1),
+    and on the line z = (u, -1 - u) it minimizes (u - w)^2 + t(|u| + |1 + u|)
+    with w = (v2 - v3 - 1)/2, whose slope term is 2 above u = 0, 0 on
+    [-1, 0] and -2 below u = -1: u = w - t for w > t, w + t for w < -1 - t,
+    else clip(w, -1, 0).
+
     G has a closed form: F(y) = min(y - s, 0) is separable, so the inner
     objective <F(y), x - y> splits into a concave quadratic in y1 <= 1,
     peaking at min(x1/2, 0), and, along y = (u, -1 - u) on the hyperplane, a
@@ -151,12 +157,19 @@ def example_5_1() -> ProblemInstance:
         m = (v2 + v3) / 2.0
         return np.array((0.0 if x[0] == 1.0 and v1 > 0.0 else v1, v2 - m, v3 - m))
 
+    def l1_prox(v, t):
+        v1, v2, v3 = v.tolist()
+        w = (v2 - v3 - 1.0) / 2.0
+        u = w - t if w > t else w + t if w < -1.0 - t else min(max(w, -1.0), 0.0)
+        return np.array((min(v1 - t if v1 > t else v1 + t if v1 < -t else 0.0, 1.0), u, -1.0 - u))
+
     omega = FeasibleSet(
         dimension=3,
         project=proj,
         project_rows=proj_rows,
         project_jacobian=proj_jac,
         tangent_project=tangent,
+        l1_prox=l1_prox,
         contains=lambda x, tol=1e-10: bool(x[0] <= 1.0 + tol
                                            and abs(x[1] + x[2] + 1.0) <= 2.0 * tol),
     )

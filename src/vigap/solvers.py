@@ -12,9 +12,12 @@ Three layers:
 * a sequential inexact outer loop over a given decreasing eps schedule that
   warm-starts each inner solve and stops it through a computable error
   bound (D-gap or natural residual) at one tolerance tau;
-* for the dual-gap model min_{Omega} G + eps * phi, spectral projected gradient
-  stopped on a certified radius (smooth strongly convex phi, exact G, a tangent
-  cone), else a projected subgradient method with gap-anchored Polyak steps.
+* for the dual-gap model min_{Omega} G + eps * phi with an exact G, spectral
+  projected gradient: stopped on a certified radius (smooth strongly convex
+  phi, a tangent cone) or, for the l1 norm, proximal through the set's l1 prox
+  and stopped at a fixed point; else (eps = 0, the multistart ascent, a
+  hand-built nonsmooth phi) a projected subgradient method with gap-anchored
+  Polyak steps.
 
 Results are plain records: one InnerTrace per eps-level (the outer loop's
 SolverTrace.outer is a list of them) and one PgeTrace per dual-gap run.
@@ -210,7 +213,8 @@ class SolverTrace(NamedTuple):
 class PgeTrace(NamedTuple):
     """One `solve_pge` run: the steps taken, the dual-gap brackets wider than
     DUAL_GAP_TOL, and, at the returned point, G + eps*phi and the certified
-    distance to x_eps (`bounds.dualgap_radius`; None on the subgradient path)."""
+    distance to x_eps (`bounds.dualgap_radius`; None on the l1 and subgradient
+    paths, which certify no distance)."""
 
     iterations: int
     n_nonconverged: int
@@ -525,35 +529,40 @@ def solve_pge(problem, regularizer: Regularizer, epsilon: float, x0: Vector,
               max_iterations: Optional[int] = None):
     """Minimize G(x) + eps * phi(x) over Omega, G the dual gap; returns (x, PgeTrace).
 
-    With phi smooth and strongly convex, eps > 0, an exact dual-gap oracle and
-    a set with `tangent_project`, this is `_spg`, stopped on a certified radius.
-    Otherwise it takes max_iterations (None: PGE_MAX_ITERATIONS) projected
-    subgradient steps x+ = P_Omega(x - t_j g), g = F(ybar(x)) + eps g_phi(x) with
-    ybar the dual-gap inner maximizer, t_j = min((f - f_best + delta_j)/||g_T||^2,
-    cap/||g_T||), delta_j decaying geometrically, cap = 2 (1 + ||x0||) and g_T the
-    tangential part of g, and returns the iterate of least objective.
+    With eps > 0 and an exact dual-gap oracle this is `_spg`: stopped on a
+    certified radius where phi is smooth and strongly convex and the set has
+    `tangent_project`, and as proximal SPG, stopped at a fixed point of its
+    prox step, where phi is the l1 norm (`Regularizer.is_l1`) and the set has
+    `l1_prox`. Otherwise (eps = 0, no oracle, a hand-built nonsmooth phi) it
+    takes max_iterations (None: PGE_MAX_ITERATIONS) projected subgradient
+    steps x+ = P_Omega(x - t_j g), g = F(ybar(x)) + eps g_phi(x) with ybar the
+    dual-gap inner maximizer, t_j = min((f - f_best + delta_j)/||g_T||^2,
+    cap/||g_T||), delta_j decaying geometrically, cap = 2 (1 + ||x0||) and g_T
+    the tangential part of g, and returns the iterate of least objective.
 
-    x0 is validated once. The loops call phi's gradient or subgradient
-    selection and the dual-gap kernel raw and build g from the F(ybar) that
-    the kernel returns (an exact oracle: no F call). A non-finite ||g|| raises
-    EvaluationError, one scalar check in place of a check of F(ybar). The
-    subgradient method raises DualGapUnreliableError when more than
-    PGE_MAX_NONCONVERGED_FRACTION of the inner solves did not converge.
+    eps must be nonnegative and finite, and x0 is validated once. The loops
+    call phi's gradient or subgradient selection and the dual-gap kernel raw
+    and build g from the F(ybar) that the kernel returns (an exact oracle: no
+    F call). A non-finite ||g|| raises EvaluationError, one scalar check in
+    place of a check of F(ybar). The subgradient method raises
+    DualGapUnreliableError when more than PGE_MAX_NONCONVERGED_FRACTION of
+    the inner solves did not converge.
     """
     if max_iterations is None:
         max_iterations = PGE_MAX_ITERATIONS
     if max_iterations < 1:
         raise ValueError("max_iterations must be positive")
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
+    if not 0 <= epsilon < math.inf:
+        raise ValueError("epsilon must be nonnegative and finite")
     proj = problem.set.project
     g_phi = regularizer.gradient if regularizer.smooth else regularizer.subgradient_select
     phi = regularizer.value
     G = _dual_gap_kernel(problem)
     x = proj(as_point(x0, problem.map.dimension))
-    if (regularizer.smooth and regularizer.rho > 0 and epsilon > 0 and problem.set.tangent_project
-            and getattr(problem, "dual_gap_exact", None) is not None):
-        return _spg(problem, G, phi, g_phi, epsilon, epsilon * regularizer.rho, x, max_iterations)
+    if epsilon > 0 and getattr(problem, "dual_gap_exact", None) is not None and (
+            problem.set.l1_prox if regularizer.is_l1 else
+            regularizer.smooth and regularizer.rho > 0 and problem.set.tangent_project):
+        return _spg(problem, G, regularizer, epsilon, x, max_iterations)
 
     value, upper, _, Fy, _ = G(x)
     n_bad = 0 if upper - value <= DUAL_GAP_TOL else 1
@@ -592,32 +601,51 @@ def solve_pge(problem, regularizer: Regularizer, epsilon: float, x0: Vector,
     return x_best, PgeTrace(iterations=j, n_nonconverged=n_bad, best_objective=f_best)
 
 
-def _spg(problem, G, phi, g_phi, epsilon: float, mu: float, x: Vector, max_iterations: int):
+def _spg(problem, G, reg: Regularizer, epsilon: float, x: Vector, max_iterations: int):
     """Spectral projected gradient (Birgin, Martinez & Raydan 2000) on f = G + eps*phi
-    from x in Omega, mu = eps*rho: steps along d = P(x - sigma g) - x, sigma the
-    Barzilai-Borwein s.s/s.y in [SPG_SIGMA_MIN, SPG_SIGMA_MAX], under a nonmonotone
-    Armijo test against the largest f of the last SPG_MEMORY iterates, halving lambda and
-    projecting each trial P(x + lambda d). After a first step it stops at a radius within
-    2x its floor (not at tau: the floor is a step or two further), after SPG_MEMORY steps
-    without a better radius, or at max_iterations steps; returns the least-radius iterate.
-    """
-    proj, tangent, n_bad = problem.set.project, problem.set.tangent_project, 0
+    from x in Omega: steps along d, sigma the Barzilai-Borwein s.s/s.y of the
+    gradients g in [SPG_SIGMA_MIN, SPG_SIGMA_MAX], under a nonmonotone Armijo test
+    against the largest f of the last SPG_MEMORY iterates, halving lambda and
+    projecting each trial P(x + lambda d).
 
-    def evaluate(x):   # (f, g, (radius, floor)) at x
+    * phi smooth, mu = eps*rho > 0: g = F(ybar) + eps*grad(phi)(x), d = P(x - sigma g) - x,
+      Armijo slope g.d, and the measure is the certified radius
+      `bounds.dualgap_radius`, returned as PgeTrace.radius.
+    * phi = ||.||_1 (`Regularizer.is_l1`): proximal SPG (SpaRSA; Wright, Nowak &
+      Figueiredo 2009) with g = F(ybar), d = prox_{sigma eps}(x - sigma g) - x through
+      the set's `l1_prox`, and the composite slope g.d + eps(phi(x + d) - phi(x))
+      (Tseng & Yun 2009). The measure ||prox_eps(x - g) - x|| is 0 exactly at a fixed
+      point and has floor 0; with rho = 0 it bounds no distance, so radius is None.
+
+    After a first step it stops at a measure within 2x its floor (not at tau: the
+    radius's floor is a step or two further), after SPG_MEMORY steps without a better
+    measure, or at max_iterations steps; returns the least-measure iterate.
+    """
+    proj, n_bad = problem.set.project, 0
+    prox = problem.set.l1_prox if reg.is_l1 else None
+    phi, g_phi, tangent, mu = reg.value, reg.gradient, problem.set.tangent_project, epsilon * reg.rho
+
+    def evaluate(x):   # (f, g, (measure, floor)) at x
         nonlocal n_bad
         value, upper, _, Fy, _ = G(x)
         n_bad += not upper - value <= DUAL_GAP_TOL
-        g = Fy + epsilon * g_phi(x)
+        g = Fy if prox else Fy + epsilon * g_phi(x)
         if not math.isfinite(g.dot(g)):
             raise _non_finite(problem, "the subgradient F(ybar) + eps g_phi(x)", x)
-        return value + epsilon * phi(x), g, bounds.dualgap_radius(
-            _norm(tangent(x, -g)), upper - value, mu, epsilon, Fy, x)
+        measure = ((_norm(prox(x - g, epsilon) - x), 0.0) if prox else bounds.dualgap_radius(
+            _norm(tangent(x, -g)), upper - value, mu, epsilon, Fy, x))
+        return value + epsilon * phi(x), g, measure
 
     f, g, (rad, _) = evaluate(x)
     best, recent, sigma, steps, stale = (rad, x, f), [f], 1.0, 0, 0
     while steps < max_iterations:
-        d = proj(x - sigma * g) - x
-        slope, f_ref, lam = SPG_ARMIJO * g.dot(d), max(recent), 1.0
+        if prox:
+            d = prox(x - sigma * g, sigma * epsilon) - x
+            slope = SPG_ARMIJO * (g.dot(d) + epsilon * (phi(x + d) - phi(x)))
+        else:
+            d = proj(x - sigma * g) - x
+            slope = SPG_ARMIJO * g.dot(d)
+        f_ref, lam = max(recent), 1.0
         for _ in range(MAX_BACKTRACKS + 1):
             xt = proj(x + lam * d)
             ft, gt, (rad, floor) = evaluate(xt)
@@ -634,7 +662,8 @@ def _spg(problem, G, phi, g_phi, epsilon: float, mu: float, x: Vector, max_itera
         if rad <= 2.0 * floor or stale >= SPG_MEMORY:
             break
     rad, x, f = best
-    return x, PgeTrace(iterations=steps, n_nonconverged=n_bad, best_objective=f, radius=rad)
+    return x, PgeTrace(iterations=steps, n_nonconverged=n_bad, best_objective=f,
+                       radius=None if prox else rad)
 
 
 # ---------------------------------------------------------------------------

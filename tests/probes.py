@@ -1,6 +1,7 @@
 """Seeded sampling probes that check declared constants on sampled points:
 monotonicity and Lipschitz constants of an operator, convexity of a
-regularizer. Tests import them as `from probes import ...`."""
+regularizer; and the seeded ill-conditioned 10-D box VI that several test
+modules solve. Tests import them as `from probes import ...`."""
 from typing import Callable
 
 import numpy as np
@@ -66,3 +67,14 @@ def probe_convexity(reg: Regularizer, dimension: int, n_pairs: int = 200, seed: 
         sub = reg.value(y) - reg.value(x) - float(g @ (y - x))
         worst_sub = min(worst_sub, float(sub))
     return worst_mid, worst_sub
+
+
+def ill_conditioned_box_vi(seed: int):
+    """(M, q) of a 10-D affine VI on [-1, 1]^10: symmetric part with condition
+    number 100 under a random rotation plus a skew part of norm 1."""
+    rng = np.random.default_rng(seed)
+    Q = np.linalg.qr(rng.standard_normal((10, 10)))[0]
+    S = Q @ np.diag(np.geomspace(0.1, 10.0, 10)) @ Q.T
+    B = rng.standard_normal((10, 10))
+    K = (B - B.T) / np.linalg.norm(B - B.T, 2)
+    return S + K, rng.standard_normal(10)

@@ -11,7 +11,7 @@ import pytest
 from conftest import assert_matches_golden
 
 import vigap
-from vigap import checks, cli, solvers
+from vigap import checks, cli, problems, solvers
 from vigap.checks import CheckReport
 from vigap.cli import (
     CSV_COLUMNS,
@@ -246,6 +246,22 @@ def test_problem_file_set_kinds(kind, tmp_path):
         # affine F on a finite box: the exact oracle, here G(0) = max_y y1 - 2 y1^2 - 3 y2^2
         ev = dual_gap(inst, np.zeros(2))
         assert ev.converged and ev.value == pytest.approx(0.125, abs=1e-12)
+
+
+def test_every_exact_dual_gap_has_both_spg_hooks(tmp_path):
+    # an exact G sends a dual-gap cell to the spectral projected gradient only
+    # where its set also has tangent_project (l2) and l1_prox (l1); an instance
+    # the CLI builds without one would quietly fall back to the subgradient
+    # loop's full budget
+    built = [problems.get_problem(name) for name in problems.BUILTIN_PROBLEMS]
+    for kind, (keys, _, _) in SET_KINDS.items():
+        path = tmp_path / f"{kind}.ini"
+        path.write_text(AFFINE_INI.split("[set]")[0] + f"[set]\n{keys}\n")
+        built.append(load_problem_file(str(path)))
+    exact = [p for p in built if p.dual_gap_exact is not None]
+    assert {p.name for p in exact} >= {"example5_1", "affine_monotone(n=5, seed=0, box)"}
+    for p in exact:
+        assert p.set.tangent_project is not None and p.set.l1_prox is not None, p.name
 
 
 def test_problem_file_errors(tmp_path):

@@ -265,6 +265,55 @@ def test_tangent_cone_properties(feasible, ba_problem):
     assert on_face >= 50
 
 
+def test_l1_prox_closed_forms(ba_problem):
+    # box: the soft threshold, clipped; a lower bound above 0 and infinite bounds
+    prox = box([0.5, -2.0, -np.inf], [2.0, np.inf, 1.0]).l1_prox
+    np.testing.assert_array_equal(prox(np.array([0.3, -3.0, 0.5]), 0.25), [0.5, -2.0, 0.25])
+    np.testing.assert_array_equal(prox(np.array([3.0, 4.0, -7.0]), 0.5), [2.0, 3.5, -6.5])
+    np.testing.assert_array_equal(prox(np.array([1.5, 0.25, -0.25]), 0.5), [1.0, 0.0, 0.0])
+    prox = shifted_orthant([0.0, -0.25]).l1_prox
+    np.testing.assert_array_equal(prox(np.array([-1.0, -1.0]), 0.5), [0.0, -0.25])
+    np.testing.assert_array_equal(prox(np.array([2.0, 0.5]), 0.5), [1.5, 0.0])
+    # example5_1's Omega: z1 = min(soft(v1, t), 1), and on z = (u, -1 - u) with
+    # w = (v2 - v3 - 1)/2, u = w - t above w = t, w + t below w = -1 - t, else
+    # clip(w, -1, 0); at both break points the pieces meet
+    prox, t = ba_problem.set.l1_prox, 0.25
+    for v1, z1 in [(3.0, 1.0), (0.75, 0.5), (0.25, 0.0), (-0.1, 0.0), (-3.0, -2.75)]:
+        assert prox(np.array([v1, -0.5, -0.5]), t)[0] == z1
+    for w, u in [(1.0, 0.75), (t, 0.0), (0.125, 0.0), (-0.5, -0.5), (-1.125, -1.0),
+                 (-1.0 - t, -1.0), (-2.0, -1.75)]:
+        z = prox(np.array([0.0, w + 0.5, -0.5 - w]), t)
+        np.testing.assert_array_equal(z, [0.0, u, -1.0 - u])
+    for feasible in (ball([0.0], 1.0), halfspace([1.0], 0.0), hyperplane([1.0], 0.0)):
+        assert feasible.l1_prox is None
+
+
+@pytest.mark.parametrize("feasible", [
+    box([0.5, -2.0, -np.inf], [2.0, np.inf, 1.0]),
+    shifted_orthant([0.0, -0.25, 0.25]),
+    "example5_1",
+], ids=["box", "shifted_orthant", "example5_1"])
+def test_l1_prox_is_the_constrained_minimizer(feasible, ba_problem):
+    # z = prox(v, t) lies in the set; h = ||. - v||^2/2 + t||.||_1 is 1-strongly
+    # convex, so h(y) >= h(z) + ||y - z||^2/2 at seeded y in the set, near z and
+    # far (brute force); and v - z in t d||z||_1 + N(z), tested through its
+    # equivalent <v - z, y - z> <= t(||y||_1 - ||z||_1)
+    if feasible == "example5_1":
+        feasible = ba_problem.set
+    rng = np.random.default_rng(47)
+    n, r = feasible.dimension, np.geomspace(1e-8, 4.0, 60)[:, None]
+    for v, t in zip(3.0 * rng.standard_normal((300, n)), rng.uniform(0.0, 2.0, 300)):
+        z = feasible.l1_prox(v, t)
+        assert feasible.contains(z, 1e-15)
+        Y = project_rows(feasible, z + r * rng.standard_normal((60, n)))
+        l1_Y, l1_z = np.abs(Y).sum(1), np.abs(z).sum()
+        h_Y = 0.5 * ((Y - v) ** 2).sum(1) + t * l1_Y
+        h_z = 0.5 * (z - v) @ (z - v) + t * l1_z
+        tol = 1e-14 * (1.0 + v @ v)
+        assert (h_z + 0.5 * ((Y - z) ** 2).sum(1) - h_Y).max() <= tol
+        assert ((Y - z) @ (v - z) - t * (l1_Y - l1_z)).max() <= tol
+
+
 def test_map_and_regularizer_jacobian_hooks(ba_problem, l2):
     # example5_1's diag(x < s), affine M and the Tikhonov identity are the
     # derivatives of F and of grad(phi) away from kinks

@@ -25,7 +25,7 @@ from vigap.problems import (
     strongly_monotone_quadratic,
 )
 from vigap.solvers import solve_pge
-from probes import sample_in_set
+from probes import ill_conditioned_box_vi, sample_in_set
 
 X0 = np.array([1.0, -2.0, 1.0])
 XSTAR = np.array([0.0, -0.75, -0.25])
@@ -482,17 +482,6 @@ def test_affine_box_oracle_with_sym_M_just_below_zero(corner):
     assert dual_gap(p, x).converged
 
 
-def _ill_conditioned_box_vi(seed):
-    """10-D affine VI on [-1, 1]^10: symmetric part with condition number 100
-    under a random rotation plus a skew part of norm 1."""
-    rng = np.random.default_rng(seed)
-    Q = np.linalg.qr(rng.standard_normal((10, 10)))[0]
-    S = Q @ np.diag(np.geomspace(0.1, 10.0, 10)) @ Q.T
-    B = rng.standard_normal((10, 10))
-    K = (B - B.T) / np.linalg.norm(B - B.T, 2)
-    return S + K, rng.standard_normal(10)
-
-
 def test_ill_conditioned_affine_box_pge_has_no_failed_inner_solve(tmp_path):
     # without the oracle, the ascent with its default budget fails 12
     # of the first 21 solves here (seed 0) and solve_pge raises
@@ -501,7 +490,7 @@ def test_ill_conditioned_affine_box_pge_has_no_failed_inner_solve(tmp_path):
         return " ".join(repr(float(a)) for a in v)
 
     for seed in (0, 1):
-        M, q = _ill_conditioned_box_vi(seed)
+        M, q = ill_conditioned_box_vi(seed)
         path = tmp_path / f"vi{seed}.ini"
         path.write_text(f"[operator]\nkind = affine\nmatrix = {'; '.join(row(r) for r in M)}\n"
                         f"offset = {row(q)}\n[set]\nkind = box\n"
@@ -517,7 +506,7 @@ def test_ill_conditioned_affine_box_pge_radii_overlap():
     # no reference point: the certified balls around two starts' answers must
     # both hold x_eps, so they meet
     for seed in (0, 1):
-        M, q = _ill_conditioned_box_vi(seed)
+        M, q = ill_conditioned_box_vi(seed)
         problem = affine_problem("ill", M, q, box(-np.ones(10), np.ones(10)))
         rng = np.random.default_rng(seed)
         (x1, t1), (x2, t2) = (solve_pge(problem, tikhonov(), 0.1, rng.uniform(-1.0, 1.0, 10))
