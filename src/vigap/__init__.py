@@ -8,7 +8,8 @@ Two regularization routes for VI(F, Omega):
   tries an exact-J_H semismooth Newton step first and a derivative-free
   D-gap descent step when that fails;
 * dual-gap — minimize G + eps*phi over Omega, G the dual gap function, by
-  spectral projected gradient to a certified radius or projected subgradient.
+  spectral projected gradient (proximal for the l1 norm), stopped on a
+  certified radius or on the residual of its step.
 
 Plus error bounds returned as floats (D-gap and natural-residual distance
 certificates, the weak-sharpness bound `eps_to_S0_bound`),

@@ -8,7 +8,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import bounds
-from .core import ball, box, l1_regularizer, shifted_orthant, tikhonov
+from .core import ball, box, halfspace, hyperplane, l1_regularizer, shifted_orthant, tikhonov
 from .gap import dual_gap, theta_ab, theta_alpha
 from .problems import (
     affine_monotone,
@@ -59,6 +59,8 @@ def _check_core_geometry(seed: int) -> CheckReport:
         "box": box([-1.0, 0.0], [1.0, 2.0]),
         "orthant": shifted_orthant([0.0, -0.25, 0.25]),
         "ball": ball([0.5, -0.5, 0.0], 1.5),
+        "halfspace": halfspace([1.0, -2.0, 0.5], 0.25),
+        "hyperplane": hyperplane([1.0, 0.0, -2.0], 0.5),
         "example5_1 Omega": example_5_1().set,
     }
     for name, s in sets.items():

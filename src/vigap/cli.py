@@ -247,7 +247,7 @@ def run_experiment(config: ExperimentConfig) -> list:
 
     Direct-model cells run the sequential inexact descent over the epsilon
     list sorted decreasingly (warm starts, as in the sequential algorithm);
-    dual-gap cells run independent subgradient solves. Per-cell solver
+    dual-gap cells run independent `solve_pge` solves. Per-cell solver
     failures produce a row with an error marker in the exactness column and
     never abort the sweep.
     """

@@ -7,6 +7,7 @@ evaluation and projection are pure functions.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -218,6 +219,25 @@ def project_rows(feasible: FeasibleSet, Z: np.ndarray) -> np.ndarray:
     return feasible.project_rows(np.asarray(Z, dtype=float))
 
 
+def _soft(v, t):
+    """The soft threshold sign(v) max(|v| - t, 0), the prox of t||.||_1."""
+    return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+
+
+def _plane_multiplier(a, b, v, t):
+    """The lam with psi(lam) = <a, soft(v - lam a, t)> = b, which makes
+    soft(v - lam a, t) the l1 prox on the plane <a, .> = b: psi falls with lam and
+    is linear between the break points (v_i -+ t)/a_i and beyond both ends, so
+    lam is interpolated exactly on the piece that brackets b."""
+    nz = a != 0
+    lam = np.sort(np.concatenate(((v[nz] - t) / a[nz], (v[nz] + t) / a[nz])))
+    lam = np.concatenate(([lam[0] - 1.0 - abs(lam[0])], lam, [lam[-1] + 1.0 + abs(lam[-1])]))
+    psi = a @ _soft(v[:, None] - a[:, None] * lam, t)
+    k = min(max(int(np.searchsorted(-psi, -b)), 1), len(lam) - 1)
+    (l0, l1), (p0, p1) = lam[k - 1:k + 1], psi[k - 1:k + 1]
+    return l0 + (p0 - b) / (p0 - p1) * (l1 - l0) if p0 > p1 else l0
+
+
 def box(lower, upper) -> FeasibleSet:
     """Axis-aligned box {l <= x <= u}; ±inf entries drop the constraint."""
     lo = np.asarray(lower, dtype=float)
@@ -236,7 +256,7 @@ def box(lower, upper) -> FeasibleSet:
         project_jacobian=lambda z: np.diag(((lo < z) & (z < hi)).astype(float)),
         tangent_project=lambda x, v: np.where((x == lo) & (v < 0) | (x == hi) & (v > 0), 0.0, v),
         # separable into 1-D convex pieces, so the box clips the soft threshold
-        l1_prox=lambda v, t: _clip(np.sign(v) * np.maximum(np.abs(v) - t, 0.0), lo, hi),
+        l1_prox=lambda v, t: _clip(_soft(v, t), lo, hi),
         contains=lambda x, tol=1e-10: bool(np.all(x >= lo - tol) and np.all(x <= hi + tol)),
         bounds=(lo, hi),
     )
@@ -256,11 +276,14 @@ def hyperplane(normal, offset: float) -> FeasibleSet:
     if nn <= 0:
         raise ValueError("hyperplane normal must be nonzero")
     J = np.eye(a.shape[0]) - np.outer(a, a) / nn
+    proj = lambda z: z - ((a @ z - b) / nn) * a
     return FeasibleSet(
         dimension=a.shape[0],
-        project=lambda z: z - ((a @ z - b) / nn) * a,
+        project=proj,
         project_rows=lambda Z: Z - ((Z @ a - b) / nn)[:, None] * a,
         project_jacobian=lambda z: J,
+        # projected once more, which puts the point on the plane to rounding
+        l1_prox=lambda v, t: proj(_soft(v - _plane_multiplier(a, b, v, t) * a, t)),
         contains=lambda x, tol=1e-10: bool(abs(a @ x - b) <= tol * (1.0 + abs(b))),
     )
 
@@ -274,11 +297,14 @@ def halfspace(normal, offset: float) -> FeasibleSet:
         raise ValueError("halfspace normal must be nonzero")
     inside = np.eye(a.shape[0])
     outside = inside - np.outer(a, a) / nn
+    proj = lambda z: z - (max(a @ z - b, 0.0) / nn) * a
     return FeasibleSet(
         dimension=a.shape[0],
-        project=lambda z: z - (max(a @ z - b, 0.0) / nn) * a,
+        project=proj,
         project_rows=lambda Z: Z - (np.maximum(Z @ a - b, 0.0) / nn)[:, None] * a,
         project_jacobian=lambda z: outside if a @ z > b else inside,
+        # the plane's multiplier clipped at 0: soft(v, t) itself where it is feasible
+        l1_prox=lambda v, t: proj(_soft(v - max(_plane_multiplier(a, b, v, t), 0.0) * a, t)),
         contains=lambda x, tol=1e-10: bool(a @ x - b <= tol * (1.0 + abs(b))),
     )
 
@@ -308,11 +334,26 @@ def ball(center, radius: float) -> FeasibleSet:
             return np.eye(c.shape[0])
         return (r / nd) * (np.eye(c.shape[0]) - np.outer(d, d) / (nd * nd))
 
+    def l1_prox(v, t):
+        # z(lam) = soft((v + lam c)/(1 + lam), t/(1 + lam)) minimizes the Lagrangian
+        # with multiplier lam of ||z - c||^2 <= r^2, and ||z(lam) - c|| falls with lam:
+        # bisect to the sphere, keeping the feasible end
+        z = lambda lam: _soft((v + lam * c) / (1.0 + lam), t / (1.0 + lam))
+        out = lambda lam: np.linalg.norm(z(lam) - c) > r
+        lo, hi = 0.0, 1.0 if out(0.0) else 0.0   # hi = 0: soft(v, t) is feasible
+        while out(hi) and hi < 2.0 ** 64:
+            lo, hi = hi, 2.0 * hi
+        while hi - lo > 1e-15 * (1.0 + hi):   # z depends on lam through 1/(1 + lam)
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if out(mid) else (lo, mid)
+        return proj(z(hi))
+
     return FeasibleSet(
         dimension=c.shape[0],
         project=proj,
         project_rows=proj_rows,
         project_jacobian=proj_jac,
+        l1_prox=l1_prox,
         contains=lambda x, tol=1e-10: bool(np.linalg.norm(x - c) <= r + tol),
     )
 
@@ -392,13 +433,14 @@ def regularized_operator(fmap: MonotoneMap, reg: Optional[Regularizer],
                          epsilon: float) -> Callable[[Vector], Vector]:
     """T = F + eps * g as a raw callable, g the gradient or selected subgradient of phi.
 
-    eps is checked once here. The returned callable validates nothing: it
+    eps is checked once here, for every D-gap kernel and entry point: it must be
+    nonnegative and finite. The returned callable validates nothing: it
     calls `fmap.evaluate` and g directly, so its caller checks the point
     beforehand and the result afterwards. For eps = 0 (or no regularizer)
     T is F.
     """
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
+    if not 0 <= epsilon < math.inf:
+        raise ValueError("epsilon must be nonnegative and finite")
     F = fmap.evaluate
     if epsilon == 0.0 or reg is None:
         if epsilon != 0.0:

@@ -6,7 +6,9 @@ their closed projection forms. The dual gap G(x) = sup_{y in Omega}
 the closed form of example5_1, and the certified concave box QP of
 `affine_box_dual_gap` for affine monotone F on a finite box (the built-in
 affine box instances and affine box problem files). Every other problem falls
-back to a multistart projected gradient ascent, which bounds G from below.
+back to a multistart projected gradient ascent, which bounds G from below:
+`solvers.solve_pge` runs one loop on either G, but certifies a distance only
+on an exact one.
 """
 from __future__ import annotations
 
@@ -272,7 +274,7 @@ def dual_gap(problem, x: Vector) -> GapEvaluation:
     ascent with a per-start adaptive step (expand on success, halve on
     failure) and a fixed budget. For general F this is a heuristic, so a
     failure is flagged through the converged flag, never silently, and
-    solve_pge raises DualGapUnreliableError when too many solves fail.
+    solve_pge raises DualGapUnreliableError when too many of a run's solves fail.
 
     x is validated here; the evaluation is one call of a new raw kernel
     `_dual_gap_kernel`, the one solve_pge calls, so it has no warm start.

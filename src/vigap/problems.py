@@ -58,7 +58,8 @@ class ProblemInstance:
     when set, replaces the ascent of `gap.dual_gap` and `solvers.solve_pge`:
     a raw x -> (value, upper, ybar, F(ybar), steps) of G(x) with a certified
     upper >= G(x) and F(ybar) bit for bit as F's `evaluate` gives it; for
-    affine F, `affine_problem` chooses it from the set.
+    affine F, `affine_problem` chooses it from the set. Only its bracket lets
+    `solve_pge` certify a radius; on the ascent a dual-gap cell has none.
     """
 
     name: str

@@ -12,12 +12,10 @@ Three layers:
 * a sequential inexact outer loop over a given decreasing eps schedule that
   warm-starts each inner solve and stops it through a computable error
   bound (D-gap or natural residual) at one tolerance tau;
-* for the dual-gap model min_{Omega} G + eps * phi with an exact G, spectral
-  projected gradient: stopped on a certified radius (smooth strongly convex
-  phi, a tangent cone) or, for the l1 norm, proximal through the set's l1 prox
-  and stopped at a fixed point; else (eps = 0, the multistart ascent, a
-  hand-built nonsmooth phi) a projected subgradient method with gap-anchored
-  Polyak steps.
+* for the dual-gap model min_{Omega} G + eps * phi, spectral projected
+  gradient, proximal through the set's l1 prox for the l1 norm: stopped on a
+  certified radius where G is exact, phi strongly convex and the set has a
+  tangent cone, else on the residual of its step.
 
 Results are plain records: one InnerTrace per eps-level (the outer loop's
 SolverTrace.outer is a list of them) and one PgeTrace per dual-gap run.
@@ -79,14 +77,9 @@ THETA_FLOOR = 1e-16
 # where a problem lacks a Jacobian hook, relative to 1 + ||x||
 NEWTON_FD_STEP = 1e-7
 
-# projected subgradient: default iteration budget, initial Polyak relaxation
-# as a fraction of |f(x0)|, its final value relative to 1 + |f(x0)|, the
-# relative probe step for the tangential subgradient, and the largest
-# tolerated share of non-converged dual-gap solves
+# dual-gap route: default iteration budget and the largest tolerated share of
+# non-converged dual-gap solves
 PGE_MAX_ITERATIONS = 1100
-PGE_DELTA0_FRACTION = 0.25
-PGE_DELTA_FINAL_REL = 1e-14
-PGE_TANGENT_PROBE = 1e-7
 PGE_MAX_NONCONVERGED_FRACTION = 0.5
 # spectral projected gradient: nonmonotone memory, Armijo constant, BB step clamp
 SPG_MEMORY = 10
@@ -213,8 +206,8 @@ class SolverTrace(NamedTuple):
 class PgeTrace(NamedTuple):
     """One `solve_pge` run: the steps taken, the dual-gap brackets wider than
     DUAL_GAP_TOL, and, at the returned point, G + eps*phi and the certified
-    distance to x_eps (`bounds.dualgap_radius`; None on the l1 and subgradient
-    paths, which certify no distance)."""
+    distance to x_eps (`bounds.dualgap_radius`; None where no distance is
+    certified)."""
 
     iterations: int
     n_nonconverged: int
@@ -405,8 +398,7 @@ def solve_inner(problem, x0: Vector, epsilon: float, tau: float,
     trace attached.
     """
     cfg = cfg or InnerConfig()
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
+    T = regularized_operator(problem.map, reg, epsilon)
     x = as_point(x0, problem.map.dimension)
 
     kind, p = None, 0.0
@@ -415,7 +407,6 @@ def solve_inner(problem, x0: Vector, epsilon: float, tau: float,
         p = bounds.stopping_threshold(tau, L, M, reg.rho, ALPHA, BETA, epsilon)
         kind = "dgap" if p >= THETA_FLOOR else "residual"
 
-    T = regularized_operator(problem.map, reg, epsilon)
     theta = _theta_ab_kernel(problem, ALPHA, BETA, epsilon, reg)
     jac = _residual_jacobian_kernel(problem, ALPHA, epsilon, reg)
     th, ya, yb = theta(x)
@@ -522,31 +513,20 @@ def sequential_inexact_descent(problem, x0: Vector, outer_cfg: OuterConfig,
 
 
 # ---------------------------------------------------------------------------
-# projected subgradient for the dual-gap model
+# spectral projected gradient for the dual-gap model
 # ---------------------------------------------------------------------------
 
 def solve_pge(problem, regularizer: Regularizer, epsilon: float, x0: Vector,
               max_iterations: Optional[int] = None):
-    """Minimize G(x) + eps * phi(x) over Omega, G the dual gap; returns (x, PgeTrace).
+    """Minimize G(x) + eps * phi(x) over Omega, G the dual gap, by `_spg` from
+    P_Omega(x0) in at most max_iterations (None: PGE_MAX_ITERATIONS) steps;
+    returns (x, PgeTrace).
 
-    With eps > 0 and an exact dual-gap oracle this is `_spg`: stopped on a
-    certified radius where phi is smooth and strongly convex and the set has
-    `tangent_project`, and as proximal SPG, stopped at a fixed point of its
-    prox step, where phi is the l1 norm (`Regularizer.is_l1`) and the set has
-    `l1_prox`. Otherwise (eps = 0, no oracle, a hand-built nonsmooth phi) it
-    takes max_iterations (None: PGE_MAX_ITERATIONS) projected subgradient
-    steps x+ = P_Omega(x - t_j g), g = F(ybar(x)) + eps g_phi(x) with ybar the
-    dual-gap inner maximizer, t_j = min((f - f_best + delta_j)/||g_T||^2,
-    cap/||g_T||), delta_j decaying geometrically, cap = 2 (1 + ||x0||) and g_T
-    the tangential part of g, and returns the iterate of least objective.
-
-    eps must be nonnegative and finite, and x0 is validated once. The loops
-    call phi's gradient or subgradient selection and the dual-gap kernel raw
-    and build g from the F(ybar) that the kernel returns (an exact oracle: no
-    F call). A non-finite ||g|| raises EvaluationError, one scalar check in
-    place of a check of F(ybar). The subgradient method raises
-    DualGapUnreliableError when more than PGE_MAX_NONCONVERGED_FRACTION of
-    the inner solves did not converge.
+    phi must be smooth, or `l1_regularizer()` (`Regularizer.is_l1`) on a set with
+    an `l1_prox`, else ValueError; eps must be nonnegative and finite. x0 is
+    validated once; the loop calls phi and the dual-gap kernel raw (the exact
+    oracle, or the multistart ascent warm-started from its last maximizer) and
+    takes F(ybar) from the kernel, so an exact oracle costs no F call.
     """
     if max_iterations is None:
         max_iterations = PGE_MAX_ITERATIONS
@@ -554,51 +534,11 @@ def solve_pge(problem, regularizer: Regularizer, epsilon: float, x0: Vector,
         raise ValueError("max_iterations must be positive")
     if not 0 <= epsilon < math.inf:
         raise ValueError("epsilon must be nonnegative and finite")
-    proj = problem.set.project
-    g_phi = regularizer.gradient if regularizer.smooth else regularizer.subgradient_select
-    phi = regularizer.value
-    G = _dual_gap_kernel(problem)
-    x = proj(as_point(x0, problem.map.dimension))
-    if epsilon > 0 and getattr(problem, "dual_gap_exact", None) is not None and (
-            problem.set.l1_prox if regularizer.is_l1 else
-            regularizer.smooth and regularizer.rho > 0 and problem.set.tangent_project):
-        return _spg(problem, G, regularizer, epsilon, x, max_iterations)
-
-    value, upper, _, Fy, _ = G(x)
-    n_bad = 0 if upper - value <= DUAL_GAP_TOL else 1
-    f = value + epsilon * phi(x)
-    x_best, f_best = x.copy(), f
-
-    scale0 = 1.0 + abs(f)
-    delta = max(PGE_DELTA0_FRACTION * abs(f), 1e-12 * scale0)
-    rho_decay = (PGE_DELTA_FINAL_REL * scale0 / delta) ** (1.0 / max_iterations)
-    cap = 2.0 * (1.0 + _norm(x))
-
-    j = 0
-    for j in range(1, max_iterations + 1):
-        sg = Fy + epsilon * g_phi(x)
-        n_sg = _norm(sg)
-        if not math.isfinite(n_sg):
-            raise _non_finite(problem, "the subgradient F(ybar) + eps g_phi(x)", x)
-        s = PGE_TANGENT_PROBE * (1.0 + _norm(x)) / (1.0 + n_sg)
-        g_tan = (x - proj(x - s * sg)) / s
-        n_tan = _norm(g_tan)
-        if n_tan <= 1e-14:
-            break  # subgradient is normal to Omega at x: stationary
-        t = min((f - f_best + delta) / n_tan ** 2, cap / n_tan)
-        x = proj(x - t * sg)
-        value, upper, _, Fy, _ = G(x)
-        if not upper - value <= DUAL_GAP_TOL:
-            n_bad += 1
-        f = value + epsilon * phi(x)
-        if f < f_best:
-            f_best, x_best = f, x.copy()
-        delta *= rho_decay
-        if j >= 20 and n_bad > PGE_MAX_NONCONVERGED_FRACTION * (j + 1):
-            raise DualGapUnreliableError(
-                f"{n_bad}/{j + 1} dual-gap inner solves failed to converge; "
-                "give the problem an exact oracle (ProblemInstance.dual_gap_exact)")
-    return x_best, PgeTrace(iterations=j, n_nonconverged=n_bad, best_objective=f_best)
+    if not (regularizer.smooth or regularizer.is_l1 and problem.set.l1_prox):
+        raise ValueError("the dual-gap route needs a smooth phi, or l1_regularizer() "
+                         "on a set with an l1_prox")
+    x = problem.set.project(as_point(x0, problem.map.dimension))
+    return _spg(problem, _dual_gap_kernel(problem), regularizer, epsilon, x, max_iterations)
 
 
 def _spg(problem, G, reg: Regularizer, epsilon: float, x: Vector, max_iterations: int):
@@ -608,43 +548,47 @@ def _spg(problem, G, reg: Regularizer, epsilon: float, x: Vector, max_iterations
     against the largest f of the last SPG_MEMORY iterates, halving lambda and
     projecting each trial P(x + lambda d).
 
-    * phi smooth, mu = eps*rho > 0: g = F(ybar) + eps*grad(phi)(x), d = P(x - sigma g) - x,
-      Armijo slope g.d, and the measure is the certified radius
-      `bounds.dualgap_radius`, returned as PgeTrace.radius.
+    * phi smooth: g = F(ybar) + eps*grad(phi)(x), d = P(x - sigma g) - x, Armijo
+      slope g.d.
     * phi = ||.||_1 (`Regularizer.is_l1`): proximal SPG (SpaRSA; Wright, Nowak &
       Figueiredo 2009) with g = F(ybar), d = prox_{sigma eps}(x - sigma g) - x through
-      the set's `l1_prox`, and the composite slope g.d + eps(phi(x + d) - phi(x))
-      (Tseng & Yun 2009). The measure ||prox_eps(x - g) - x|| is 0 exactly at a fixed
-      point and has floor 0; with rho = 0 it bounds no distance, so radius is None.
+      the set's `l1_prox` (the projection at eps = 0), and the composite slope
+      g.d + eps(phi(x + d) - phi(x)) (Tseng & Yun 2009).
 
+    The stationarity measure is the certified radius `bounds.dualgap_radius`,
+    returned as PgeTrace.radius, where G is exact, eps > 0, rho > 0 and the set has
+    `tangent_project`; elsewhere the residual ||prox_eps(x - g) - x|| (l1) or
+    ||P(x - g) - x||, 0 exactly at a fixed point, so its floor is 0 (radius None).
     After a first step it stops at a measure within 2x its floor (not at tau: the
-    radius's floor is a step or two further), after SPG_MEMORY steps without a better
-    measure, or at max_iterations steps; returns the least-measure iterate.
+    radius's floor is a step or two further), after SPG_MEMORY steps without a
+    better measure, or at max_iterations steps; returns the least-measure iterate.
+    A non-finite g raises EvaluationError, and more than
+    PGE_MAX_NONCONVERGED_FRACTION of the G evaluations unconverged raises
+    DualGapUnreliableError at the end.
     """
-    proj, n_bad = problem.set.project, 0
-    prox = problem.set.l1_prox if reg.is_l1 else None
-    phi, g_phi, tangent, mu = reg.value, reg.gradient, problem.set.tangent_project, epsilon * reg.rho
+    proj, tangent, l1 = problem.set.project, problem.set.tangent_project, reg.is_l1
+    step = problem.set.l1_prox if l1 else lambda v, t: proj(v)   # (v, t) -> the new point
+    phi, g_phi, mu = reg.value, reg.gradient, epsilon * reg.rho
+    certified = (mu > 0 and tangent is not None
+                 and getattr(problem, "dual_gap_exact", None) is not None)
+    n_evals = n_bad = 0
 
     def evaluate(x):   # (f, g, (measure, floor)) at x
-        nonlocal n_bad
+        nonlocal n_evals, n_bad
         value, upper, _, Fy, _ = G(x)
-        n_bad += not upper - value <= DUAL_GAP_TOL
-        g = Fy if prox else Fy + epsilon * g_phi(x)
+        n_evals, n_bad = n_evals + 1, n_bad + (not upper - value <= DUAL_GAP_TOL)
+        g = Fy if l1 else Fy + epsilon * g_phi(x)
         if not math.isfinite(g.dot(g)):
             raise _non_finite(problem, "the subgradient F(ybar) + eps g_phi(x)", x)
-        measure = ((_norm(prox(x - g, epsilon) - x), 0.0) if prox else bounds.dualgap_radius(
-            _norm(tangent(x, -g)), upper - value, mu, epsilon, Fy, x))
+        measure = (bounds.dualgap_radius(_norm(tangent(x, -g)), upper - value, mu, epsilon,
+                                         Fy, x) if certified else (_norm(step(x - g, epsilon) - x), 0.0))
         return value + epsilon * phi(x), g, measure
 
     f, g, (rad, _) = evaluate(x)
     best, recent, sigma, steps, stale = (rad, x, f), [f], 1.0, 0, 0
     while steps < max_iterations:
-        if prox:
-            d = prox(x - sigma * g, sigma * epsilon) - x
-            slope = SPG_ARMIJO * (g.dot(d) + epsilon * (phi(x + d) - phi(x)))
-        else:
-            d = proj(x - sigma * g) - x
-            slope = SPG_ARMIJO * g.dot(d)
+        d = step(x - sigma * g, sigma * epsilon) - x
+        slope = SPG_ARMIJO * (g.dot(d) + epsilon * (phi(x + d) - phi(x)) if l1 else g.dot(d))
         f_ref, lam = max(recent), 1.0
         for _ in range(MAX_BACKTRACKS + 1):
             xt = proj(x + lam * d)
@@ -661,9 +605,13 @@ def _spg(problem, G, reg: Regularizer, epsilon: float, x: Vector, max_iterations
         best, stale = ((rad, x, ft), 0) if rad < best[0] else (best, stale + 1)
         if rad <= 2.0 * floor or stale >= SPG_MEMORY:
             break
+    if n_bad > PGE_MAX_NONCONVERGED_FRACTION * n_evals:
+        raise DualGapUnreliableError(
+            f"{n_bad}/{n_evals} dual-gap inner solves failed to converge; "
+            "give the problem an exact oracle (ProblemInstance.dual_gap_exact)")
     rad, x, f = best
     return x, PgeTrace(iterations=steps, n_nonconverged=n_bad, best_objective=f,
-                       radius=None if prox else rad)
+                       radius=rad if certified else None)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,18 @@
 """Seeded sampling probes that check declared constants on sampled points:
 monotonicity and Lipschitz constants of an operator, convexity of a
-regularizer; and the seeded ill-conditioned 10-D box VI that several test
-modules solve. Tests import them as `from probes import ...`."""
+regularizer; the seeded ill-conditioned 10-D box VI that several test
+modules solve; and a projected subgradient reference for the dual-gap route.
+Tests import them as `from probes import ...`."""
+import math
 from typing import Callable
 
 import numpy as np
 
-from vigap.core import FeasibleSet, Regularizer, Vector, grad_or_subgrad, project_rows
+from vigap.core import (FeasibleSet, Regularizer, Vector, as_point, grad_or_subgrad,
+                        project_rows)
+from vigap.gap import DUAL_GAP_TOL, _dual_gap_kernel, _non_finite
+from vigap.solvers import (PGE_MAX_ITERATIONS, PGE_MAX_NONCONVERGED_FRACTION,
+                           DualGapUnreliableError, PgeTrace, _norm)
 
 
 def sample_in_set(feasible: FeasibleSet, n: int, seed: int = 0,
@@ -78,3 +84,62 @@ def ill_conditioned_box_vi(seed: int):
     B = rng.standard_normal((10, 10))
     K = (B - B.T) / np.linalg.norm(B - B.T, 2)
     return S + K, rng.standard_normal(10)
+
+
+# the reference loop's initial Polyak relaxation as a fraction of |f(x0)|, its
+# final value relative to 1 + |f(x0)|, and the relative probe step for the
+# tangential subgradient
+PGE_DELTA0_FRACTION = 0.25
+PGE_DELTA_FINAL_REL = 1e-14
+PGE_TANGENT_PROBE = 1e-7
+
+
+def polyak_pge(problem, regularizer: Regularizer, epsilon: float, x0: Vector,
+               max_iterations: int = PGE_MAX_ITERATIONS):
+    """A reference for `solvers.solve_pge`: max_iterations projected subgradient
+    steps x+ = P_Omega(x - t_j g), g = F(ybar(x)) + eps g_phi(x) with ybar the
+    dual-gap inner maximizer, t_j = min((f - f_best + delta_j)/||g_T||^2,
+    cap/||g_T||), delta_j decaying geometrically, cap = 2 (1 + ||x0||) and g_T
+    the tangential part of g; returns the iterate of least objective and a
+    PgeTrace. It takes any phi with a gradient or a subgradient selection.
+    """
+    proj = problem.set.project
+    g_phi = regularizer.gradient if regularizer.smooth else regularizer.subgradient_select
+    phi = regularizer.value
+    G = _dual_gap_kernel(problem)
+    x = proj(as_point(x0, problem.map.dimension))
+    value, upper, _, Fy, _ = G(x)
+    n_bad = 0 if upper - value <= DUAL_GAP_TOL else 1
+    f = value + epsilon * phi(x)
+    x_best, f_best = x.copy(), f
+
+    scale0 = 1.0 + abs(f)
+    delta = max(PGE_DELTA0_FRACTION * abs(f), 1e-12 * scale0)
+    rho_decay = (PGE_DELTA_FINAL_REL * scale0 / delta) ** (1.0 / max_iterations)
+    cap = 2.0 * (1.0 + _norm(x))
+
+    j = 0
+    for j in range(1, max_iterations + 1):
+        sg = Fy + epsilon * g_phi(x)
+        n_sg = _norm(sg)
+        if not math.isfinite(n_sg):
+            raise _non_finite(problem, "the subgradient F(ybar) + eps g_phi(x)", x)
+        s = PGE_TANGENT_PROBE * (1.0 + _norm(x)) / (1.0 + n_sg)
+        g_tan = (x - proj(x - s * sg)) / s
+        n_tan = _norm(g_tan)
+        if n_tan <= 1e-14:
+            break  # subgradient is normal to Omega at x: stationary
+        t = min((f - f_best + delta) / n_tan ** 2, cap / n_tan)
+        x = proj(x - t * sg)
+        value, upper, _, Fy, _ = G(x)
+        if not upper - value <= DUAL_GAP_TOL:
+            n_bad += 1
+        f = value + epsilon * phi(x)
+        if f < f_best:
+            f_best, x_best = f, x.copy()
+        delta *= rho_decay
+        if j >= 20 and n_bad > PGE_MAX_NONCONVERGED_FRACTION * (j + 1):
+            raise DualGapUnreliableError(
+                f"{n_bad}/{j + 1} dual-gap inner solves failed to converge; "
+                "give the problem an exact oracle (ProblemInstance.dual_gap_exact)")
+    return x_best, PgeTrace(iterations=j, n_nonconverged=n_bad, best_objective=f_best)

@@ -112,7 +112,8 @@ GOLDEN = Path(__file__).parent / "data"
     # affine5d lies on a finite box, so G is the exact box QP of gap.affine_box_dual_gap
     ("run --problem affine5d --model dualgap --reg l2 --eps 0.1 --max-iter 100 --no-timing",
      "golden_affine5d_dualgap_l2.csv"),
-    # the dual-gap ascent on ball rows (from the default x0 it stops after one step)
+    # the dual-gap ascent on a ball: no radius; the projected-gradient residual
+    # reaches 0 at x = 0, in S0, after 3 steps
     ("run --problem sharp_ball2d --model dualgap --reg l2 --eps 0.1 --x0 0.6,-0.7 "
      "--max-iter 100 --no-timing", "golden_sharp_ball2d_dualgap_l2.csv"),
     # the nonsmooth direct route: no certificate, every level stops at the theta floor
@@ -249,11 +250,13 @@ def test_problem_file_set_kinds(kind, tmp_path):
 
 
 def test_every_exact_dual_gap_has_both_spg_hooks(tmp_path):
-    # an exact G sends a dual-gap cell to the spectral projected gradient only
-    # where its set also has tangent_project (l2) and l1_prox (l1); an instance
-    # the CLI builds without one would quietly fall back to the subgradient
-    # loop's full budget
+    # an exact G certifies a dual-gap l2 cell only where its set also has
+    # tangent_project; an instance the CLI builds without one would quietly lose
+    # its radius. Every set the CLI builds (each set kind of a problem file, and
+    # the built-in problems' sets, example5_1's Omega among them) has l1_prox, so
+    # no l1 cell of the CLI meets solve_pge's ValueError
     built = [problems.get_problem(name) for name in problems.BUILTIN_PROBLEMS]
+    assert {kind.split("-")[0] for kind in SET_KINDS} == set(cli.SET_KEYS)
     for kind, (keys, _, _) in SET_KINDS.items():
         path = tmp_path / f"{kind}.ini"
         path.write_text(AFFINE_INI.split("[set]")[0] + f"[set]\n{keys}\n")
@@ -261,7 +264,10 @@ def test_every_exact_dual_gap_has_both_spg_hooks(tmp_path):
     exact = [p for p in built if p.dual_gap_exact is not None]
     assert {p.name for p in exact} >= {"example5_1", "affine_monotone(n=5, seed=0, box)"}
     for p in exact:
-        assert p.set.tangent_project is not None and p.set.l1_prox is not None, p.name
+        assert p.set.tangent_project is not None, p.name
+    assert "example5_1" in {p.name for p in built}
+    for p in built:
+        assert p.set.l1_prox is not None, p.name
 
 
 def test_problem_file_errors(tmp_path):

@@ -284,20 +284,22 @@ def test_l1_prox_closed_forms(ba_problem):
                  (-1.0 - t, -1.0), (-2.0, -1.75)]:
         z = prox(np.array([0.0, w + 0.5, -0.5 - w]), t)
         np.testing.assert_array_equal(z, [0.0, u, -1.0 - u])
-    for feasible in (ball([0.0], 1.0), halfspace([1.0], 0.0), hyperplane([1.0], 0.0)):
-        assert feasible.l1_prox is None
 
 
 @pytest.mark.parametrize("feasible", [
     box([0.5, -2.0, -np.inf], [2.0, np.inf, 1.0]),
     shifted_orthant([0.0, -0.25, 0.25]),
+    hyperplane([1.0, 0.0, -2.0], 0.5),
+    halfspace([1.0, -2.0, 0.5], 0.25),
+    ball([0.5, -0.5, 0.0], 1.5),
     "example5_1",
-], ids=["box", "shifted_orthant", "example5_1"])
+], ids=["box", "shifted_orthant", "hyperplane", "halfspace", "ball", "example5_1"])
 def test_l1_prox_is_the_constrained_minimizer(feasible, ba_problem):
     # z = prox(v, t) lies in the set; h = ||. - v||^2/2 + t||.||_1 is 1-strongly
     # convex, so h(y) >= h(z) + ||y - z||^2/2 at seeded y in the set, near z and
     # far (brute force); and v - z in t d||z||_1 + N(z), tested through its
-    # equivalent <v - z, y - z> <= t(||y||_1 - ||z||_1)
+    # equivalent <v - z, y - z> <= t(||y||_1 - ||z||_1). At t = 0 the prox is
+    # the projection
     if feasible == "example5_1":
         feasible = ba_problem.set
     rng = np.random.default_rng(47)
@@ -312,6 +314,28 @@ def test_l1_prox_is_the_constrained_minimizer(feasible, ba_problem):
         tol = 1e-14 * (1.0 + v @ v)
         assert (h_z + 0.5 * ((Y - z) ** 2).sum(1) - h_Y).max() <= tol
         assert ((Y - z) @ (v - z) - t * (l1_Y - l1_z)).max() <= tol
+        np.testing.assert_allclose(feasible.l1_prox(v, 0.0), feasible.project(v), rtol=0,
+                                   atol=1e-14 * (1.0 + np.abs(v).max()))
+
+
+def test_l1_prox_on_the_halfspace_and_the_ball_takes_both_branches():
+    # the soft threshold itself where it is feasible, else a point on the
+    # boundary: the hyperplane <a, z> = b, or the sphere ||z - c|| = r
+    rng = np.random.default_rng(53)
+    V, T = 3.0 * rng.standard_normal((300, 3)), rng.uniform(0.0, 2.0, 300)
+    a, b, c, r = np.array([1.0, -2.0, 0.5]), 0.25, np.array([0.5, -0.5, 0.0]), 1.5
+    for feasible, boundary in [(halfspace(a, b), lambda z: abs(a @ z - b)),
+                               (ball(c, r), lambda z: abs(np.linalg.norm(z - c) - r))]:
+        free = 0
+        for v, t in zip(V, T):
+            soft = np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+            z = feasible.l1_prox(v, t)
+            if feasible.contains(soft, 0.0):
+                free += 1
+                np.testing.assert_array_equal(z, soft)
+            else:
+                assert boundary(z) <= 1e-14 * (1.0 + np.abs(z).max())
+        assert 30 <= free <= 270
 
 
 def test_map_and_regularizer_jacobian_hooks(ba_problem, l2):
