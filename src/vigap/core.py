@@ -30,7 +30,6 @@ __all__ = [
     "Regularizer",
     "as_point",
     "project_rows",
-    "grad_or_subgrad",
     "box",
     "shifted_orthant",
     "hyperplane",
@@ -363,44 +362,33 @@ def ball(center, radius: float) -> FeasibleSet:
 # ---------------------------------------------------------------------------
 
 class Regularizer:
-    """Convex regularizer phi with value and gradient/subgradient selection.
+    """Convex regularizer phi: a value and a gradient, or ||x||_1.
 
-    phi is smooth exactly when it has a `gradient`; rho is the
-    strong-convexity modulus (0 if merely convex), lipschitz_M the gradient
-    Lipschitz constant for smooth phi (None otherwise). For nonsmooth phi,
-    `subgradient_select` must be a deterministic selection. Both return
-    float arrays: `regularized_operator` uses them unwrapped. `hessian`,
-    optional for smooth phi, maps x to the (n, n) Hessian of phi, used by
-    the semismooth Newton step. `is_l1` is True only where phi is exactly
-    ||x||_1 (as `l1_regularizer` builds it), so the dual-gap route may take
-    prox steps through the set's `l1_prox`.
+    phi is smooth exactly when it has a `gradient`, a float array that
+    `regularized_operator` uses unwrapped; rho is the strong-convexity modulus
+    (0 if merely convex), lipschitz_M the gradient Lipschitz constant (None
+    without a gradient). `hessian`, optional, maps x to the (n, n) Hessian of
+    phi, for the semismooth Newton step. `is_l1` is True only where phi is
+    exactly ||x||_1 (`l1_regularizer`), which both routes take through the
+    set's `l1_prox`; without it phi needs a gradient.
     """
 
-    __slots__ = ("value", "gradient", "subgradient_select", "hessian", "rho", "lipschitz_M",
-                 "is_l1")
+    __slots__ = ("value", "gradient", "hessian", "rho", "lipschitz_M", "is_l1")
 
     def __init__(self, value: Callable[[Vector], float],
                  gradient: Optional[Callable[[Vector], Vector]] = None,
-                 subgradient_select: Optional[Callable[[Vector], Vector]] = None,
                  hessian: Optional[Callable[[Vector], np.ndarray]] = None,
                  rho: float = 0.0, lipschitz_M: Optional[float] = None, is_l1: bool = False):
-        if gradient is None and subgradient_select is None:
-            raise ValueError("regularizer needs a gradient or a subgradient selection")
+        if gradient is None and not is_l1:
+            raise ValueError("regularizer needs a gradient, or is_l1")
         if rho < 0:
             raise ValueError("rho must be nonnegative")
-        self.value, self.gradient, self.subgradient_select = value, gradient, subgradient_select
-        self.hessian, self.rho, self.lipschitz_M = hessian, rho, lipschitz_M
-        self.is_l1 = is_l1
+        self.value, self.gradient, self.hessian = value, gradient, hessian
+        self.rho, self.lipschitz_M, self.is_l1 = rho, lipschitz_M, is_l1
 
     @property
     def smooth(self) -> bool:
         return self.gradient is not None
-
-
-def grad_or_subgrad(reg: Regularizer, x: Vector) -> Vector:
-    """Gradient of phi at x, or the selected subgradient for nonsmooth phi."""
-    g = reg.gradient(x) if reg.smooth else reg.subgradient_select(x)
-    return np.asarray(g, dtype=float)
 
 
 def tikhonov() -> Regularizer:
@@ -415,14 +403,8 @@ def tikhonov() -> Regularizer:
 
 
 def l1_regularizer() -> Regularizer:
-    """phi(x) = ||x||_1 with the sign selection (0 at zero coordinates)."""
-    return Regularizer(
-        value=lambda x: float(np.abs(x).sum()),
-        subgradient_select=lambda x: np.sign(x),
-        rho=0.0,
-        lipschitz_M=None,
-        is_l1=True,
-    )
+    """phi(x) = ||x||_1, taken through the set's `l1_prox` on both routes."""
+    return Regularizer(value=lambda x: float(np.abs(x).sum()), is_l1=True)
 
 
 # ---------------------------------------------------------------------------
@@ -431,21 +413,19 @@ def l1_regularizer() -> Regularizer:
 
 def regularized_operator(fmap: MonotoneMap, reg: Optional[Regularizer],
                          epsilon: float) -> Callable[[Vector], Vector]:
-    """T = F + eps * g as a raw callable, g the gradient or selected subgradient of phi.
+    """T = F + eps * grad(phi) as a raw callable; T = F for eps = 0 and for the
+    l1 norm, whose term the gap kernels take through the set's `l1_prox`.
 
     eps is checked once here, for every D-gap kernel and entry point: it must be
-    nonnegative and finite. The returned callable validates nothing: it
-    calls `fmap.evaluate` and g directly, so its caller checks the point
-    beforehand and the result afterwards. For eps = 0 (or no regularizer)
-    T is F.
+    nonnegative and finite. The returned callable validates nothing, so its
+    caller checks the point beforehand and the result afterwards.
     """
     if not 0 <= epsilon < math.inf:
         raise ValueError("epsilon must be nonnegative and finite")
     F = fmap.evaluate
-    if epsilon == 0.0 or reg is None:
-        if epsilon != 0.0:
+    if epsilon == 0.0 or reg is None or not reg.smooth:
+        if reg is None and epsilon != 0.0:
             raise ValueError("epsilon > 0 requires a regularizer")
         return lambda x: np.asarray(F(x), dtype=float)
-    g = reg.gradient if reg.smooth else reg.subgradient_select
+    g = reg.gradient
     return lambda x: np.asarray(F(x), dtype=float) + epsilon * g(x)
-

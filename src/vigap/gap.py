@@ -1,7 +1,7 @@
 """Gap functions for VI(F, Omega) and its regularizations.
 
-The regularized gap theta_alpha and the D-gap theta_ab are evaluated through
-their closed projection forms. The dual gap G(x) = sup_{y in Omega}
+theta_alpha and the D-gap theta_ab take their maximizers in closed form (a
+projection, or the set's l1 prox for the l1 norm). The dual gap G(x) = sup_{y in Omega}
 <F(y), x - y> is exact where the problem carries a `dual_gap_exact` oracle:
 the closed form of example5_1, and the certified concave box QP of
 `affine_box_dual_gap` for affine monotone F on a finite box (the built-in
@@ -79,10 +79,25 @@ def _non_finite(problem, what: str, x: Vector) -> EvaluationError:
     return EvaluationError(f"{what} is non-finite at {x} (operator {name})")
 
 
+def _maximizer(problem, epsilon: float, reg: Optional[Regularizer]):
+    """(T, step, psi): theta_gamma(x) = <T(x), x - y> + eps (psi(x) - psi(y))
+    - (gamma/2)||x - y||^2 at its maximizer y = step(x - T(x)/gamma, eps/gamma).
+    For `l1_regularizer()` at eps > 0, the mixed VI's gap (Solodov 2003): T = F,
+    psi = ||.||_1, step the set's `l1_prox`. Else T = F + eps grad(phi), no psi,
+    and step projects."""
+    T = regularized_operator(problem.map, reg, epsilon)
+    if epsilon > 0.0 and reg.is_l1:
+        if problem.set.l1_prox is None:
+            raise ValueError("the l1 regularizer needs a set with an l1_prox")
+        return T, problem.set.l1_prox, reg.value
+    proj = problem.set.project
+    return T, lambda v, t: proj(v), None
+
+
 def theta_alpha(problem, x: Vector, alpha: float, epsilon: float = 0.0,
                 reg: Optional[Regularizer] = None) -> GapEvaluation:
-    """Regularized gap value <T(x), x-y> - (alpha/2)||y-x||^2 at its unique
-    maximizer y = y_alpha(x) = P_Omega(x - T(x)/alpha), returned as `maximizer`.
+    """Regularized gap value theta_alpha(x) (see `_maximizer`; for the l1 norm the
+    mixed VI's) at its unique maximizer y = y_alpha(x), returned as `maximizer`.
 
     A non-finite entry of T(x) makes the value non-finite, which raises
     EvaluationError.
@@ -90,10 +105,13 @@ def theta_alpha(problem, x: Vector, alpha: float, epsilon: float = 0.0,
     if not alpha > 0:
         raise ValueError("alpha must be positive")
     x = as_point(x, problem.map.dimension)
-    Tx = regularized_operator(problem.map, reg, epsilon)(x)
-    y = problem.set.project(x - Tx / alpha)
+    T, step, psi = _maximizer(problem, epsilon, reg)
+    Tx = T(x)
+    y = step(x - Tx / alpha, epsilon / alpha)
     r = x - y
     val = float(Tx @ r) - 0.5 * alpha * float(r @ r)
+    if psi is not None:
+        val += epsilon * (psi(x) - psi(y))
     if not math.isfinite(val):
         raise _non_finite(problem, "theta_alpha", x)
     return GapEvaluation(value=val, maximizer=y)
@@ -102,24 +120,25 @@ def theta_alpha(problem, x: Vector, alpha: float, epsilon: float = 0.0,
 def _theta_ab_kernel(problem, alpha: float, beta: float, epsilon: float,
                      reg: Optional[Regularizer]):
     """Closure x -> (theta_ab(x), y_alpha(x), y_beta(x)) at fixed (alpha, beta,
-    eps, phi): the D-gap as the descent loop evaluates it.
+    eps, phi): the D-gap as the descent loop evaluates it; psi(x) cancels.
 
     x is not validated, and T is F's raw `evaluate`. One scalar check
     replaces a check of T(x): a non-finite entry of T(x) makes theta
     non-finite (its term in Tx @ ra is inf * r, inf * 0 or NaN), and a
     non-finite theta raises EvaluationError.
     """
-    T = regularized_operator(problem.map, reg, epsilon)
-    proj = problem.set.project
+    T, step, psi = _maximizer(problem, epsilon, reg)
 
     def theta(x: Vector):
         Tx = T(x)
-        ya = proj(x - Tx / alpha)
-        yb = proj(x - Tx / beta)
+        ya = step(x - Tx / alpha, epsilon / alpha)
+        yb = step(x - Tx / beta, epsilon / beta)
         ra = x - ya
         rb = x - yb
         val = (float(Tx @ ra) - 0.5 * alpha * float(ra @ ra)
                - float(Tx @ rb) + 0.5 * beta * float(rb @ rb))
+        if psi is not None:
+            val += epsilon * (psi(yb) - psi(ya))
         if not math.isfinite(val):
             raise _non_finite(problem, "theta_ab", x)
         return val, ya, yb

@@ -24,8 +24,8 @@ from .core import (
     ball,
     box,
     project_rows,
+    regularized_operator,
 )
-from .core import grad_or_subgrad
 from .gap import affine_box_dual_gap
 
 __all__ = [
@@ -331,7 +331,9 @@ def _grid_points(problem, grid_resolution):
 def brute_force_gap(problem, x: Vector, alpha: float, epsilon: float = 0.0,
                     grid_resolution: Optional[float] = None,
                     reg: Optional[Regularizer] = None) -> float:
-    """Grid maximization of <T(x), x-y> - (alpha/2)||y-x||^2 over an Omega grid.
+    """Grid maximization of <T(x), x-y> - (alpha/2)||y-x||^2 over an Omega grid,
+    T = F + eps grad(phi); for the l1 norm, of the mixed VI's
+    <F(x), x-y> + eps(phi(x) - phi(y)) - (alpha/2)||y-x||^2.
 
     Independent oracle for the explicit regularized-gap formula; agrees with
     it to within O(grid_resolution). Dimensions 1 and 2 only.
@@ -340,13 +342,11 @@ def brute_force_gap(problem, x: Vector, alpha: float, epsilon: float = 0.0,
         raise ValueError("alpha must be positive")
     x = as_point(x, problem.dimension)
     Y = _grid_points(problem, grid_resolution)
-    Tx = problem.map(x)
-    if epsilon > 0.0:
-        if reg is None:
-            raise ValueError("epsilon > 0 requires a regularizer")
-        Tx = Tx + epsilon * grad_or_subgrad(reg, x)
+    Tx = regularized_operator(problem.map, reg, epsilon)(x)
     diffs = x - Y
     vals = diffs @ Tx - 0.5 * alpha * np.einsum("ij,ij->i", diffs, diffs)
+    if epsilon > 0.0 and reg.is_l1:
+        vals += epsilon * (np.abs(x).sum() - np.abs(Y).sum(axis=1))
     return float(vals.max())
 
 

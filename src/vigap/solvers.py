@@ -534,7 +534,7 @@ def solve_pge(problem, regularizer: Regularizer, epsilon: float, x0: Vector,
         raise ValueError("max_iterations must be positive")
     if not 0 <= epsilon < math.inf:
         raise ValueError("epsilon must be nonnegative and finite")
-    if not (regularizer.smooth or regularizer.is_l1 and problem.set.l1_prox):
+    if not (regularizer.smooth or problem.set.l1_prox):
         raise ValueError("the dual-gap route needs a smooth phi, or l1_regularizer() "
                          "on a set with an l1_prox")
     x = problem.set.project(as_point(x0, problem.map.dimension))
@@ -593,11 +593,12 @@ def _spg(problem, G, reg: Regularizer, epsilon: float, x: Vector, max_iterations
         for _ in range(MAX_BACKTRACKS + 1):
             xt = proj(x + lam * d)
             ft, gt, (rad, floor) = evaluate(xt)
-            if ft <= f_ref + lam * slope:
+            # accepted, or the next trial (lam / 2) would move x by rounding only
+            if (found := ft <= f_ref + lam * slope) or lam * _norm(d) <= 2.0 ** -51 * _norm(x):
                 break
             lam *= 0.5
-        else:
-            break
+        if not found:
+            break   # the search is exhausted
         s, y = xt - x, gt - g
         sy = s.dot(y)
         sigma = min(max(s.dot(s) / sy, SPG_SIGMA_MIN), SPG_SIGMA_MAX) if sy > 0 else SPG_SIGMA_MAX

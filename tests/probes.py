@@ -8,8 +8,7 @@ from typing import Callable
 
 import numpy as np
 
-from vigap.core import (FeasibleSet, Regularizer, Vector, as_point, grad_or_subgrad,
-                        project_rows)
+from vigap.core import FeasibleSet, Regularizer, Vector, as_point, project_rows
 from vigap.gap import DUAL_GAP_TOL, _dual_gap_kernel, _non_finite
 from vigap.solvers import (PGE_MAX_ITERATIONS, PGE_MAX_NONCONVERGED_FRACTION,
                            DualGapUnreliableError, PgeTrace, _norm)
@@ -69,7 +68,7 @@ def probe_convexity(reg: Regularizer, dimension: int, n_pairs: int = 200, seed: 
     for x, y in zip(X, Y):
         mid = 0.5 * reg.value(x) + 0.5 * reg.value(y) - reg.value(0.5 * (x + y))
         worst_mid = min(worst_mid, float(mid))
-        g = grad_or_subgrad(reg, x)
+        g = reg.gradient(x) if reg.smooth else np.sign(x)   # a subgradient of ||.||_1
         sub = reg.value(y) - reg.value(x) - float(g @ (y - x))
         worst_sub = min(worst_sub, float(sub))
     return worst_mid, worst_sub
@@ -101,10 +100,10 @@ def polyak_pge(problem, regularizer: Regularizer, epsilon: float, x0: Vector,
     dual-gap inner maximizer, t_j = min((f - f_best + delta_j)/||g_T||^2,
     cap/||g_T||), delta_j decaying geometrically, cap = 2 (1 + ||x0||) and g_T
     the tangential part of g; returns the iterate of least objective and a
-    PgeTrace. It takes any phi with a gradient or a subgradient selection.
+    PgeTrace. It takes a smooth phi or the l1 norm, whose subgradient is sign(x).
     """
     proj = problem.set.project
-    g_phi = regularizer.gradient if regularizer.smooth else regularizer.subgradient_select
+    g_phi = regularizer.gradient if regularizer.smooth else np.sign   # l1: the sign subgradient
     phi = regularizer.value
     G = _dual_gap_kernel(problem)
     x = proj(as_point(x0, problem.map.dimension))

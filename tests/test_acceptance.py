@@ -325,6 +325,13 @@ def test_table_matches_committed_golden(table_rows):
     assert_matches_golden(rows_to_csv(table_rows), golden)
 
 
+def test_table_direct_l1_rows_land_on_x_star(table_rows):
+    # the l1 levels descend the mixed VI's D-gap, which is 0 only at x* on S0,
+    # so every direct-l1 row lies exactly there, as the dual-gap l1 rows do
+    rows = [r for r in table_rows if r.model == "direct" and r.regularizer == "l1"]
+    assert len(rows) == 5 and all(r.dist_to_S0 == 0.0 for r in rows)
+
+
 def test_cli_cold_direct_run_small_eps(capsys):
     # a single-level direct solve at the smallest parameter, cold from the
     # default start: the D-gap threshold lies below the theta floor, so the

@@ -386,9 +386,12 @@ def test_ba_operator_value(ba_problem):
     np.testing.assert_allclose(F(XSTAR), [0.0, -0.5, -0.5], atol=1e-15)
 
 
-def test_evaluate_T_reduces_to_F_at_eps_zero(ba_problem, l2):
+def test_evaluate_T_reduces_to_F_at_eps_zero(ba_problem, l1, l2):
     T = regularized_operator(ba_problem.map, l2, 0.0)
     np.testing.assert_allclose(T(XSTAR), ba_problem.map(XSTAR))
+    # the l1 term is the prox's at every eps, so T is F
+    T = regularized_operator(ba_problem.map, l1, 0.5)
+    np.testing.assert_array_equal(T(XSTAR), ba_problem.map(XSTAR))
 
 
 def test_evaluate_T_quadratic_reg(ba_problem, l2):
@@ -468,10 +471,10 @@ def test_regularizer_probes():
         assert sub >= -1e-12
 
 
-def test_l1_subgradient_selection():
+def test_l1_regularizer_is_the_l1_norm_without_a_gradient():
     reg = l1_regularizer()
-    np.testing.assert_allclose(reg.subgradient_select(np.array([2.0, 0.0, -3.0])),
-                               [1.0, 0.0, -1.0])
+    assert reg.value(np.array([2.0, 0.0, -3.0])) == 5.0
+    assert reg.is_l1 and not reg.smooth and reg.hessian is None and reg.rho == 0.0
 
 
 @settings(max_examples=100, deadline=None)
@@ -482,7 +485,7 @@ def test_l1_subgradient_inequality_hypothesis(xs, ys):
     x = np.asarray(xs[:n])
     y = np.asarray(ys[:n])
     reg = l1_regularizer()
-    g = reg.subgradient_select(x)
+    g = np.sign(x)   # a subgradient of ||.||_1 at x
     assert reg.value(y) >= reg.value(x) + g @ (y - x) - 1e-9
 
 
@@ -496,11 +499,11 @@ def test_tikhonov_strong_convexity_sampled():
 
 
 def test_regularizer_rejects_missing_derivative_and_negative_rho():
-    with pytest.raises(ValueError, match="gradient or a subgradient"):
+    with pytest.raises(ValueError, match="needs a gradient, or is_l1"):
         Regularizer(value=lambda x: 0.0)
     with pytest.raises(ValueError, match="rho must be nonnegative"):
         Regularizer(value=lambda x: 0.0, gradient=lambda x: x, rho=-1e-3)
-    reg = Regularizer(value=lambda x: 0.0, subgradient_select=np.sign)
+    reg = Regularizer(value=lambda x: 0.0, is_l1=True)
     assert not reg.smooth and reg.rho == 0.0 and reg.lipschitz_M is None
 
 

@@ -127,6 +127,16 @@ def test_theta_alpha_zero_at_l1_regularized_solution(ba_problem, l1):
         assert abs(ev.value) <= 1e-9
 
 
+def test_l1_d_gap_is_zero_at_x_star_and_continuous_there(ba_problem, l1):
+    # the mixed VI's D-gap: 0 at x*, and (beta - alpha)/2 t^2 at x* + t e1 for
+    # |t| <= eps, where the sign selection's D-gap jumped to about eps^2/4
+    for eps in (0.5, 0.1, 0.01, 1e-4):
+        assert theta_ab(ba_problem, XSTAR, 1.0, 2.0, eps, l1).value == 0.0
+        for t in (1e-9, -1e-9, 1e-6):
+            x = XSTAR + np.array([t, 0.0, 0.0])
+            assert theta_ab(ba_problem, x, 1.0, 2.0, eps, l1).value <= t * t
+
+
 def test_theta_zero_map_on_members():
     p = zero_map_problem()
     x = p.set.project(np.array([0.3, -0.7, 0.2]))
@@ -142,11 +152,16 @@ def test_theta_ab_zero_iff_solution(ba_problem, l2):
     assert theta_ab(ba_problem, off, 1.0, 2.0, eps, l2).value > 1e-4
 
 
-def test_theta_ab_nonnegative_everywhere(ba_problem):
+def test_theta_ab_nonnegative_everywhere(ba_problem, l1):
     rng = np.random.default_rng(21)
     for _ in range(500):
         x = rng.uniform(-3, 3, size=3)  # both on and off the feasible set
         assert theta_ab(ba_problem, x, 1.0, 2.0).value >= -1e-12
+    # and the l1 levels' D-gap, through the set's l1 prox
+    for k in range(500):
+        x = rng.uniform(-3, 3, size=3)
+        eps = (0.5, 0.1, 0.01, 1e-4)[k % 4]
+        assert theta_ab(ba_problem, x, 1.0, 2.0, eps, l1).value >= -1e-12
 
 
 def test_theta_ab_positive_off_set(ba_problem):

@@ -260,11 +260,16 @@ def test_solve_inner_without_certificate_at_x_star_reads_floor(ba_problem, l1):
     assert tr.certificate is None and tr.radius is None
 
 
+# a start on S0 with x1 > eps: along x1 the l1 level minimizes eps |x1|, whose
+# D-gap is the plateau eps^2/4 for x1 > eps, so no Armijo step shows a decrease
+PLATEAU_START, PLATEAU_EPS = np.array([0.9, -0.75, -0.25]), 0.1
+
+
 def test_solve_inner_armijo_exhaustion_without_certificate_stagnates(ba_problem, l1):
-    x, tr = solve_inner(ba_problem, np.array([0.3, -0.75, -0.25]), 0.5, 1e-6,
-                        InnerConfig(), l1)
+    x, tr = solve_inner(ba_problem, PLATEAU_START, PLATEAU_EPS, 1e-6, InnerConfig(), l1)
     assert tr.status == "stagnated"
-    assert tr.theta_final > 10.0 * THETA_FLOOR
+    assert tr.theta_final == pytest.approx(PLATEAU_EPS ** 2 / 4.0, rel=1e-12)
+    assert tr.records[-1].m > 0 and x[0] > PLATEAU_EPS
     assert tr.certificate is None and tr.radius is None
 
 
@@ -483,20 +488,38 @@ def test_solve_inner_status_and_certificate_invariant(ba_problem, l1, l2):
     seen = set()
     levels = [(l1, 0.5, 1e-6), (l1, 0.1, 1e-6),
               (l2, 0.5, 1e-6), (l2, 0.01, 1e-8), (l2, 1e-4, 1e-6)]
-    for reg, eps, tau in levels:
-        for _ in range(4):
-            x, tr = solve_inner(ba_problem, rng.uniform(-2.0, 2.0, 3), eps, tau,
-                                InnerConfig(), reg)
-            seen.add((tr.status, tr.certificate))
-            assert tr.status in ("certified", "floor", "stagnated")
-            certified = tr.status == "certified"
-            assert certified == (tr.certificate in ("dgap", "residual"))
-            assert certified == (tr.radius is not None)
-            if certified:
-                assert tr.radius <= tau
-                assert np.linalg.norm(x - x_eps_l2(eps)) <= tr.radius
+    starts = [(reg, eps, tau, rng.uniform(-2.0, 2.0, 3))
+              for reg, eps, tau in levels for _ in range(4)]
+    for reg, eps, tau, x0 in starts + [(l1, PLATEAU_EPS, 1e-6, PLATEAU_START)]:
+        x, tr = solve_inner(ba_problem, x0, eps, tau, InnerConfig(), reg)
+        seen.add((tr.status, tr.certificate))
+        assert tr.status in ("certified", "floor", "stagnated")
+        certified = tr.status == "certified"
+        assert certified == (tr.certificate in ("dgap", "residual"))
+        assert certified == (tr.radius is not None)
+        if certified:
+            assert tr.radius <= tau
+            assert np.linalg.norm(x - x_eps_l2(eps)) <= tr.radius
     assert {("certified", "dgap"), ("certified", "residual"), ("floor", None),
             ("stagnated", None)} <= seen
+
+
+def test_solve_inner_l1_floor_exits_lie_at_x_star(ba_problem, l1):
+    # seeded starts in [-2, 2]^3 over the l1 levels: the mixed VI's D-gap is
+    # continuous and 0 only at x*, so a floor exit lies at x*, and most starts
+    # get there (29 of 40; a sign-selection D-gap reaches its floor from 3)
+    rng = np.random.default_rng(11)
+    floors = 0
+    for k in range(40):
+        x0, eps = rng.uniform(-2.0, 2.0, 3), (0.5, 0.1, 0.01, 1e-4)[k % 4]
+        try:
+            x, tr = solve_inner(ba_problem, x0, eps, 1e-6, InnerConfig(max_iterations=3000), l1)
+        except MaxIterationsError:
+            continue
+        if tr.status == "floor":
+            floors += 1
+            assert np.linalg.norm(x - XSTAR) <= 1e-6
+    assert floors >= 25
 
 
 def test_solve_inner_max_iterations(ba_problem, l2):
@@ -903,14 +926,17 @@ def test_pge_without_a_certificate_stops_on_the_residual(ba_problem, l1, l2):
 
 
 def test_pge_rejects_a_phi_it_has_no_step_for(ba_problem, l1):
-    # a hand-built nonsmooth phi, even one equal to ||.||_1, and l1 on a set
-    # without an l1 prox have neither a gradient nor a prox step
-    hand_l1 = Regularizer(value=l1.value, subgradient_select=l1.subgradient_select)
+    # a hand-built nonsmooth phi, even one equal to ||.||_1, is refused, and l1
+    # on a set without an l1 prox has neither a gradient nor a prox step
+    with pytest.raises(ValueError, match="needs a gradient, or is_l1"):
+        Regularizer(value=l1.value)
     no_prox = replace(ba_problem, set=replace(ba_problem.set, l1_prox=None))
-    for p, reg in [(ba_problem, hand_l1), (no_prox, l1)]:
-        for eps in (0.0, 0.5):
-            with pytest.raises(ValueError, match="smooth phi, or l1_regularizer"):
-                solve_pge(p, reg, eps, X0)
+    for eps in (0.0, 0.5):
+        with pytest.raises(ValueError, match="smooth phi, or l1_regularizer"):
+            solve_pge(no_prox, l1, eps, X0)
+    # the direct route's l1 levels take their maximizers through the same prox
+    with pytest.raises(ValueError, match="needs a set with an l1_prox"):
+        solve_inner(no_prox, X0, 0.5, 1e-6, InnerConfig(), l1)
 
 
 # a monotone, not symmetric 3-D affine F on each set kind of a problem file that
@@ -938,6 +964,27 @@ def test_pge_on_the_ascent_sets_is_no_worse_than_the_subgradient_loop(kind, tmp_
         _, ref = polyak_pge(p, reg, 0.1, X0)
         assert tr.iterations <= 100 and tr.radius is None and tr.n_nonconverged == 0
         assert tr.best_objective <= ref.best_objective + 1e-12 * (1.0 + abs(tr.best_objective))
+
+
+def test_pge_armijo_search_ends_at_a_rounding_move(tmp_path, l2, monkeypatch):
+    # near x_eps on a hyperplane, with G from the ascent, no trial of a search
+    # shows the Armijo decrease; ending it once lam ||d|| <= 2^-52 ||x|| leaves
+    # 136 G evaluations, where searches of 61 trials each would take 429
+    path = tmp_path / "plane.ini"
+    path.write_text("[operator]\nkind = affine\nmatrix = 2 1; -1 3\noffset = -1 0\n"
+                    "[set]\nkind = hyperplane\nnormal = 1 -1\noffset = 0\n")
+    p = load_problem_file(str(path))
+    trials = []
+    kernel = solvers._dual_gap_kernel
+
+    def counted(problem):
+        G = kernel(problem)
+        return lambda x: trials.append(x) or G(x)
+
+    monkeypatch.setattr(solvers, "_dual_gap_kernel", counted)
+    x, tr = solve_pge(p, l2, 0.01, p.default_x0)
+    assert len(trials) <= 150 and tr.n_nonconverged == 0
+    assert dual_gap(p, x).value == pytest.approx(3.149407858976281e-06, rel=1e-9)
 
 
 def test_pge_at_eps_zero_is_no_worse_than_the_subgradient_loop(ba_problem, l1, l2):
