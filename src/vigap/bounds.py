@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .core import Vector, as_point
-from .gap import dual_gap
+from .gap import DUAL_GAP_TOL, _dual_gap_kernel, dual_gap
 
 __all__ = [
     "EXACT",
@@ -149,8 +149,8 @@ def dualgap_radius(a: float, delta: float, mu: float, epsilon: float, Fy: Vector
     """
     if not (mu > 0 and a >= 0 and delta >= 0):
         raise ValueError("need mu > 0 and a, delta nonnegative")
-    ux = math.ulp(float(np.abs(x).max()))
-    rounding = 4.0 * len(x) * (math.ulp(float(np.abs(Fy).max())) + epsilon * ux) / mu + 4.0 * ux
+    ux = math.ulp(max(map(abs, x.tolist())))
+    rounding = 4.0 * len(x) * (math.ulp(max(map(abs, Fy.tolist()))) + epsilon * ux) / mu + 4.0 * ux
     return ((a + math.sqrt(a * a + 4.0 * mu * delta)) / (2.0 * mu) + rounding,
             math.sqrt(delta / mu) + rounding)
 
@@ -194,21 +194,24 @@ def order1_inequality(alpha_sharp: float, epsilon: float, dist_S0: float,
 
 
 def exactness_check(problem, x: Vector, tol: float = 1e-6) -> str:
-    """Classify x through the dual gap: exact / not_exact / inconclusive.
-
-    exact: G(x) <= tol and x in Omega. not_exact: G(x) > 10*tol with a
-    converged inner solve. Everything else (including inner-solver doubt)
-    is inconclusive. tol should exceed the dual-gap inner tolerance by at
-    least 10x to mean anything.
+    """Classify x through the dual gap: exact / not_exact / inconclusive, by
+    `_verdict` on one evaluation of G at x. tol must be positive and finite,
+    and should exceed DUAL_GAP_TOL by at least 10x to mean anything.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     x = as_point(x, problem.map.dimension)
-    ev = dual_gap(problem, x)
-    in_omega = problem.set.contains(x, 1e-8)
-    if ev.value <= tol and in_omega:
+    value, upper, *_ = _dual_gap_kernel(problem)(x)
+    return _verdict(problem, x, value, upper, tol)
+
+
+def _verdict(problem, x: Vector, value: float, upper: float, tol: float = 1e-6) -> str:
+    """The exactness verdict of x from a bracket value <= G(x) <= upper: exact when
+    G(x) <= tol and x lies in Omega to 1e-8, not_exact when G(x) > 10*tol and the
+    bracket is at most DUAL_GAP_TOL wide (a converged G), else inconclusive."""
+    if value <= tol and problem.set.contains(x, 1e-8):
         return EXACT
-    if ev.value > 10.0 * tol and ev.converged:
+    if value > 10.0 * tol and upper - value <= DUAL_GAP_TOL:
         return NOT_EXACT
     return INCONCLUSIVE
 

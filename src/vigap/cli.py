@@ -27,7 +27,7 @@ from .core import (
     shifted_orthant,
     tikhonov,
 )
-from .gap import dual_gap
+from .gap import _dual_gap_kernel
 from .problems import BUILTIN_PROBLEMS, ProblemInstance, affine_problem, get_problem
 from .solvers import (
     DualGapUnreliableError,
@@ -275,10 +275,16 @@ def _start_point(config, problem) -> np.ndarray:
     return x0
 
 
-def _gap_cell(value: float) -> float:
-    """The final_gap cell: theta_ab and G are >= 0 in exact arithmetic, so a
-    negative value is rounding and prints as 0.0."""
-    return 0.0 if value <= 0.0 else value
+def _row(cells, problem, e, iterations, wall_time_s, dist_ref, dist_S0, gap, x, bracket=None):
+    """A solved cell's row. final_gap is gap (theta_ab or G, >= 0 in exact arithmetic,
+    so a negative value is rounding and prints as 0.0); the verdict is `bounds._verdict`
+    on the G bracket (value, upper) at x in Omega: the solve's own, else one evaluation
+    of G at P_Omega(x)."""
+    if bracket is None:
+        x = problem.set.project(x)
+        bracket = _dual_gap_kernel(problem)(x)[:2]
+    return ResultRow(*cells, e, iterations, wall_time_s, dist_ref, dist_S0,
+                     0.0 if gap <= 0.0 else gap, bounds._verdict(problem, x, *bracket))
 
 
 def _run_direct(config, problem, reg, x0) -> list:
@@ -303,9 +309,8 @@ def _run_direct(config, problem, reg, x0) -> list:
                 pass
             else:
                 dist_ref = float(np.linalg.norm(rec.x - ref))
-        verdict = bounds.exactness_check(problem, problem.set.project(rec.x))
-        rows.append(ResultRow(*cells, rec.epsilon, rec.iterations, rec.wall_time_s, dist_ref,
-                              rec.dist_S0, _gap_cell(rec.theta_final), verdict))
+        rows.append(_row(cells, problem, rec.epsilon, rec.iterations, rec.wall_time_s,
+                         dist_ref, rec.dist_S0, rec.theta_final, rec.x))
     done = {r.epsilon for r in rows}
     error = f"error:{type(failure).__name__}" if failure else "error"
     rows += [ResultRow(*cells, e, 0, 0.0, None, None, None, error)
@@ -327,10 +332,8 @@ def _run_dualgap(config, problem, reg, x0) -> list:
             continue
         wall_time_s = time.perf_counter() - tick
         dist_S0 = None if oracle is None else float(oracle.distance_to_S0(x))
-        final_gap = _gap_cell(dual_gap(problem, x).value)
-        verdict = bounds.exactness_check(problem, problem.set.project(x))
-        rows.append(ResultRow(*cells, e, trace.iterations, wall_time_s, None, dist_S0, final_gap,
-                              verdict))
+        rows.append(_row(cells, problem, e, trace.iterations, wall_time_s, None, dist_S0,
+                         trace.gap, x, (trace.gap, trace.gap_upper)))
     return rows
 
 

@@ -8,6 +8,7 @@ cross-checking the explicit gap formulas.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional
 
@@ -202,8 +203,8 @@ def example_5_1() -> ProblemInstance:
 
     def dist_S0(x):
         t = min(max(float(x[0]), 0.0), 1.0)
-        return float(np.linalg.norm(np.asarray(x, dtype=float)
-                                    - np.array([t, -0.75, -0.25])))
+        r = np.asarray(x, dtype=float) - np.array([t, -0.75, -0.25])
+        return math.sqrt(r.dot(r))
 
     def sample_S0(count, seed=0):
         t = np.random.default_rng(seed).uniform(0.0, 1.0, size=count)
@@ -228,7 +229,7 @@ def example_5_1() -> ProblemInstance:
 def _point_oracle(xstar: Vector) -> SolutionOracle:
     """The solution oracle of a problem whose S0 is the single point xstar."""
     return SolutionOracle(
-        distance_to_S0=lambda x: float(np.linalg.norm(np.asarray(x) - xstar)),
+        distance_to_S0=lambda x: math.sqrt((r := np.asarray(x) - xstar).dot(r)),
         sample_S0=lambda count, seed=0: np.tile(xstar, (count, 1)),
     )
 

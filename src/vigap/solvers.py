@@ -205,14 +205,17 @@ class SolverTrace(NamedTuple):
 
 class PgeTrace(NamedTuple):
     """One `solve_pge` run: the steps taken, the dual-gap brackets wider than
-    DUAL_GAP_TOL, and, at the returned point, G + eps*phi and the certified
+    DUAL_GAP_TOL, and, at the returned point, G + eps*phi, the certified
     distance to x_eps (`bounds.dualgap_radius`; None where no distance is
-    certified)."""
+    certified) and the bracket gap <= G <= gap_upper of the G evaluation the
+    solve made there (on the ascent, upper is gap if it converged, else inf)."""
 
     iterations: int
     n_nonconverged: int
     best_objective: float
     radius: Optional[float] = None
+    gap: Optional[float] = None
+    gap_upper: Optional[float] = None
 
 
 # ---------------------------------------------------------------------------
@@ -573,7 +576,7 @@ def _spg(problem, G, reg: Regularizer, epsilon: float, x: Vector, max_iterations
                  and getattr(problem, "dual_gap_exact", None) is not None)
     n_evals = n_bad = 0
 
-    def evaluate(x):   # (f, g, (measure, floor)) at x
+    def evaluate(x):   # (f, g, (measure, floor), G bracket) at x
         nonlocal n_evals, n_bad
         value, upper, _, Fy, _ = G(x)
         n_evals, n_bad = n_evals + 1, n_bad + (not upper - value <= DUAL_GAP_TOL)
@@ -582,17 +585,17 @@ def _spg(problem, G, reg: Regularizer, epsilon: float, x: Vector, max_iterations
             raise _non_finite(problem, "the subgradient F(ybar) + eps g_phi(x)", x)
         measure = (bounds.dualgap_radius(_norm(tangent(x, -g)), upper - value, mu, epsilon,
                                          Fy, x) if certified else (_norm(step(x - g, epsilon) - x), 0.0))
-        return value + epsilon * phi(x), g, measure
+        return value + epsilon * phi(x), g, measure, (value, upper)
 
-    f, g, (rad, _) = evaluate(x)
-    best, recent, sigma, steps, stale = (rad, x, f), [f], 1.0, 0, 0
+    f, g, (rad, _), bracket = evaluate(x)
+    best, recent, sigma, steps, stale = (rad, x, f, bracket), [f], 1.0, 0, 0
     while steps < max_iterations:
         d = step(x - sigma * g, sigma * epsilon) - x
         slope = SPG_ARMIJO * (g.dot(d) + epsilon * (phi(x + d) - phi(x)) if l1 else g.dot(d))
         f_ref, lam = max(recent), 1.0
         for _ in range(MAX_BACKTRACKS + 1):
             xt = proj(x + lam * d)
-            ft, gt, (rad, floor) = evaluate(xt)
+            ft, gt, (rad, floor), bracket = evaluate(xt)
             # accepted, or the next trial (lam / 2) would move x by rounding only
             if (found := ft <= f_ref + lam * slope) or lam * _norm(d) <= 2.0 ** -51 * _norm(x):
                 break
@@ -603,16 +606,16 @@ def _spg(problem, G, reg: Regularizer, epsilon: float, x: Vector, max_iterations
         sy = s.dot(y)
         sigma = min(max(s.dot(s) / sy, SPG_SIGMA_MIN), SPG_SIGMA_MAX) if sy > 0 else SPG_SIGMA_MAX
         x, g, steps, recent = xt, gt, steps + 1, recent[1 - SPG_MEMORY:] + [ft]
-        best, stale = ((rad, x, ft), 0) if rad < best[0] else (best, stale + 1)
+        best, stale = ((rad, x, ft, bracket), 0) if rad < best[0] else (best, stale + 1)
         if rad <= 2.0 * floor or stale >= SPG_MEMORY:
             break
     if n_bad > PGE_MAX_NONCONVERGED_FRACTION * n_evals:
         raise DualGapUnreliableError(
             f"{n_bad}/{n_evals} dual-gap inner solves failed to converge; "
             "give the problem an exact oracle (ProblemInstance.dual_gap_exact)")
-    rad, x, f = best
+    rad, x, f, (value, upper) = best
     return x, PgeTrace(iterations=steps, n_nonconverged=n_bad, best_objective=f,
-                       radius=rad if certified else None)
+                       radius=rad if certified else None, gap=value, gap_upper=upper)
 
 
 # ---------------------------------------------------------------------------

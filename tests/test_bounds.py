@@ -21,10 +21,11 @@ from vigap.bounds import (
     residual_error_bound,
     residual_rounding,
     stopping_threshold,
+    _verdict,
 )
 from vigap.core import regularized_operator
-from vigap.gap import theta_alpha
-from vigap.problems import sharp_quadratic_ball
+from vigap.gap import DUAL_GAP_TOL, dual_gap, theta_alpha
+from vigap.problems import example_5_1, sharp_quadratic_ball
 from probes import sample_in_set
 
 
@@ -282,6 +283,52 @@ def test_exactness_verdict_matrix(ba_problem):
     # dual-gap model minimizers, quadratic regularizer
     for eps in (0.5, 0.1, 0.01, 0.005):
         assert exactness_check(ba_problem, x_G_l2(eps), tol=1e-7) == NOT_EXACT
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-6])
+def test_exactness_check_rejects_a_tolerance_that_is_not_positive_and_finite(ba_problem, tol):
+    # at tol = inf every point of Omega would read exact, P_Omega(1, -2, 1) among
+    # them, which reads not_exact at the default tolerance
+    x = ba_problem.set.project(np.array([1.0, -2.0, 1.0]))
+    assert exactness_check(ba_problem, x) == NOT_EXACT
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        exactness_check(ba_problem, x, tol=tol)
+
+
+def test_verdict_rule_branches(ba_problem):
+    tol, up = 1e-6, math.nextafter
+    xstar = np.array([0.0, -0.75, -0.25])
+    assert _verdict(ba_problem, xstar, tol, tol) == EXACT
+    assert _verdict(ba_problem, xstar, up(tol, 1.0), up(tol, 1.0)) == INCONCLUSIVE
+    assert _verdict(ba_problem, xstar, 10.0 * tol, 10.0 * tol) == INCONCLUSIVE
+    g = up(10.0 * tol, 1.0)
+    assert _verdict(ba_problem, xstar, g, g) == NOT_EXACT
+    assert _verdict(ba_problem, xstar, g, g + DUAL_GAP_TOL / 2) == NOT_EXACT
+    # a bracket wider than DUAL_GAP_TOL is no converged G, whatever its value
+    assert _verdict(ba_problem, xstar, g, g + 2.0 * DUAL_GAP_TOL) == INCONCLUSIVE
+    assert _verdict(ba_problem, xstar, 1.0, math.inf) == INCONCLUSIVE
+    assert _verdict(ba_problem, xstar, 0.0, 2.0 * DUAL_GAP_TOL) == EXACT
+    # off Omega by more than 1e-8 a zero gap is not exact; within 1e-8 it is
+    assert _verdict(ba_problem, xstar + [0.0, 0.0, 3e-8], 0.0, 0.0) == INCONCLUSIVE
+    assert _verdict(ba_problem, np.array([1.0 + 2e-8, -0.75, -0.25]), 0.0, 0.0) == INCONCLUSIVE
+    assert _verdict(ba_problem, np.array([1.0 + 5e-9, -0.75, -0.25]), 0.0, 0.0) == EXACT
+
+
+def test_exactness_check_is_the_rule_on_dual_gap():
+    # on seeded points of an exact G (example5_1) and of the ascent (a ball)
+    verdicts = set()
+    for problem in (example_5_1(), sharp_quadratic_ball(2)):
+        points = list(sample_in_set(problem.set, 12, seed=3, radius=1.5))
+        points += list(problem.solution_oracle.sample_S0(3, seed=4))
+        points += [x + 1e-3 for x in points[:3]]   # off example5_1's Omega
+        for x in points:
+            ev = dual_gap(problem, x)
+            upper = ev.upper if ev.upper is not None else ev.value if ev.converged else math.inf
+            for tol in (1e-9, 1e-6, 1e-3):
+                verdict = exactness_check(problem, x, tol)
+                assert verdict == _verdict(problem, x, ev.value, upper, tol)
+                verdicts.add(verdict)
+    assert verdicts == {EXACT, NOT_EXACT, INCONCLUSIVE}
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from conftest import assert_matches_golden
 
 import vigap
-from vigap import checks, cli, problems, solvers
+from vigap import bounds, checks, cli, problems, solvers
 from vigap.checks import CheckReport
 from vigap.cli import (
     CSV_COLUMNS,
@@ -169,6 +170,87 @@ def test_direct_sweep_failing_partway_keeps_the_levels_done(monkeypatch):
     assert rows[2] == first[0] and first[0].exactness in ("exact", "not_exact")
     assert [(r.epsilon, r.exactness) for r in rows[:2]] == \
         [(0.01, "error:StepFailureError"), (0.1, "error:StepFailureError")]
+
+
+def _rows_with_points(cfg, monkeypatch):
+    """run_experiment(cfg) and the x solve_pge returned for each row's eps."""
+    real, points = cli.solve_pge, {}
+
+    def solve_pge(problem, reg, eps, x0, max_iter=None):
+        x, trace = real(problem, reg, eps, x0, max_iter)
+        points[eps] = x
+        return x, trace
+
+    monkeypatch.setattr(cli, "solve_pge", solve_pge)
+    return run_experiment(cfg), points
+
+
+def _gap_cell(value):
+    return 0.0 if value <= 0.0 else value
+
+
+BA = dict(problem="example5_1", model="dualgap", x0=(1.0, -2.0, 1.0), max_iter=None)
+# every dual-gap cell of table1 (each eps is an independent solve), the four
+# dualgap-ba benchmark cells, and the affine5d and sharp_ball2d golden cells
+REUSE_CASES = [dict(BA, regularizer=r, epsilons=cli.TABLE1_EPSILONS) for r in ("l1", "l2")] + [
+    dict(BA, regularizer=r, epsilons=(e,)) for r in ("l1", "l2") for e in (0.5, 1e-4)] + [
+    dict(problem="affine5d", model="dualgap", regularizer="l2", epsilons=(0.1,), max_iter=100),
+    dict(problem="sharp_ball2d", model="dualgap", regularizer="l2", epsilons=(0.1,),
+         x0=(0.6, -0.7), max_iter=100)]
+
+
+@pytest.mark.parametrize("case", REUSE_CASES, ids=lambda c: f"{c['problem']}-{c['regularizer']}-"
+                         f"{len(c['epsilons'])}eps")
+def test_dualgap_row_reads_the_solvers_own_gap(case, monkeypatch):
+    # a dual-gap row takes final_gap and its verdict from the G bracket the
+    # solve returned: bit for bit a fresh G where G is exact, and the verdict
+    # of exactness_check at P_Omega(x) everywhere
+    cfg = small_cfg(**case)
+    rows, points = _rows_with_points(cfg, monkeypatch)
+    problem = problems.get_problem(cfg.problem)
+    assert len(rows) == len(points) == len(cfg.epsilons)
+    for r in rows:
+        x = points[r.epsilon]
+        if problem.dual_gap_exact is not None:
+            assert r.final_gap.hex() == _gap_cell(dual_gap(problem, x).value).hex()
+        assert r.exactness == bounds.exactness_check(problem, problem.set.project(x))
+
+
+def test_dualgap_row_on_an_ascent_set_reads_the_warm_ascent(tmp_path, monkeypatch):
+    # on a hyperplane G comes from the ascent, warm-started within the solve,
+    # so the solver's value may differ from a fresh one by rounding
+    path = tmp_path / "plane.ini"
+    path.write_text("[operator]\nmatrix = 2 1; -1 3\noffset = -1 0\n"
+                    "[set]\nkind = hyperplane\nnormal = 1 -1\noffset = 0\n")
+    cfg = small_cfg(problem=str(path), regularizer="l2", epsilons=(0.01,), max_iter=None)
+    (row,), points = _rows_with_points(cfg, monkeypatch)
+    problem, x = load_problem_file(str(path)), points[0.01]
+    assert problem.dual_gap_exact is None
+    assert row.final_gap == pytest.approx(dual_gap(problem, x).value, rel=1e-12, abs=0.0)
+    assert row.exactness == bounds.exactness_check(problem, problem.set.project(x))
+
+
+@pytest.mark.parametrize("reg", ["l1", "l2"])
+def test_rows_evaluate_G_no_more_than_the_solve(reg, monkeypatch):
+    # a dual-gap cell makes exactly the G calls of its solve_pge call; a
+    # direct level makes one, at P_Omega(x)
+    base, calls = problems.get_problem("example5_1"), []
+
+    def counted(x):
+        calls.append(x)
+        return base.dual_gap_exact(x)
+
+    ba = replace(base, dual_gap_exact=counted)
+    monkeypatch.setitem(problems.BUILTIN_PROBLEMS, "counted_ba", lambda seed=0: ba)
+    cfg = small_cfg(problem="counted_ba", regularizer=reg, epsilons=(0.5,), max_iter=None)
+    run_experiment(cfg)
+    in_rows = len(calls)
+    calls.clear()
+    solvers.solve_pge(ba, cli._regularizer(reg), 0.5, ba.default_x0)
+    assert in_rows == len(calls) > 0
+    calls.clear()
+    run_experiment(cfg._replace(model="direct", regularizer="l2", epsilons=(0.5, 0.1)))
+    assert len(calls) == 2
 
 
 def test_csv_json_round_trip_no_drift():
