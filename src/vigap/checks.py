@@ -182,10 +182,10 @@ def _check_bounds_soundness(seed: int) -> CheckReport:
             x, tr = solve_inner(problem, x0, e, tau, InnerConfig(), reg)
             levels.append((tr, tau))
             p = bounds.stopping_threshold(tau, 2.0, 1.0, 1.0, ALPHA, BETA, e)
-            ok_p = ok_p and tr.p == p and tr.theta_final <= p
+            ok_p = ok_p and tr.p == p and tr.gap <= p
             # theta floored as in `solve_inner`: a level may land on x_eps,
             # where theta evaluates to <= 0 and the unfloored radius is 0
-            radius = bounds.dgap_error_bound(max(tr.theta_final, THETA_FLOOR),
+            radius = bounds.dgap_error_bound(max(tr.gap, THETA_FLOOR),
                                              2.0, 1.0, 1.0, ALPHA, BETA, e)
             ok_rad = ok_rad and float(np.linalg.norm(x - refs[e])) <= radius <= tau
     report.record("stopping threshold matches and is met", ok_p,
@@ -240,21 +240,24 @@ def _check_bounds_soundness(seed: int) -> CheckReport:
         t = e / (2.0 * (1.0 + 2.0 * e))
         for _ in range(4):
             x, tr = solve_pge(problem, reg, e, dg_rng.uniform(-3.0, 3.0, size=3))
+            levels.append((tr, 1e-9))
             dist = float(np.linalg.norm(x - np.array([0.0, -0.75 + t, -0.25 - t])))
-            ok_dg = ok_dg and dist <= tr.radius <= 1e-9
-            widest, farthest = max(widest, tr.radius), max(farthest, dist)
+            ok_dg = ok_dg and tr.status == "certified" and dist <= tr.radius <= 1e-9
+            widest, farthest = max(widest, tr.radius or 0.0), max(farthest, dist)
     report.record("dual-gap l2: radius holds the closed-form distance", ok_dg,
                   f"12 starts, widest radius {widest:.1e}, farthest {farthest:.1e}")
 
     # "certified" exactly when a certificate within tau is attached; l1 has
-    # none, so its level at x* (theta_ab = 0) must not read certified
-    _, tr = solve_inner(problem, np.array([0.0, -0.75, -0.25]), 0.5, 1e-6,
-                        InnerConfig(), l1_regularizer())
-    report.record("l1 at x*: not certified", tr.status != "certified", f"status {tr.status}")
-    levels.append((tr, 1e-6))
-    ok_inv = all(lv.status in ("certified", "floor", "stagnated")
-                 and (lv.status == "certified") == (lv.certificate in ("dgap", "residual"))
-                 and (lv.status != "certified" or lv.radius <= tol) for lv, tol in levels)
+    # none, so its levels at x* (theta_ab = G = 0) must not read certified
+    x_star, l1 = np.array([0.0, -0.75, -0.25]), l1_regularizer()
+    l1_levels = [solve_inner(problem, x_star, 0.5, 1e-6, InnerConfig(), l1)[1],
+                 solve_pge(problem, l1, 0.5, x_star)[1]]
+    report.record("l1 at x*: not certified", all(lv.status != "certified" for lv in l1_levels),
+                  "statuses " + ", ".join(lv.status for lv in l1_levels))
+    levels += [(lv, 1e-6) for lv in l1_levels]
+    ok_inv = all(lv.certificate in ("dgap", "residual", "dualgap") and lv.radius <= tol
+                 if lv.status == "certified" else lv.status in ("floor", "stagnated")
+                 and lv.certificate is None and lv.radius is None for lv, tol in levels)
     report.record("status/certificate invariant", ok_inv, f"{len(levels)} levels")
     return report
 

@@ -164,19 +164,17 @@ def _build_set(sec):
     if kind not in SET_KEYS:
         raise ConfigError(f"set.kind: unknown set kind {kind!r}")
     _reject_unknown_keys(sec, ("kind",) + SET_KEYS[kind])
+    vec = lambda key: _parse_vector(sec.get(key, ""), f"set.{key}")
     try:
         if kind == "box":
-            lo = _parse_vector(sec.get("lower", ""), "set.lower")
-            hi = _parse_vector(sec.get("upper", ""), "set.upper")
-            return box(lo, hi)
+            return box(vec("lower"), vec("upper"))
         if kind == "orthant":
-            return shifted_orthant(_parse_vector(sec.get("lower", ""), "set.lower"))
-        if kind == "ball":
-            return ball(_parse_vector(sec.get("center", ""), "set.center"),
-                        float(sec.get("radius", "nan")))
-        normal = _parse_vector(sec.get("normal", ""), "set.normal")
-        make = halfspace if kind == "halfspace" else hyperplane
-        return make(normal, float(sec.get("offset", "nan")))
+            return shifted_orthant(vec("lower"))
+        vector, scalar = SET_KEYS[kind]   # (center, radius) or (normal, offset)
+        if scalar not in sec:
+            raise ConfigError(f"set.{scalar}: missing")
+        make = {"ball": ball, "halfspace": halfspace, "hyperplane": hyperplane}[kind]
+        return make(vec(vector), float(sec[scalar]))
     except ConfigError:
         raise
     except ValueError as err:
@@ -275,28 +273,29 @@ def _start_point(config, problem) -> np.ndarray:
     return x0
 
 
-def _row(cells, problem, e, iterations, wall_time_s, dist_ref, dist_S0, gap, x, bracket=None):
-    """A solved cell's row. final_gap is gap (theta_ab or G, >= 0 in exact arithmetic,
-    so a negative value is rounding and prints as 0.0); the verdict is `bounds._verdict`
-    on the G bracket (value, upper) at x in Omega: the solve's own, else one evaluation
-    of G at P_Omega(x)."""
-    if bracket is None:
+def _row(cells, problem, level, dist_ref=None):
+    """The row of a solved level (an InnerTrace). final_gap is its gap (theta_ab or G,
+    >= 0 in exact arithmetic, so a negative value is rounding and prints as 0.0); the
+    verdict is `bounds._verdict` on a G bracket (value, upper) at a point of Omega: the
+    solve's own where it made one, else one evaluation of G at P_Omega(x)."""
+    x, bracket, gap = level.x, (level.gap, level.gap_upper), level.gap
+    if level.gap_upper is None:   # a direct level
         x = problem.set.project(x)
         bracket = _dual_gap_kernel(problem)(x)[:2]
-    return ResultRow(*cells, e, iterations, wall_time_s, dist_ref, dist_S0,
-                     0.0 if gap <= 0.0 else gap, bounds._verdict(problem, x, *bracket))
+    return ResultRow(*cells, level.epsilon, level.iterations, level.wall_time_s, dist_ref,
+                     level.dist_S0, 0.0 if gap <= 0.0 else gap,
+                     bounds._verdict(problem, x, *bracket))
 
 
 def _run_direct(config, problem, reg, x0) -> list:
     eps_desc = tuple(sorted(set(float(e) for e in config.epsilons), reverse=True))
     inner = InnerConfig(max_iterations=config.max_iter) if config.max_iter else InnerConfig()
     outer = OuterConfig(epsilons=eps_desc, tau=config.tau, inner=inner)
-    rows = []
-    failure = None
+    rows, failure = [], None
     try:
         trace, _ = sequential_inexact_descent(problem, x0, outer, reg)
         records = trace.outer
-    except (StepFailureError, MaxIterationsError) as err:
+    except (StepFailureError, MaxIterationsError, EvaluationError) as err:
         failure = err
         records = err.partial_trace.outer
     cells = config.problem, config.model, config.regularizer
@@ -309,8 +308,7 @@ def _run_direct(config, problem, reg, x0) -> list:
                 pass
             else:
                 dist_ref = float(np.linalg.norm(rec.x - ref))
-        rows.append(_row(cells, problem, rec.epsilon, rec.iterations, rec.wall_time_s,
-                         dist_ref, rec.dist_S0, rec.theta_final, rec.x))
+        rows.append(_row(cells, problem, rec, dist_ref))
     done = {r.epsilon for r in rows}
     error = f"error:{type(failure).__name__}" if failure else "error"
     rows += [ResultRow(*cells, e, 0, 0.0, None, None, None, error)
@@ -325,15 +323,14 @@ def _run_dualgap(config, problem, reg, x0) -> list:
     for e in sorted(set(float(v) for v in config.epsilons), reverse=True):
         tick = time.perf_counter()
         try:
-            x, trace = solve_pge(problem, reg, e, x0, config.max_iter)
+            x, level = solve_pge(problem, reg, e, x0, config.max_iter)
         except (DualGapUnreliableError, EvaluationError) as err:  # per-cell isolation
             rows.append(ResultRow(*cells, e, 0, time.perf_counter() - tick, None, None, None,
                                   f"error:{type(err).__name__}"))
             continue
         wall_time_s = time.perf_counter() - tick
         dist_S0 = None if oracle is None else float(oracle.distance_to_S0(x))
-        rows.append(_row(cells, problem, e, trace.iterations, wall_time_s, None, dist_S0,
-                         trace.gap, x, (trace.gap, trace.gap_upper)))
+        rows.append(_row(cells, problem, level._replace(dist_S0=dist_S0, wall_time_s=wall_time_s)))
     return rows
 
 

@@ -150,15 +150,17 @@ def least_symmetric_eigenvalue(M: np.ndarray) -> float:
 def affine_map(M: np.ndarray, q, name: str = "affine") -> MonotoneMap:
     """F(x) = M x + q with sym(M) positive semidefinite (monotone affine map).
 
-    Raises ValueError when sym(M) has an eigenvalue below -psd_tolerance(M)
-    (F is then not monotone). mu is the least eigenvalue of sym(M) when it
-    exceeds 1e-12, else 0.
+    Raises ValueError on a non-finite entry of M or q, or when sym(M) has an
+    eigenvalue below -psd_tolerance(M) (F is then not monotone). mu is the
+    least eigenvalue of sym(M) when it exceeds 1e-12, else 0.
     """
     M = np.asarray(M, dtype=float)
     q = np.asarray(q, dtype=float)
     n = q.shape[0]
     if M.shape != (n, n):
         raise DimensionMismatchError(f"matrix shape {M.shape} does not match offset length {n}")
+    if not (np.isfinite(M).all() and np.isfinite(q).all()):
+        raise ValueError("the matrix and the offset must be finite")
     least = least_symmetric_eigenvalue(M)
     return MonotoneMap(
         dimension=n,
@@ -243,8 +245,8 @@ def box(lower, upper) -> FeasibleSet:
     hi = np.asarray(upper, dtype=float)
     if lo.shape != hi.shape or lo.ndim != 1:
         raise DimensionMismatchError("box bounds must be 1-D and of equal length")
-    if np.any(lo > hi):
-        raise ValueError("box has lower > upper")
+    if not np.all(lo <= hi):
+        raise ValueError("box bounds must satisfy lower <= upper, with no NaN")
     # the clip ufunc, not the min/max form: with the bounds broadcast down a
     # single column that form breaks ties between -0.0 and 0.0 unlike np.clip
     clip = lambda z: _clip(z, lo, hi)   # one point or an array of rows alike
@@ -267,13 +269,18 @@ def shifted_orthant(lower) -> FeasibleSet:
     return box(lo, np.full_like(lo, np.inf))
 
 
+def _plane(normal, offset, kind: str):
+    """(a, b, ||a||^2) of <a, x> = b; ValueError unless a != 0, a and b finite."""
+    a, b = np.asarray(normal, dtype=float), float(offset)
+    nn = float(a @ a)
+    if not (0 < nn < math.inf and math.isfinite(b)):
+        raise ValueError(f"{kind} normal must be nonzero and finite, and its offset finite")
+    return a, b, nn
+
+
 def hyperplane(normal, offset: float) -> FeasibleSet:
     """Affine hyperplane {<a, x> = b}."""
-    a = np.asarray(normal, dtype=float)
-    b = float(offset)
-    nn = float(a @ a)
-    if nn <= 0:
-        raise ValueError("hyperplane normal must be nonzero")
+    a, b, nn = _plane(normal, offset, "hyperplane")
     J = np.eye(a.shape[0]) - np.outer(a, a) / nn
     proj = lambda z: z - ((a @ z - b) / nn) * a
     return FeasibleSet(
@@ -289,11 +296,7 @@ def hyperplane(normal, offset: float) -> FeasibleSet:
 
 def halfspace(normal, offset: float) -> FeasibleSet:
     """Halfspace {<a, x> <= b}."""
-    a = np.asarray(normal, dtype=float)
-    b = float(offset)
-    nn = float(a @ a)
-    if nn <= 0:
-        raise ValueError("halfspace normal must be nonzero")
+    a, b, nn = _plane(normal, offset, "halfspace")
     inside = np.eye(a.shape[0])
     outside = inside - np.outer(a, a) / nn
     proj = lambda z: z - (max(a @ z - b, 0.0) / nn) * a
@@ -312,8 +315,8 @@ def ball(center, radius: float) -> FeasibleSet:
     """Euclidean ball {||x - c|| <= r}."""
     c = np.asarray(center, dtype=float)
     r = float(radius)
-    if r < 0:
-        raise ValueError("ball radius must be nonnegative")
+    if not (0 <= r < math.inf and np.isfinite(c).all()):
+        raise ValueError("ball radius must be nonnegative and finite, and its center finite")
 
     def proj(z):
         d = z - c

@@ -240,7 +240,7 @@ def affine_problem(name: str, M, q, omega: FeasibleSet,
     """The VI of F(x) = Mx + q on omega, starting from P_omega(0).
 
     `core.affine_map` builds F and raises ValueError when sym(M) is
-    indefinite. A box with finite bounds gets the exact dual gap
+    indefinite or an entry of M or q is not finite. A box with finite bounds gets the exact dual gap
     `gap.affine_box_dual_gap`, a certified box QP, and those bounds as its
     bounding box for the grid oracles; every other set gets no exact G, so G
     comes from the ascent of `gap.dual_gap`.

@@ -17,14 +17,14 @@ Three layers:
   certified radius where G is exact, phi strongly convex and the set has a
   tangent cone, else on the residual of its step.
 
-Results are plain records: one InnerTrace per eps-level (the outer loop's
-SolverTrace.outer is a list of them) and one PgeTrace per dual-gap run.
+Both routes return one InnerTrace per eps-level: the point, how its solve
+ended, its certificate and its gap. The outer loop's SolverTrace.outer lists them.
 """
 from __future__ import annotations
 
 import math
 import time
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -48,7 +48,6 @@ __all__ = [
     "InnerRecord",
     "InnerTrace",
     "SolverTrace",
-    "PgeTrace",
     "estimate_L_theta",
     "li_ng_direction",
     "armijo_step",
@@ -169,53 +168,35 @@ class InnerRecord(NamedTuple):
 
 
 class InnerTrace(NamedTuple):
-    """One inner solve, ending at the point x: status "certified", "floor" or
-    "stagnated" (see `solve_inner`), or "max_iterations" on a
-    MaxIterationsError's trace. certificate ("dgap" or "residual") and radius
-    (the distance to x_eps it certifies, <= tau) are set exactly when the
-    status is "certified". `solve_inner` leaves dist_S0 and wall_time_s at
-    their defaults; `sequential_inexact_descent` returns each level with
-    dist_S0 (from the problem's solution oracle, if any) and wall_time_s."""
+    """One eps-level's outcome on either route, at the point x. status is "certified",
+    "floor", "stagnated" (see `solve_inner` and `_spg`) or "max_iterations" (the budget
+    ran out); certificate ("dgap", "residual" or "dualgap") and radius (the distance to
+    x_eps it certifies) are set exactly when it is "certified". gap is theta_ab at x on
+    the direct route, G at x on the dual-gap route, whose solve brackets G <= gap_upper
+    (inf where the ascent did not converge; None on the direct route). p (the stopping
+    threshold) and records are the direct route's, n_nonconverged (G brackets wider than
+    DUAL_GAP_TOL) the dual-gap route's. dist_S0 and wall_time_s are filled in by
+    `sequential_inexact_descent` and the CLI."""
 
     epsilon: float
-    p: float
-    c: float
-    delta: float
-    L_theta: float
-    records: list
-    status: str
-    theta_final: float
     x: Vector
+    status: str
+    iterations: int
+    gap: float
     certificate: Optional[str] = None
     radius: Optional[float] = None
+    gap_upper: Optional[float] = None
+    p: Optional[float] = None
+    records: Sequence[InnerRecord] = ()
+    n_nonconverged: int = 0
     dist_S0: Optional[float] = None
     wall_time_s: float = 0.0
-
-    @property
-    def iterations(self) -> int:
-        """The number of steps taken."""
-        return len(self.records)
 
 
 class SolverTrace(NamedTuple):
     """The sequential descent's levels in schedule order, one InnerTrace each."""
 
     outer: list
-
-
-class PgeTrace(NamedTuple):
-    """One `solve_pge` run: the steps taken, the dual-gap brackets wider than
-    DUAL_GAP_TOL, and, at the returned point, G + eps*phi, the certified
-    distance to x_eps (`bounds.dualgap_radius`; None where no distance is
-    certified) and the bracket gap <= G <= gap_upper of the G evaluation the
-    solve made there (on the ascent, upper is gap if it converged, else inf)."""
-
-    iterations: int
-    n_nonconverged: int
-    best_objective: float
-    radius: Optional[float] = None
-    gap: Optional[float] = None
-    gap_upper: Optional[float] = None
 
 
 # ---------------------------------------------------------------------------
@@ -417,10 +398,8 @@ def solve_inner(problem, x0: Vector, epsilon: float, tau: float,
     stagnant = 0
 
     def done(status, rad=None):
-        return x, InnerTrace(epsilon=epsilon, p=p, c=cfg.c, delta=cfg.delta,
-                             L_theta=cfg.L_theta_estimate, records=records, status=status,
-                             theta_final=th, x=x, certificate=None if rad is None else kind,
-                             radius=rad)
+        return x, InnerTrace(epsilon, x, status, len(records), th,
+                             None if rad is None else kind, rad, p=p, records=records)
 
     def radius():
         """The distance to x_eps that the level's certificate gives at x, or
@@ -494,8 +473,8 @@ def sequential_inexact_descent(problem, x0: Vector, outer_cfg: OuterConfig,
     the previous level's point, and its InnerTrace, copied with dist_S0 and
     wall_time_s set, is the level's record in SolverTrace.outer; its
     radius is the distance to x_eps that the level's certificate (D-gap or
-    residual) gives. Returns (SolverTrace, x_final); inner failures propagate
-    with the partial trace attached to the exception.
+    residual) gives. Returns (SolverTrace, x_final); a StepFailureError,
+    MaxIterationsError or EvaluationError carries the partial trace.
     """
     if reg is None:
         raise ValueError("sequential descent needs a regularizer")
@@ -506,7 +485,7 @@ def sequential_inexact_descent(problem, x0: Vector, outer_cfg: OuterConfig,
         tick = time.perf_counter()
         try:
             x, itrace = solve_inner(problem, x, e, outer_cfg.tau, outer_cfg.inner, reg)
-        except (StepFailureError, MaxIterationsError) as err:
+        except (StepFailureError, MaxIterationsError, EvaluationError) as err:
             err.partial_trace = SolverTrace(outer=outer)
             raise
         wall_time_s = time.perf_counter() - tick
@@ -523,7 +502,7 @@ def solve_pge(problem, regularizer: Regularizer, epsilon: float, x0: Vector,
               max_iterations: Optional[int] = None):
     """Minimize G(x) + eps * phi(x) over Omega, G the dual gap, by `_spg` from
     P_Omega(x0) in at most max_iterations (None: PGE_MAX_ITERATIONS) steps;
-    returns (x, PgeTrace).
+    returns (x, InnerTrace).
 
     phi must be smooth, or `l1_regularizer()` (`Regularizer.is_l1`) on a set with
     an `l1_prox`, else ValueError; eps must be nonnegative and finite. x0 is
@@ -558,13 +537,16 @@ def _spg(problem, G, reg: Regularizer, epsilon: float, x: Vector, max_iterations
       the set's `l1_prox` (the projection at eps = 0), and the composite slope
       g.d + eps(phi(x + d) - phi(x)) (Tseng & Yun 2009).
 
-    The stationarity measure is the certified radius `bounds.dualgap_radius`,
-    returned as PgeTrace.radius, where G is exact, eps > 0, rho > 0 and the set has
-    `tangent_project`; elsewhere the residual ||prox_eps(x - g) - x|| (l1) or
-    ||P(x - g) - x||, 0 exactly at a fixed point, so its floor is 0 (radius None).
-    After a first step it stops at a measure within 2x its floor (not at tau: the
-    radius's floor is a step or two further), after SPG_MEMORY steps without a
-    better measure, or at max_iterations steps; returns the least-measure iterate.
+    The stationarity measure is the certified radius `bounds.dualgap_radius`
+    where G is exact, eps > 0, rho > 0 and the set has `tangent_project`;
+    elsewhere the residual ||prox_eps(x - g) - x|| (l1) or ||P(x - g) - x||, 0
+    exactly at a fixed point, so its floor is 0. After a first step it stops at
+    a measure within 2x its floor (not at tau: the radius's floor is a step or
+    two further), status "certified" with the radius as a "dualgap" certificate
+    where the measure is one, else "floor"; after SPG_MEMORY steps without a
+    better measure, or an exhausted search, "stagnated"; at max_iterations
+    steps, "max_iterations". Returns (x, InnerTrace) at the least-measure
+    iterate, with the G bracket of its evaluation.
     A non-finite g raises EvaluationError, and more than
     PGE_MAX_NONCONVERGED_FRACTION of the G evaluations unconverged raises
     DualGapUnreliableError at the end.
@@ -588,7 +570,8 @@ def _spg(problem, G, reg: Regularizer, epsilon: float, x: Vector, max_iterations
         return value + epsilon * phi(x), g, measure, (value, upper)
 
     f, g, (rad, _), bracket = evaluate(x)
-    best, recent, sigma, steps, stale = (rad, x, f, bracket), [f], 1.0, 0, 0
+    best, recent, sigma, steps, stale = (rad, x, bracket), [f], 1.0, 0, 0
+    status = "max_iterations"
     while steps < max_iterations:
         d = step(x - sigma * g, sigma * epsilon) - x
         slope = SPG_ARMIJO * (g.dot(d) + epsilon * (phi(x + d) - phi(x)) if l1 else g.dot(d))
@@ -601,21 +584,23 @@ def _spg(problem, G, reg: Regularizer, epsilon: float, x: Vector, max_iterations
                 break
             lam *= 0.5
         if not found:
-            break   # the search is exhausted
+            status = "stagnated"   # the search is exhausted
+            break
         s, y = xt - x, gt - g
         sy = s.dot(y)
         sigma = min(max(s.dot(s) / sy, SPG_SIGMA_MIN), SPG_SIGMA_MAX) if sy > 0 else SPG_SIGMA_MAX
         x, g, steps, recent = xt, gt, steps + 1, recent[1 - SPG_MEMORY:] + [ft]
-        best, stale = ((rad, x, ft, bracket), 0) if rad < best[0] else (best, stale + 1)
+        best, stale = ((rad, x, bracket), 0) if rad < best[0] else (best, stale + 1)
         if rad <= 2.0 * floor or stale >= SPG_MEMORY:
+            status = "stagnated" if rad > 2.0 * floor else "certified" if certified else "floor"
             break
     if n_bad > PGE_MAX_NONCONVERGED_FRACTION * n_evals:
         raise DualGapUnreliableError(
             f"{n_bad}/{n_evals} dual-gap inner solves failed to converge; "
             "give the problem an exact oracle (ProblemInstance.dual_gap_exact)")
-    rad, x, f, (value, upper) = best
-    return x, PgeTrace(iterations=steps, n_nonconverged=n_bad, best_objective=f,
-                       radius=rad if certified else None, gap=value, gap_upper=upper)
+    rad, x, (value, upper) = best
+    cert = ("dualgap", rad) if status == "certified" else (None, None)
+    return x, InnerTrace(epsilon, x, status, steps, value, *cert, upper, n_nonconverged=n_bad)
 
 
 # ---------------------------------------------------------------------------

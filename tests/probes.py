@@ -11,7 +11,7 @@ import numpy as np
 from vigap.core import FeasibleSet, Regularizer, Vector, as_point, project_rows
 from vigap.gap import DUAL_GAP_TOL, _dual_gap_kernel, _non_finite
 from vigap.solvers import (PGE_MAX_ITERATIONS, PGE_MAX_NONCONVERGED_FRACTION,
-                           DualGapUnreliableError, PgeTrace, _norm)
+                           DualGapUnreliableError, InnerTrace, _norm)
 
 
 def sample_in_set(feasible: FeasibleSet, n: int, seed: int = 0,
@@ -99,8 +99,9 @@ def polyak_pge(problem, regularizer: Regularizer, epsilon: float, x0: Vector,
     steps x+ = P_Omega(x - t_j g), g = F(ybar(x)) + eps g_phi(x) with ybar the
     dual-gap inner maximizer, t_j = min((f - f_best + delta_j)/||g_T||^2,
     cap/||g_T||), delta_j decaying geometrically, cap = 2 (1 + ||x0||) and g_T
-    the tangential part of g; returns the iterate of least objective and a
-    PgeTrace. It takes a smooth phi or the l1 norm, whose subgradient is sign(x).
+    the tangential part of g; returns the iterate of least objective and its
+    InnerTrace, with status "floor" where g_T vanished, else "max_iterations".
+    It takes a smooth phi or the l1 norm, whose subgradient is sign(x).
     """
     proj = problem.set.project
     g_phi = regularizer.gradient if regularizer.smooth else np.sign   # l1: the sign subgradient
@@ -110,14 +111,14 @@ def polyak_pge(problem, regularizer: Regularizer, epsilon: float, x0: Vector,
     value, upper, _, Fy, _ = G(x)
     n_bad = 0 if upper - value <= DUAL_GAP_TOL else 1
     f = value + epsilon * phi(x)
-    x_best, f_best = x.copy(), f
+    x_best, f_best, gap_best = x.copy(), f, value
 
     scale0 = 1.0 + abs(f)
     delta = max(PGE_DELTA0_FRACTION * abs(f), 1e-12 * scale0)
     rho_decay = (PGE_DELTA_FINAL_REL * scale0 / delta) ** (1.0 / max_iterations)
     cap = 2.0 * (1.0 + _norm(x))
 
-    j = 0
+    j, status = 0, "max_iterations"
     for j in range(1, max_iterations + 1):
         sg = Fy + epsilon * g_phi(x)
         n_sg = _norm(sg)
@@ -127,7 +128,8 @@ def polyak_pge(problem, regularizer: Regularizer, epsilon: float, x0: Vector,
         g_tan = (x - proj(x - s * sg)) / s
         n_tan = _norm(g_tan)
         if n_tan <= 1e-14:
-            break  # subgradient is normal to Omega at x: stationary
+            status = "floor"   # the subgradient is normal to Omega at x: stationary
+            break
         t = min((f - f_best + delta) / n_tan ** 2, cap / n_tan)
         x = proj(x - t * sg)
         value, upper, _, Fy, _ = G(x)
@@ -135,10 +137,10 @@ def polyak_pge(problem, regularizer: Regularizer, epsilon: float, x0: Vector,
             n_bad += 1
         f = value + epsilon * phi(x)
         if f < f_best:
-            f_best, x_best = f, x.copy()
+            f_best, x_best, gap_best = f, x.copy(), value
         delta *= rho_decay
         if j >= 20 and n_bad > PGE_MAX_NONCONVERGED_FRACTION * (j + 1):
             raise DualGapUnreliableError(
                 f"{n_bad}/{j + 1} dual-gap inner solves failed to converge; "
                 "give the problem an exact oracle (ProblemInstance.dual_gap_exact)")
-    return x_best, PgeTrace(iterations=j, n_nonconverged=n_bad, best_objective=f_best)
+    return x_best, InnerTrace(epsilon, x_best, status, j, gap_best, n_nonconverged=n_bad)

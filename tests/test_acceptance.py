@@ -31,6 +31,7 @@ from vigap.solvers import (
     THETA_FLOOR,
     InnerConfig,
     OuterConfig,
+    _resolve_constants,
     reference_solution,
     sequential_inexact_descent,
     solve_inner,
@@ -269,12 +270,13 @@ def test_criterion_8_descent_certificate(ba, capsys):
     worst = np.inf
     ok = True
     for (x, tr), reg, eps in zip(runs, regs, epss):
+        delta = _resolve_constants(ba, InnerConfig(), eps, reg).delta
         prev = math.sqrt(max(theta_ab(ba, X0, 1.0, 2.0, eps, reg).value, 0.0))
         if not tr.records:
             ok = False
         for rec in tr.records:
             cur = math.sqrt(max(rec.theta, 0.0))
-            margin = -(tr.delta / 4.0) * rec.step_norm - (cur - prev)
+            margin = -(delta / 4.0) * rec.step_norm - (cur - prev)
             worst = min(worst, margin)
             ok = ok and margin >= -1e-14
             prev = cur

@@ -172,6 +172,19 @@ def test_direct_sweep_failing_partway_keeps_the_levels_done(monkeypatch):
         [(0.01, "error:StepFailureError"), (0.1, "error:StepFailureError")]
 
 
+def test_direct_sweep_marks_a_non_finite_evaluation(capsys):
+    # theta_ab overflows at a start near the largest float: every level is an
+    # error row, as on the dual-gap route, not a traceback (numpy's overflow
+    # warnings precede the EvaluationError and are silenced here)
+    argv = ["run", "--problem", "affine2d", "--model", "direct", "--reg", "l2",
+            "--eps", "0.1,0.01", "--x0", "1e308,-1e308", "--no-timing"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()[1:]
+    assert lines == [f"affine2d,direct,l2,{e},0,0.0,,,,error:EvaluationError"
+                     for e in (0.01, 0.1)]
+
+
 def _rows_with_points(cfg, monkeypatch):
     """run_experiment(cfg) and the x solve_pge returned for each row's eps."""
     real, points = cli.solve_pge, {}
@@ -363,6 +376,33 @@ def test_problem_file_errors(tmp_path):
     path.write_text(AFFINE_INI.replace("lower = -1 -1", "lower = -1"))
     with pytest.raises(ConfigError):
         load_problem_file(str(path))
+
+
+@pytest.mark.parametrize("sections, message", [
+    # a missing radius or offset is named, also with a start in [constants]
+    ("[set]\nkind = ball\ncenter = 0 0\n", "set.radius: missing"),
+    ("[set]\nkind = ball\ncenter = 0 0\n[constants]\nx0 = 0.1 0.1\n", "set.radius: missing"),
+    ("[set]\nkind = halfspace\nnormal = 1 1\n", "set.offset: missing"),
+    ("[set]\nkind = hyperplane\nnormal = 1 1\n", "set.offset: missing"),
+    ("[set]\nkind = hyperplane\nnormal = 1 1\noffset = inf\n", "offset finite"),
+    ("[set]\nkind = ball\ncenter = nan 0\nradius = 1\n", "center finite"),
+    ("[set]\nkind = box\nlower = nan 0\nupper = 1 1\n", "no NaN"),
+], ids=["ball", "ball-x0", "halfspace", "hyperplane", "inf-offset", "nan-center", "nan-box"])
+def test_problem_file_missing_or_non_finite_set_data_exits_2(sections, message, tmp_path,
+                                                            capsys):
+    path = tmp_path / "set.ini"
+    path.write_text(AFFINE_INI.split("[set]")[0] + sections)
+    with pytest.raises(ConfigError, match=message):
+        load_problem_file(str(path))
+    assert main(f"run --problem {path} --model direct --reg l2 --eps 0.5".split()) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_problem_file_with_a_non_finite_operator_exits_2(tmp_path, capsys):
+    path = tmp_path / "operator.ini"
+    path.write_text(AFFINE_INI.replace("offset = -1 0", "offset = inf 0"))
+    assert main(f"run --problem {path} --model direct --reg l2 --eps 0.5".split()) == 2
+    assert "operator: the matrix and the offset must be finite" in capsys.readouterr().err
 
 
 def test_problem_file_with_a_non_monotone_matrix_exits_2(tmp_path, capsys):

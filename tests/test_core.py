@@ -434,6 +434,34 @@ def test_affine_map_rejects_an_indefinite_symmetric_part():
     assert affine_map(np.diag([2.0, 0.5]), np.zeros(2)).mu == 0.5
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: ball([0.0, 0.0], NAN), "ball radius"),
+    (lambda: ball([0.0, 0.0], INF), "ball radius"),
+    (lambda: ball([NAN, 0.0], 1.0), "center finite"),
+    (lambda: halfspace([1.0, 1.0], NAN), "offset finite"),
+    (lambda: halfspace([1.0, 1.0], -INF), "offset finite"),
+    (lambda: hyperplane([1.0, 1.0], INF), "offset finite"),
+    (lambda: halfspace([NAN, 1.0], 0.0), "normal must be nonzero and finite"),
+    (lambda: hyperplane([INF, 1.0], 0.0), "normal must be nonzero and finite"),
+    (lambda: hyperplane([0.0, 0.0], 0.0), "normal must be nonzero"),
+    (lambda: box([NAN, 0.0], [1.0, 1.0]), "no NaN"),
+    (lambda: box([0.0, 0.0], [1.0, NAN]), "no NaN"),
+    (lambda: box([0.0, 2.0], [1.0, 1.0]), "lower <= upper"),
+    (lambda: shifted_orthant([0.0, NAN]), "no NaN"),
+    (lambda: affine_map(np.eye(2), [INF, 0.0]), "must be finite"),
+    (lambda: affine_map(np.array([[1.0, NAN], [0.0, 1.0]]), np.zeros(2)), "must be finite"),
+], ids=["ball-nan-radius", "ball-inf-radius", "ball-nan-center", "halfspace-nan-offset",
+        "halfspace-inf-offset", "hyperplane-inf-offset", "halfspace-nan-normal",
+        "hyperplane-inf-normal", "hyperplane-zero-normal", "box-nan-lower", "box-nan-upper",
+        "box-crossed", "orthant-nan", "affine-inf-offset", "affine-nan-matrix"])
+def test_constructors_reject_non_finite_data(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_operator_errors():
     bad = MonotoneMap(dimension=2, evaluate=lambda x: np.array([np.nan, 0.0]),
                       lipschitz_L=1.0)

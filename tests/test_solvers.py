@@ -57,6 +57,18 @@ def line_problem():
     )
 
 
+def objective(tr, reg):
+    """G + eps*phi at a dual-gap level's point, as `_spg` computes it."""
+    return tr.gap + tr.epsilon * reg.value(tr.x)
+
+
+def same_trace(a, b):
+    """Whether two InnerTraces agree field by field, x by value."""
+    return a._fields == b._fields and all(
+        np.array_equal(u, v) if name == "x" else u == v
+        for name, u, v in zip(a._fields, a, b))
+
+
 def x_eps_l2(eps):
     """Regularized solution of the best-approximation benchmark, quadratic phi."""
     s = -(3.0 + 2.0 * eps) / (4.0 * (1.0 + eps))
@@ -205,10 +217,11 @@ def test_solve_inner_descent_certificate(ba_problem, l2):
     eps = 0.1
     x, tr = solve_inner(ba_problem, X0, eps, 1e-5, InnerConfig(), l2)
     prev = math.sqrt(max(theta_ab(ba_problem, X0, 1.0, 2.0, eps, l2).value, 0.0))
+    delta = _resolve_constants(ba_problem, InnerConfig(), eps, l2).delta
     assert tr.records, "expected accepted steps"
     for rec in tr.records:
         cur = math.sqrt(max(rec.theta, 0.0))
-        assert cur - prev <= -(tr.delta / 4.0) * rec.step_norm + 1e-14
+        assert cur - prev <= -(delta / 4.0) * rec.step_norm + 1e-14
         prev = cur
 
 
@@ -223,10 +236,11 @@ def test_solve_inner_cold_small_eps_finishes_by_newton(ba_problem, l2):
     assert np.linalg.norm(x - x_eps_l2(eps)) <= tr.radius <= tau
     assert any(rec.branch == BRANCH_NEWTON for rec in tr.records)
     # the descent certificate of criterion 8 holds on every record
+    delta = _resolve_constants(ba_problem, InnerConfig(), eps, l2).delta
     prev = math.sqrt(max(theta_ab(ba_problem, X0, 1.0, 2.0, eps, l2).value, 0.0))
     for rec in tr.records:
         cur = math.sqrt(max(rec.theta, 0.0))
-        assert -(tr.delta / 4.0) * rec.step_norm - (cur - prev) >= -1e-14
+        assert -(delta / 4.0) * rec.step_norm - (cur - prev) >= -1e-14
         prev = cur
 
 
@@ -268,7 +282,7 @@ PLATEAU_START, PLATEAU_EPS = np.array([0.9, -0.75, -0.25]), 0.1
 def test_solve_inner_armijo_exhaustion_without_certificate_stagnates(ba_problem, l1):
     x, tr = solve_inner(ba_problem, PLATEAU_START, PLATEAU_EPS, 1e-6, InnerConfig(), l1)
     assert tr.status == "stagnated"
-    assert tr.theta_final == pytest.approx(PLATEAU_EPS ** 2 / 4.0, rel=1e-12)
+    assert tr.gap == pytest.approx(PLATEAU_EPS ** 2 / 4.0, rel=1e-12)
     assert tr.records[-1].m > 0 and x[0] > PLATEAU_EPS
     assert tr.certificate is None and tr.radius is None
 
@@ -319,7 +333,7 @@ def test_solve_inner_vanishing_direction_stalls(b, offset, status):
     assert armijo_step(p, x0, d, InnerConfig())[0] == 0
     x, tr = solve_inner(p, x0, 0.0, 1e-6, InnerConfig(), None)
     assert tr.status == status and tr.iterations == 0
-    assert tr.theta_final > THETA_FLOOR
+    assert tr.gap > THETA_FLOOR
     assert tr.certificate is None and tr.radius is None
 
 
@@ -332,7 +346,7 @@ def test_solve_inner_stagnating_iterates_stall():
                         InnerConfig(), None)
     assert tr.status == "stagnated"
     assert [r.step_norm for r in tr.records] == [2.0 ** -5, 2.0 ** -6, 2.0 ** -7]
-    assert tr.theta_final > 10.0 * THETA_FLOOR
+    assert tr.gap > 10.0 * THETA_FLOOR
     assert x[0] == b + 2.0 ** -7
 
 
@@ -365,7 +379,7 @@ def test_newton_trial_at_the_floor_must_halve_the_residual(slope, status, l2):
     assert tr.p < THETA_FLOOR
     assert tr.status == status
     if status == "floor":
-        assert tr.iterations == 0 and tr.theta_final <= THETA_FLOOR
+        assert tr.iterations == 0 and tr.gap <= THETA_FLOOR
     else:
         assert [r.branch for r in tr.records] == [BRANCH_NEWTON]
         assert tr.certificate == "residual" and abs(x[0]) <= tr.radius <= 1e-12
@@ -538,14 +552,15 @@ def test_solve_constants_capped_at_admissible_bounds(ba_problem, l2):
     # explicit c/delta beyond the admissible formulas are capped at resolve,
     # with L_theta the declared Lipschitz constant L + eps*M of T_eps
     eps = 0.5
-    x, tr = solve_inner(ba_problem, X0, eps, 1e-6,
-                        InnerConfig(c=5.0, delta=9.0), l2)
-    assert tr.L_theta == ba_problem.map.lipschitz_L + eps * l2.lipschitz_M
-    c_bound = min(1.0, (2.0 - 1.0) / (2.0 * (tr.L_theta + 2.0)))
+    cfg = _resolve_constants(ba_problem, InnerConfig(c=5.0, delta=9.0), eps, l2)
+    assert cfg.L_theta_estimate == ba_problem.map.lipschitz_L + eps * l2.lipschitz_M
+    c_bound = min(1.0, (2.0 - 1.0) / (2.0 * (cfg.L_theta_estimate + 2.0)))
     d_bound = min(0.5 * math.sqrt(0.5),
-                  math.sqrt(2.0) * tr.c * eps * l2.rho / math.sqrt(1.0))
-    assert tr.c == c_bound
-    assert tr.delta <= d_bound
+                  math.sqrt(2.0) * cfg.c * eps * l2.rho / math.sqrt(1.0))
+    assert cfg.c == c_bound
+    assert cfg.delta <= d_bound
+    x, tr = solve_inner(ba_problem, X0, eps, 1e-6, InnerConfig(c=5.0, delta=9.0), l2)
+    assert tr.status == "certified"
 
 
 @pytest.mark.parametrize("name", ["affine5d", "example5_1"])
@@ -661,10 +676,14 @@ def test_traces_compare_and_copy_by_field(ba_problem, l2):
     assert (tr.wall_time_s, tr.dist_S0) == (0.0, None)
     assert moved != tr and moved._replace(wall_time_s=0.0, dist_S0=None) == tr
     assert moved.iterations == tr.iterations == len(tr.records)
-    pt = solvers.PgeTrace(iterations=3, n_nonconverged=0, best_objective=0.5)
-    assert pt == solvers.PgeTrace(3, 0, 0.5)
-    assert pt._replace(n_nonconverged=1) != pt
-    assert pt._replace(n_nonconverged=1).n_nonconverged == 1
+    # the dual-gap route returns the same record, with its own G bracket and
+    # neither a threshold nor step records
+    _, pt = solve_pge(ba_problem, l2, 0.5, X0)
+    assert type(pt) is type(tr) and pt._fields == tr._fields
+    assert (pt.p, pt.records, tr.gap_upper) == (None, (), None)
+    assert pt.gap <= pt.gap_upper and pt.n_nonconverged == 0
+    assert same_trace(pt._replace(x=pt.x.copy()), pt)
+    assert not same_trace(pt._replace(n_nonconverged=1), pt)
 
 
 def test_sequential_pure_regularizer_limit(l2):
@@ -686,12 +705,12 @@ def test_sequential_pure_regularizer_limit(l2):
 # ---------------------------------------------------------------------------
 
 def test_pge_best_so_far_monotone(ba_problem, l1):
-    # the returned point is the best iterate, and best_objective is its G + eps*phi
+    # the returned point is the best iterate, and gap is its G
     eps = 0.1
     x, tr = solve_pge(ba_problem, l1, eps, X0, 60)
-    assert tr.best_objective == dual_gap(ba_problem, x).value + eps * l1.value(x)
+    assert tr.x is x and tr.gap == dual_gap(ba_problem, x).value
     x0 = ba_problem.set.project(X0)
-    assert tr.best_objective <= dual_gap(ba_problem, x0).value + eps * l1.value(x0)
+    assert objective(tr, l1) <= dual_gap(ba_problem, x0).value + eps * l1.value(x0)
 
 
 def test_pge_unregularized_strongly_monotone(l2):
@@ -711,7 +730,7 @@ def test_pge_l1_exact_recovery(ba_problem, l1):
             assert tr.radius is None and 1 <= tr.iterations <= 20 and tr.n_nonconverged == 0
             assert float(np.linalg.norm(x - XSTAR)) <= 1e-12
             assert ba_problem.solution_oracle.distance_to_S0(x) <= 1e-12
-            assert tr.best_objective == dual_gap(ba_problem, x).value + eps * l1.value(x)
+            assert tr.gap == dual_gap(ba_problem, x).value
 
 
 def test_pge_raises_when_dual_gap_unreliable(ba_problem, l1, monkeypatch):
@@ -773,7 +792,7 @@ def test_pge_loop_calls_raw_callables(ba_problem, l2, monkeypatch):
     (x_ref, tr_ref), (x, tr), calls = _run_with_raw_callables(ba_problem, l2, monkeypatch)
     assert 1 <= tr.iterations < 200 and tr.radius is not None
     assert len(calls) >= tr.iterations + 1
-    assert x.tobytes() == x_ref.tobytes() and tr == tr_ref
+    assert x.tobytes() == x_ref.tobytes() and same_trace(tr, tr_ref)
 
 
 def test_pge_at_eps_zero_calls_raw_callables(ba_problem, l1, monkeypatch):
@@ -782,11 +801,12 @@ def test_pge_at_eps_zero_calls_raw_callables(ba_problem, l1, monkeypatch):
     (x_ref, tr_ref), (x, tr), calls = _run_with_raw_callables(ba_problem, l1, monkeypatch, 0.0)
     assert 1 <= tr.iterations < 200 and tr.radius is None
     assert len(calls) >= tr.iterations + 1
-    assert x.tobytes() == x_ref.tobytes() and tr == tr_ref
+    assert x.tobytes() == x_ref.tobytes() and same_trace(tr, tr_ref)
 
 
 # (problem, phi, eps, x0 or None for the default) -> x as float.hex,
-# iterations and best_objective as float.hex, at the full default budget.
+# iterations and G + eps*phi at x (`objective`) as float.hex, at the full
+# default budget.
 # The golden CSVs see x only through rounded columns, so a drift of x by a
 # few ulps shows here first. example5_1 runs its closed-form oracle, affine5d
 # the box QP and sharp_ball2d (a ball, no oracle) the multistart ascent; every
@@ -819,10 +839,10 @@ PGE_PINS = [
 def test_pge_is_pinned_bit_for_bit(case, pinned, l1, l2):
     name, reg, eps, x0 = case
     p = get_problem(name)
-    x, tr = solve_pge(p, l1 if reg == "l1" else l2, eps,
-                      p.default_x0 if x0 is None else np.array(x0))
+    reg = l1 if reg == "l1" else l2
+    x, tr = solve_pge(p, reg, eps, p.default_x0 if x0 is None else np.array(x0))
     assert (tuple(float(v).hex() for v in x), tr.iterations,
-            float(tr.best_objective).hex()) == pinned
+            float(objective(tr, reg)).hex()) == pinned
 
 
 def _count_F_evaluations(p):
@@ -887,7 +907,7 @@ def test_pge_l1_on_affine_boxes_matches_the_subgradient_loop(l1):
             _, tr = solve_pge(p, l1, eps, x0)
             _, ref = polyak_pge(p, l1, eps, x0)
             assert tr.iterations < 200 and tr.radius is None and ref.radius is None
-            assert tr.best_objective <= ref.best_objective + 1e-12
+            assert objective(tr, l1) <= objective(ref, l1) + 1e-12
 
 
 def test_pge_l2_radius_covers_the_closed_form_error(ba_problem, l2):
@@ -963,17 +983,24 @@ def test_pge_on_the_ascent_sets_is_no_worse_than_the_subgradient_loop(kind, tmp_
         _, tr = solve_pge(p, reg, 0.1, X0)
         _, ref = polyak_pge(p, reg, 0.1, X0)
         assert tr.iterations <= 100 and tr.radius is None and tr.n_nonconverged == 0
-        assert tr.best_objective <= ref.best_objective + 1e-12 * (1.0 + abs(tr.best_objective))
+        f = objective(tr, reg)
+        assert f <= objective(ref, reg) + 1e-12 * (1.0 + abs(f))
 
 
-def test_pge_armijo_search_ends_at_a_rounding_move(tmp_path, l2, monkeypatch):
-    # near x_eps on a hyperplane, with G from the ascent, no trial of a search
-    # shows the Armijo decrease; ending it once lam ||d|| <= 2^-52 ||x|| leaves
-    # 136 G evaluations, where searches of 61 trials each would take 429
+@pytest.fixture
+def plane(tmp_path):
+    """A monotone 2-D affine VI on a hyperplane, whose G comes from the ascent."""
     path = tmp_path / "plane.ini"
     path.write_text("[operator]\nkind = affine\nmatrix = 2 1; -1 3\noffset = -1 0\n"
                     "[set]\nkind = hyperplane\nnormal = 1 -1\noffset = 0\n")
-    p = load_problem_file(str(path))
+    return load_problem_file(str(path))
+
+
+def test_pge_armijo_search_ends_at_a_rounding_move(plane, l2, monkeypatch):
+    # near x_eps on a hyperplane, with G from the ascent, no trial of a search
+    # shows the Armijo decrease; ending it once lam ||d|| <= 2^-52 ||x|| leaves
+    # 136 G evaluations, where searches of 61 trials each would take 429
+    p = plane
     trials = []
     kernel = solvers._dual_gap_kernel
 
@@ -987,6 +1014,41 @@ def test_pge_armijo_search_ends_at_a_rounding_move(tmp_path, l2, monkeypatch):
     assert dual_gap(p, x).value == pytest.approx(3.149407858976281e-06, rel=1e-9)
 
 
+def test_pge_exits_name_how_the_run_ended(plane, l2):
+    # the same cell has no certificate (G comes from the ascent): its measure
+    # stops improving above its floor of 0, so the run ends "stagnated", and a
+    # budget of one step ends it "max_iterations", neither with a radius
+    _, tr = solve_pge(plane, l2, 0.01, plane.default_x0)
+    assert (tr.status, tr.certificate, tr.radius) == ("stagnated", None, None)
+    _, tr = solve_pge(plane, l2, 0.01, plane.default_x0, 1)
+    assert (tr.status, tr.iterations, tr.certificate, tr.radius) == \
+        ("max_iterations", 1, None, None)
+
+
+def test_solve_pge_status_and_certificate_invariant(ba_problem, plane, l1, l2):
+    # the dual-gap twin of the solve_inner invariant, over seeded starts on
+    # example5_1 and the hyperplane cells: "certified" exactly when a "dualgap"
+    # radius is attached, and that radius holds the closed-form distance to x_eps
+    rng = np.random.default_rng(5)
+    cells = [(ba_problem, reg, eps, x0, None) for reg in (l1, l2) for eps in (0.5, 0.01, 1e-4)
+             for x0 in rng.uniform(-3.0, 3.0, (3, 3))]
+    cells += [(plane, reg, eps, plane.default_x0, budget) for reg in (l1, l2)
+              for eps in (0.5, 0.01) for budget in (None, 1)]
+    seen = set()
+    for p, reg, eps, x0, budget in cells:
+        x, tr = solve_pge(p, reg, eps, x0, budget)
+        seen.add((tr.status, tr.certificate))
+        assert tr.x is x and tr.epsilon == eps and tr.p is None
+        assert tr.status in ("certified", "floor", "stagnated", "max_iterations")
+        certified = tr.status == "certified"
+        assert certified == (tr.certificate == "dualgap") == (tr.radius is not None)
+        if certified:
+            t = eps / (2.0 * (1.0 + 2.0 * eps))
+            assert np.linalg.norm(x - np.array([0.0, -0.75 + t, -0.25 - t])) <= tr.radius
+    assert {("certified", "dualgap"), ("floor", None), ("stagnated", None),
+            ("max_iterations", None)} <= seen
+
+
 def test_pge_at_eps_zero_is_no_worse_than_the_subgradient_loop(ba_problem, l1, l2):
     # eps = 0 on example5_1 (f = G, whose minimizers are S0) from the benchmark
     # start and seeded starts in [-3, 3]^3
@@ -996,7 +1058,8 @@ def test_pge_at_eps_zero_is_no_worse_than_the_subgradient_loop(ba_problem, l1, l
             _, tr = solve_pge(ba_problem, reg, 0.0, x0)
             _, ref = polyak_pge(ba_problem, reg, 0.0, x0)
             assert tr.iterations < PGE_MAX_ITERATIONS
-            assert tr.best_objective <= ref.best_objective + 1e-12 * (1.0 + abs(tr.best_objective))
+            f = objective(tr, reg)
+            assert f <= objective(ref, reg) + 1e-12 * (1.0 + abs(f))
 
 
 # ---------------------------------------------------------------------------
